@@ -47,10 +47,14 @@ from .moments import (
     preset,
 )
 from .polyq import (
+    FAMILIES,
+    Family,
     IntPoly,
     NonzeroRemainder,
     NotPolynomial,
     gaussian_binomial,
+    get_family,
+    iter_family,
     major_index_histogram,
     poly_div_exact,
     poly_mul,
@@ -66,6 +70,7 @@ from .shape import (
     interior_unimodal,
     min_logconcave_t,
     min_logconcave_t_bruteforce,
+    pool_size,
     scan_family,
     shape_report,
 )
@@ -73,8 +78,10 @@ from .shape import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "FAMILIES",
     "BernoulliTable",
     "DistSummary",
+    "Family",
     "GecoParams",
     "GecoReport",
     "GecoViolation",
@@ -95,8 +102,10 @@ __all__ = [
     "exact_standardized_mgf",
     "gaussian_binomial",
     "geco_bound_check",
+    "get_family",
     "general_moments_closed",
     "interior_unimodal",
+    "iter_family",
     "ks_distance_to_normal",
     "log_mgf_truncated",
     "log_sinh_series_coeff",
@@ -106,6 +115,7 @@ __all__ = [
     "min_logconcave_t_bruteforce",
     "poly_div_exact",
     "poly_mul",
+    "pool_size",
     "power_sum_diff",
     "preset",
     "q_catalan",

@@ -34,25 +34,14 @@ from .limitlaw import (
     power_sum_diff,
     tail_series,
 )
-from .moments import (
-    QuotientSpec,
-    catalan_moments_closed,
-    dist_summary,
-    general_moments_closed,
-    preset,
-)
-from .polyq import (
-    IntPoly,
-    NotPolynomial,
-    q_catalan,
-    q_catalan_general,
-    q_catalan_second,
-    quotient_poly,
-)
+from .moments import QuotientSpec, dist_summary, general_moments_closed, preset
+from .polyq import FAMILIES, NotPolynomial, get_family, iter_family, q_catalan, quotient_poly
 from .shape import scan_family
 
 SCHEMA_VERSION = "1"
 INT_AS_STRING_LIMIT = 2 ** 53
+# Largest t grid `normality` accepts: 4001 points, i.e. --grid-step >= 0.001.
+GRID_MAX_POINTS = 4001
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -114,28 +103,16 @@ def _emit(
             out.write(",".join(_csv_cell(row.get(col)) for col in columns) + "\n")
 
 
-def _family_poly(family: str, n: int, m: int | None) -> IntPoly:
-    if family == "mcatalan":
-        if m is None:
-            raise UsageError("--family mcatalan requires --m")
-        return q_catalan_general(n, m)
-    if m is not None:
-        raise UsageError(f"--m only applies to --family mcatalan, not {family!r}")
-    if family == "catalan":
-        return q_catalan(n)
-    return q_catalan_second(n)
-
-
-def _closed_moments(family: str, n: int, m: int | None) -> tuple[Fraction, Fraction]:
-    if family == "catalan":
-        return catalan_moments_closed(n)
-    if n == 1:
-        return Fraction(0), Fraction(0)
-    return general_moments_closed(preset(family, n, m))
+def _check_m(family: str, m: int | None) -> None:
+    """Reject --m for a family without it; the library checks the rest."""
+    if m is not None and not FAMILIES[family].takes_m:
+        takers = "/".join(name for name, f in FAMILIES.items() if f.takes_m)
+        raise UsageError(f"--m only applies to --family {takers}, not {family!r}")
 
 
 def _cmd_coeffs(args: argparse.Namespace, out: TextIO) -> int:
-    p = _family_poly(args.family, args.n, args.m)
+    _check_m(args.family, args.m)
+    p = get_family(args.family, args.m).build(args.n, args.m)
     rows = [{"k": k, "coeff": c} for k, c in enumerate(p.coeffs)]
     params = {"family": args.family, "n": args.n, "m": args.m}
     _emit("coeffs", params, ["k", "coeff"], rows, args.format, out)
@@ -145,11 +122,15 @@ def _cmd_coeffs(args: argparse.Namespace, out: TextIO) -> int:
 def _cmd_moments(args: argparse.Namespace, out: TextIO) -> int:
     if not 1 <= args.n_from <= args.n_to:
         raise UsageError(f"need 1 <= --n-from <= --n-to, got {args.n_from}..{args.n_to}")
+    _check_m(args.family, args.m)
     rows = []
-    for n in range(args.n_from, args.n_to + 1):
-        p = _family_poly(args.family, n, args.m)
+    members = iter_family(args.family, args.n_from, args.n_to, args.m)
+    for n, p in zip(range(args.n_from, args.n_to + 1), members):
         s = dist_summary(p)
-        c_mean, c_var = _closed_moments(args.family, n, args.m)
+        if n == 1:  # every family is the constant 1, which has no exponent lists
+            c_mean, c_var = Fraction(0), Fraction(0)
+        else:
+            c_mean, c_var = general_moments_closed(preset(args.family, n, args.m))
         rows.append(
             {
                 "n": n,
@@ -176,10 +157,22 @@ def _cmd_moments(args: argparse.Namespace, out: TextIO) -> int:
     return EXIT_OK
 
 
+def _t_grid_half(step: float) -> int:
+    """Grid points on each side of t = 0 for --grid-step, checked against
+    GRID_MAX_POINTS before anything is allocated."""
+    if not (math.isfinite(step) and step > 0):
+        raise UsageError(f"--grid-step must be a positive finite number, got {step}")
+    half = 2.0 / step + 1e-9
+    if half >= GRID_MAX_POINTS // 2 + 1:
+        raise UsageError(
+            f"--grid-step {step} would need more than {GRID_MAX_POINTS} t points; "
+            f"use a step of at least {2.0 / (GRID_MAX_POINTS // 2)}"
+        )
+    return int(half)
+
+
 def _t_grid(step: float) -> list[float]:
-    if step <= 0:
-        raise UsageError(f"--grid-step must be positive, got {step}")
-    count = int(2.0 / step + 1e-9)
+    count = _t_grid_half(step)
     return [round(i * step, 12) for i in range(-count, count + 1)]
 
 
@@ -188,13 +181,14 @@ def _cmd_normality(args: argparse.Namespace, out: TextIO) -> int:
         raise UsageError(f"normality needs --n >= 2, got {args.n}")
     if args.K < 2:
         raise UsageError(f"need --K >= 2, got {args.K}")
+    grid = _t_grid(args.grid_step)
     p = q_catalan(args.n)
     spec = preset("catalan", args.n)
     table = bernoulli_table(args.K + 10)
     s = dist_summary(p)
     mu, sigma = float(s.mean), s.sigma
     rows: list[dict[str, Any]] = [{"kind": "ks", "ks": ks_distance_to_normal(p)}]
-    for t in _t_grid(args.grid_step):
+    for t in grid:
         exact = exact_standardized_mgf(p, t)
         drift = mu * t / sigma
         trunc = math.exp(log_mgf_truncated(spec, t, args.K, table) - drift)
@@ -244,8 +238,7 @@ def _workers_from_env() -> int:
 
 
 def _cmd_shape(args: argparse.Namespace, out: TextIO) -> int:
-    if args.family != "mcatalan" and args.m is not None:
-        raise UsageError(f"--m only applies to --family mcatalan, not {args.family!r}")
+    _check_m(args.family, args.m)
     reports = scan_family(
         args.family, args.n_from, args.n_to, m=args.m, workers=_workers_from_env()
     )
@@ -299,7 +292,7 @@ def _general_spec(args: argparse.Namespace) -> tuple[QuotientSpec, int, GecoPara
         n = args.n
         if all(v is not None for v in explicit):
             params = GecoParams(args.alpha, args.beta, args.gamma)
-        elif args.preset == "mcatalan":
+        elif FAMILIES[args.preset].takes_m:  # the m-Catalan envelope
             params = mcatalan_geco_params(args.m)
         else:
             params = catalan_geco_params()
@@ -379,14 +372,14 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
     sp = sub.add_parser("coeffs", help="coefficients of one family member")
-    sp.add_argument("--family", choices=("catalan", "catalan2", "mcatalan"), required=True)
+    sp.add_argument("--family", choices=tuple(FAMILIES), required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--m", type=int, default=None)
     add_format(sp)
     sp.set_defaults(func=_cmd_coeffs)
 
     sp = sub.add_parser("moments", help="exact vs closed-form moments over an n range")
-    sp.add_argument("--family", choices=("catalan", "catalan2", "mcatalan"), required=True)
+    sp.add_argument("--family", choices=tuple(FAMILIES), required=True)
     sp.add_argument("--n-from", type=int, required=True)
     sp.add_argument("--n-to", type=int, required=True)
     sp.add_argument("--m", type=int, default=None)
@@ -396,12 +389,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("normality", help="normal-limit diagnostics for q-Catalan at one n")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--K", type=int, default=30, help="series truncation depth")
-    sp.add_argument("--grid-step", type=float, default=0.5, help="t grid spacing on [-2, 2]")
+    sp.add_argument(
+        "--grid-step", type=float, default=0.5,
+        help=f"t grid spacing on [-2, 2], at most {GRID_MAX_POINTS} points",
+    )
     add_format(sp)
     sp.set_defaults(func=_cmd_normality)
 
     sp = sub.add_parser("shape", help="unimodality / log-concavity scan over an n range")
-    sp.add_argument("--family", choices=("catalan", "catalan2", "mcatalan"), required=True)
+    sp.add_argument("--family", choices=tuple(FAMILIES), required=True)
     sp.add_argument("--n-from", type=int, required=True)
     sp.add_argument("--n-to", type=int, required=True)
     sp.add_argument("--m", type=int, default=None)
@@ -411,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("general", help="arbitrary quotient of binomial products")
     sp.add_argument("--a", default=None, help="comma-separated numerator exponents")
     sp.add_argument("--b", default=None, help="comma-separated denominator exponents")
-    sp.add_argument("--preset", choices=("catalan", "catalan2", "mcatalan"), default=None)
+    sp.add_argument("--preset", choices=tuple(FAMILIES), default=None)
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--m", type=int, default=None)
     sp.add_argument("--K", type=int, default=10, help="largest ratio index k")

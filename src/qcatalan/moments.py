@@ -17,11 +17,10 @@ specialize to mean n(n-1)/2 and variance n(n^2-1)/6.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polyq import IntPoly
+from .polyq import IntPoly, _cancel_common, get_family
 
 __all__ = [
     "QuotientSpec",
@@ -32,9 +31,6 @@ __all__ = [
     "general_moments_closed",
     "preset",
 ]
-
-PRESET_NAMES = ("catalan", "catalan2", "mcatalan")
-
 
 @dataclass(frozen=True)
 class QuotientSpec:
@@ -143,17 +139,8 @@ def general_moments_closed(spec: QuotientSpec) -> tuple[Fraction, Fraction]:
     return Fraction(s1, 2), Fraction(s2, 12)
 
 
-def _cancel_common(a_raw: list[int], b_raw: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Drop exponent pairs appearing in both multisets; the factors are unit."""
-    ca, cb = Counter(a_raw), Counter(b_raw)
-    common = ca & cb
-    a = tuple(sorted((ca - common).elements()))
-    b = tuple(sorted((cb - common).elements()))
-    return a, b
-
-
 def preset(name: str, n: int, m: int | None = None) -> QuotientSpec:
-    """Named quotient families with exactly-cancelling pairs removed.
+    """A registry family at size n as a quotient spec, common pairs cancelled.
 
     catalan:  a = (n+2 .. 2n),        b = (2 .. n)
     catalan2: a = (2, n+2 .. 2n-1),   b = (1, 2 .. n-1), then cancellation;
@@ -161,27 +148,12 @@ def preset(name: str, n: int, m: int | None = None) -> QuotientSpec:
               and quotient_poly of it equals q_catalan_second(n)
     mcatalan: a = ((m-1)n+2 .. (m-1)n+n), b = (2 .. n), requires m >= 2
 
-    All presets need n >= 2 (at n = 1 every family is the constant 1 and the
-    factor lists would be empty).
+    The lists come from polyq.FAMILIES.  All presets need n >= 2 (at n = 1
+    every family is the constant 1 and the factor lists would be empty).
     """
-    if name not in PRESET_NAMES:
-        raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    fam = get_family(name, m)
     if n < 2:
         raise ValueError(f"presets need n >= 2, got {n}")
-    if name == "catalan":
-        a_raw = list(range(n + 2, 2 * n + 1))
-        b_raw = list(range(2, n + 1))
-        label = f"catalan(n={n})"
-    elif name == "catalan2":
-        a_raw = [2] + list(range(n + 2, 2 * n))
-        b_raw = [1] + list(range(2, n))
-        label = f"catalan2(n={n})"
-    else:
-        if m is None or m < 2:
-            raise ValueError(f"mcatalan needs m >= 2, got {m}")
-        base = (m - 1) * n
-        a_raw = list(range(base + 2, base + n + 1))
-        b_raw = list(range(2, n + 1))
-        label = f"mcatalan(n={n},m={m})"
-    a, b = _cancel_common(a_raw, b_raw)
+    a, b = _cancel_common(*fam.exponents(n, m))
+    label = f"{name}(n={n},m={m})" if fam.takes_m else f"{name}(n={n})"
     return QuotientSpec(a=a, b=b, label=label)

@@ -17,18 +17,25 @@ Multiplying by (1 - q^k) is a shifted subtraction; dividing by it is a
 strided prefix sum.  Every q-Catalan constructor therefore costs
 O(n * degree) coefficient operations instead of the O(n * degree^2) of naive
 convolution, which matters once degrees reach ~14000 around n = 120.
+
+FAMILIES is the one registry of named families.  iter_family sweeps a
+family over a range of n, stepping each member from the previous one in a
+few such passes instead of the ~2n a rebuild takes.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:
     from .moments import QuotientSpec
 
 __all__ = [
+    "FAMILIES",
+    "Family",
     "IntPoly",
     "NonzeroRemainder",
     "NotPolynomial",
@@ -40,6 +47,8 @@ __all__ = [
     "q_catalan_via_binomial",
     "q_catalan_second",
     "q_catalan_general",
+    "get_family",
+    "iter_family",
     "quotient_poly",
     "major_index_histogram",
 ]
@@ -244,6 +253,24 @@ def _binomial_product_quotient(a: Iterable[int], b: Iterable[int]) -> list[int]:
     return c
 
 
+def _cancel_common(a: Iterable[int], b: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Drop exponents appearing in both multisets; those factors cancel."""
+    ca, cb = Counter(a), Counter(b)
+    common = ca & cb
+    return tuple(sorted((ca - common).elements())), tuple(sorted((cb - common).elements()))
+
+
+def _require_nonnegative(c: list[int], what: str) -> list[int]:
+    """Return c, or raise ArithmeticError if a coefficient is negative.
+
+    Every finished q-Catalan-type member has nonnegative coefficients, so a
+    negative one means the construction itself went wrong.
+    """
+    if c and min(c) < 0:
+        raise ArithmeticError(f"{what} has a negative coefficient; construction is broken")
+    return c
+
+
 def _check_factor_list(name: str, vals: tuple[int, ...]) -> None:
     if any(v < 1 for v in vals):
         raise ValueError(f"{name} entries must be positive integers, got {vals}")
@@ -285,8 +312,7 @@ def q_catalan(n: int) -> IntPoly:
     if n == 1:
         return IntPoly([1])
     c = _binomial_product_quotient(range(n + 2, 2 * n + 1), range(2, n + 1))
-    assert min(c) >= 0
-    return IntPoly(c)
+    return IntPoly(_require_nonnegative(c, f"q_catalan({n})"))
 
 
 def q_catalan_via_binomial(n: int) -> IntPoly:
@@ -297,8 +323,7 @@ def q_catalan_via_binomial(n: int) -> IntPoly:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     c = _div_qint(list(gaussian_binomial(2 * n, n).coeffs), n + 1)
-    assert min(c) >= 0
-    return IntPoly(c)
+    return IntPoly(_require_nonnegative(c, f"q_catalan_via_binomial({n})"))
 
 
 def q_catalan_second(n: int) -> IntPoly:
@@ -311,8 +336,7 @@ def q_catalan_second(n: int) -> IntPoly:
     c = list(gaussian_binomial(2 * n, n - 1).coeffs)
     c = _mul_qint(c, 2)
     c = _div_qint(c, 2 * n)
-    assert min(c) >= 0
-    return IntPoly(c)
+    return IntPoly(_require_nonnegative(c, f"q_catalan_second({n})"))
 
 
 def q_catalan_general(n: int, m: int) -> IntPoly:
@@ -329,8 +353,129 @@ def q_catalan_general(n: int, m: int) -> IntPoly:
         return IntPoly([1])
     base = (m - 1) * n
     c = _binomial_product_quotient(range(base + 2, base + n + 1), range(2, n + 1))
-    assert min(c) >= 0
-    return IntPoly(c)
+    return IntPoly(_require_nonnegative(c, f"q_catalan_general({n}, {m})"))
+
+
+# -- the family registry and incremental sweeps --------------------------------
+
+@dataclass(frozen=True)
+class Family:
+    """One named family of q-Catalan analogs.
+
+    build(n, m) is the from-scratch constructor.  exponents(n, m) gives,
+    for n >= 2, multisets a and b with member(n) = prod(1 - q^a_i) /
+    prod(1 - q^b_i), before common entries are cancelled.  At n = 1 every
+    family is the constant 1 and has no exponent lists.  takes_m marks the
+    families parameterized by m >= 2.
+    """
+
+    name: str
+    takes_m: bool
+    build: Callable[[int, int | None], IntPoly]
+    exponents: Callable[[int, int | None], tuple[list[int], list[int]]]
+
+
+def _mcatalan_exponents(n: int, m: int) -> tuple[list[int], list[int]]:
+    base = (m - 1) * n
+    return list(range(base + 2, base + n + 1)), list(range(2, n + 1))
+
+
+# The builders are looked up when called, not bound here, so wrappers
+# installed on this module's functions see every build.
+FAMILIES: dict[str, Family] = {
+    f.name: f
+    for f in (
+        Family(
+            "catalan",
+            False,
+            lambda n, m: q_catalan(n),
+            lambda n, m: (list(range(n + 2, 2 * n + 1)), list(range(2, n + 1))),
+        ),
+        Family(
+            "catalan2",
+            False,
+            lambda n, m: q_catalan_second(n),
+            lambda n, m: ([2] + list(range(n + 2, 2 * n)), [1] + list(range(2, n))),
+        ),
+        Family(
+            "mcatalan",
+            True,
+            lambda n, m: q_catalan_general(n, m),
+            _mcatalan_exponents,
+        ),
+    )
+}
+
+
+def get_family(name: str, m: int | None = None) -> Family:
+    """The registry entry for name, after checking that m suits it.
+
+    m is required (and must be >= 2) for families that take it; families
+    that do not take m ignore it.
+    """
+    fam = FAMILIES.get(name)
+    if fam is None:
+        raise ValueError(f"unknown family {name!r}; choose from {tuple(FAMILIES)}")
+    if fam.takes_m and (m is None or m < 2):
+        raise ValueError(f"family {name!r} needs m >= 2, got {m}")
+    return fam
+
+
+def iter_family(
+    name: str, n_from: int, n_to: int, m: int | None = None
+) -> Iterator[IntPoly]:
+    """Members n_from..n_to of a named family, in order, one at a time.
+
+    The member at n_from is built from scratch; each later member is
+    stepped from the one before.  With lists a(n), b(n) from the registry,
+
+        member(n+1) = member(n) * prod(1 - q^u) / prod(1 - q^d),
+        u = a(n+1) + b(n),  d = b(n+1) + a(n),  common entries cancelled,
+
+    which for catalan is C_n (1 - q^(2n+1))(1 - q^(2n+2)) /
+    ((1 - q^(n+1))(1 - q^(n+2))): 4 linear passes against about 2n for a
+    rebuild.  The multiplies come first, so every division is exact by the
+    cyclotomic argument of _binomial_product_quotient.  A step that needs
+    at least as many passes as a rebuild (m-Catalan with m >= n, roughly)
+    rebuilds instead.  Only the current member is held.  Bad arguments
+    raise here, before any member is built.
+    """
+    fam = get_family(name, m)
+    if not 1 <= n_from <= n_to:
+        raise ValueError(f"need 1 <= n_from <= n_to, got {n_from}..{n_to}")
+    return _sweep(fam, n_from, n_to, m)
+
+
+def _step_factors(prev, cur) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Exponents (ups, downs) taking the member with lists prev to the one
+    with lists cur, or None when that costs at least as many passes as a
+    rebuild or either side has no lists."""
+    if prev is None or cur is None:
+        return None
+    ups, downs = _cancel_common(cur[0] + prev[1], cur[1] + prev[0])
+    if len(ups) + len(downs) >= sum(map(len, _cancel_common(*cur))):
+        return None
+    return ups, downs
+
+
+def _sweep(fam: Family, n_from: int, n_to: int, m: int | None) -> Iterator[IntPoly]:
+    c: list[int] = []
+    prev = None  # exponent lists of member n - 1
+    for n in range(n_from, n_to + 1):
+        cur = fam.exponents(n, m) if n > 1 else None
+        step = _step_factors(prev, cur)
+        if step is None:
+            p = fam.build(n, m)
+            c = list(p.coeffs)
+        else:
+            ups, downs = step
+            for u in ups:
+                c = _mul_one_minus_qpow(c, u)
+            for d in reversed(downs):
+                c = _div_one_minus_qpow(c, d)
+            p = IntPoly(_require_nonnegative(c, f"{fam.name} member n={n}"))
+        yield p
+        prev = cur
 
 
 def quotient_poly(spec: "QuotientSpec") -> IntPoly:

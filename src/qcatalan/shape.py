@@ -17,11 +17,14 @@ definition and exists purely to keep the fast scanner honest.
 
 from __future__ import annotations
 
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .polyq import IntPoly, q_catalan, q_catalan_general, q_catalan_second
+# q_catalan is re-exported: code that wraps or reads the builders through
+# this module (the benchmark's tracer) finds it here.
+from .polyq import IntPoly, iter_family, q_catalan  # noqa: F401
 
 __all__ = [
     "ShapeReport",
@@ -30,9 +33,9 @@ __all__ = [
     "min_logconcave_t_bruteforce",
     "shape_report",
     "scan_family",
+    "pool_size",
+    "split_range",
 ]
-
-FAMILY_NAMES = ("catalan", "catalan2", "mcatalan")
 
 
 @dataclass(frozen=True)
@@ -99,11 +102,13 @@ def min_logconcave_t(p: IntPoly) -> int | None:
         warnings.warn(f"degree {d} leaves little to trim; result is near-vacuous")
     if not p.is_palindromic():
         warnings.warn("input is not palindromic; trimming both ends is asymmetric here")
-    cap = (d - 2) // 2
-    needed = 0
-    for k in _lc_violations(p):
-        needed = max(needed, min(k, d - k))
-    return needed if needed <= cap else None
+    return _trim_depth(_lc_violations(p), d)
+
+
+def _trim_depth(violations: list[int], d: int) -> int | None:
+    """Smallest trim depth clearing every violating index, or None."""
+    needed = max((min(k, d - k) for k in violations), default=0)
+    return needed if needed <= (d - 2) // 2 else None
 
 
 def min_logconcave_t_bruteforce(p: IntPoly) -> int | None:
@@ -123,18 +128,6 @@ def min_logconcave_t_bruteforce(p: IntPoly) -> int | None:
     return None
 
 
-def _build_family_member(family: str, n: int, m: int | None) -> IntPoly:
-    if family == "catalan":
-        return q_catalan(n)
-    if family == "catalan2":
-        return q_catalan_second(n)
-    if family == "mcatalan":
-        if m is None:
-            raise ValueError("family 'mcatalan' needs m")
-        return q_catalan_general(n, m)
-    raise ValueError(f"unknown family {family!r}; choose from {FAMILY_NAMES}")
-
-
 def shape_report(p: IntPoly, family: str, n: int) -> ShapeReport:
     """Assemble the shape facts for one polynomial.
 
@@ -147,9 +140,6 @@ def shape_report(p: IntPoly, family: str, n: int) -> ShapeReport:
         uni, uni_viol = interior_unimodal(p)
     else:
         uni, uni_viol = True, None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        t = min_logconcave_t(p)
     viols = _lc_violations(p)
     return ShapeReport(
         family=family,
@@ -157,14 +147,65 @@ def shape_report(p: IntPoly, family: str, n: int) -> ShapeReport:
         degree=d,
         interior_unimodal=uni,
         first_unimodality_violation=uni_viol,
-        min_logconcave_t=t,
+        min_logconcave_t=_trim_depth(viols, d),
         first_lc_violation_at_t0=viols[0] if viols else None,
     )
 
 
-def _scan_one(job: tuple[str, int, int | None]) -> ShapeReport:
-    family, n, m = job
-    return shape_report(_build_family_member(family, n, m), family, n)
+def pool_size(requested: int, jobs: int, cpus: int | None = None) -> int:
+    """Worker processes for a scan: min(requested, cpus, jobs), at least 1.
+
+    cpus defaults to os.cpu_count().  A process pool under fork starts all
+    its workers at once, so the request alone must never set the size.
+    """
+    if cpus is None:
+        cpus = os.cpu_count() or 1
+    return max(1, min(requested, cpus, jobs))
+
+
+def _chunk_cost(n_from: int, n_to: int) -> int:
+    """Relative cost of scanning n_from..n_to as one chunk.
+
+    A member of size n has degree ~ n^2 and coefficients of ~ n bits, so a
+    step plus its scan costs ~ n^3, and the from-scratch seed, about 2n
+    passes, ~ n^4 / 8 in the same units (measured on catalan, n = 60..200).
+    """
+    def cubes(k: int) -> int:  # 1^3 + ... + k^3
+        return (k * (k + 1) // 2) ** 2
+
+    return n_from ** 4 // 8 + cubes(n_to) - cubes(n_from - 1)
+
+
+def split_range(n_from: int, n_to: int, parts: int) -> list[tuple[int, int]]:
+    """Cut n_from..n_to into at most `parts` contiguous chunks, in order,
+    minimizing the largest _chunk_cost.  Fewer chunks come back when
+    another seed would cost more than it saves."""
+
+    def greedy(limit: int) -> list[tuple[int, int]]:
+        chunks = []
+        lo = n_from
+        while lo <= n_to:
+            hi = lo
+            while hi < n_to and _chunk_cost(lo, hi + 1) <= limit:
+                hi += 1
+            chunks.append((lo, hi))
+            lo = hi + 1
+        return chunks
+
+    low, high = _chunk_cost(n_to, n_to), _chunk_cost(n_from, n_to)
+    while low < high:
+        mid = (low + high) // 2
+        if len(greedy(mid)) <= parts:
+            high = mid
+        else:
+            low = mid + 1
+    return greedy(high)
+
+
+def _scan_chunk(job: tuple[str, int, int, int | None]) -> list[ShapeReport]:
+    family, n_from, n_to, m = job
+    members = iter_family(family, n_from, n_to, m)
+    return [shape_report(p, family, n) for n, p in zip(range(n_from, n_to + 1), members)]
 
 
 def scan_family(
@@ -176,17 +217,15 @@ def scan_family(
 ) -> list[ShapeReport]:
     """Shape reports for family members n_from..n_to inclusive, in order.
 
-    workers > 1 fans the per-n jobs out to a process pool; results come
-    back in n order either way, so output is deterministic.
+    Members come from iter_family.  workers > 1 gives each of up to
+    pool_size(workers, number of n) processes one contiguous chunk of the
+    range, seeded from scratch at its first n; results come back in n order
+    either way, so output is deterministic.
     """
-    if n_from < 1 or n_to < n_from:
-        raise ValueError(f"need 1 <= n_from <= n_to, got {n_from}..{n_to}")
-    if family not in FAMILY_NAMES:
-        raise ValueError(f"unknown family {family!r}; choose from {FAMILY_NAMES}")
-    if family == "mcatalan" and m is None:
-        raise ValueError("family 'mcatalan' needs m")
-    jobs = [(family, n, m) for n in range(n_from, n_to + 1)]
-    if workers <= 1 or len(jobs) == 1:
-        return [_scan_one(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_scan_one, jobs, chunksize=4))
+    iter_family(family, n_from, n_to, m)  # checks the arguments, builds nothing
+    size = pool_size(workers, n_to - n_from + 1)
+    jobs = [(family, lo, hi, m) for lo, hi in split_range(n_from, n_to, size)]
+    if len(jobs) == 1:
+        return _scan_chunk(jobs[0])
+    with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+        return [r for chunk in pool.map(_scan_chunk, jobs) for r in chunk]

@@ -42,6 +42,7 @@ from qcatalan.moments import (
     preset,
 )
 from qcatalan.polyq import (
+    iter_family,
     major_index_histogram,
     q_catalan,
     q_catalan_via_binomial,
@@ -242,8 +243,7 @@ def test_criterion_10_logconcavity_cutoff(criterion_log):
     start = time.perf_counter()
     agree = True
     values = []
-    for n in range(71, 121):
-        p = catalan_poly(n)
+    for p in iter_family("catalan", 71, 120):
         fast = min_logconcave_t(p)
         slow = min_logconcave_t_bruteforce(p)
         agree = agree and fast == slow

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from qcatalan import cli
 from qcatalan.cli import main
 from qcatalan.limitlaw import ks_distance_to_normal
 from qcatalan.polyq import q_catalan
@@ -111,6 +112,26 @@ def test_normality_density_rows_track_normal_curve():
     mid = dens[len(dens) // 2]
     assert abs(mid["z"]) < 0.1
     assert abs(mid["density"] - mid["normal_density"]) < 0.05
+
+
+@pytest.mark.parametrize("step", [float("nan"), float("inf"), -0.5, 0.0, 1e-12, 5e-324])
+def test_grid_step_rejected_before_allocation(step):
+    with pytest.raises(cli.UsageError, match="--grid-step"):
+        cli._t_grid_half(step)
+
+
+def test_grid_step_cap_and_default_grids():
+    assert cli._t_grid_half(2.0 / (cli.GRID_MAX_POINTS // 2)) == cli.GRID_MAX_POINTS // 2
+    assert cli._t_grid(0.5) == [-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0]
+    grid = cli._t_grid(0.1)
+    assert len(grid) == 41 and grid[0] == -2.0 and grid[20] == 0.0 and grid[-1] == 2.0
+
+
+@pytest.mark.parametrize("step", ["nan", "inf", "1e-12"])
+def test_grid_step_exits_2(step, capsys):
+    rc, out = run_cli("normality", "--n", "5", "--grid-step", step)
+    assert rc == 2 and out == ""
+    assert "--grid-step" in capsys.readouterr().err
 
 
 def test_normality_rejects_small_n():

@@ -6,12 +6,18 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcatalan.polyq import (
+    FAMILIES,
     IntPoly,
     NonzeroRemainder,
     NotPolynomial,
+    _require_nonnegative,
     gaussian_binomial,
+    get_family,
+    iter_family,
     major_index_histogram,
     poly_div_exact,
     poly_mul,
@@ -270,3 +276,67 @@ def test_major_index_bounds():
         major_index_histogram(15)
     with pytest.raises(ValueError):
         major_index_histogram(0)
+
+
+# -- the family registry and incremental sweeps --------------------------------
+
+ORACLES = {
+    "catalan": lambda n, m: q_catalan(n),
+    "catalan2": lambda n, m: q_catalan_second(n),
+    "mcatalan": q_catalan_general,
+}
+
+
+def test_registry_names_match_oracles():
+    assert tuple(FAMILIES) == tuple(ORACLES)
+    assert [name for name, f in FAMILIES.items() if f.takes_m] == ["mcatalan"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(ORACLES)),
+    m=st.integers(2, 6),
+    bounds=st.tuples(st.integers(1, 40), st.integers(1, 40)).map(sorted),
+)
+def test_iter_family_matches_from_scratch_builders(name, m, bounds):
+    n_from, n_to = bounds
+    members = list(iter_family(name, n_from, n_to, m))
+    assert members == [ORACLES[name](n, m) for n in range(n_from, n_to + 1)]
+
+
+def test_iter_family_steps_past_the_rebuild_crossover():
+    # m = 7 rebuilds while a step needs more passes than a rebuild (small n)
+    # and steps afterwards; both kinds of member must match the oracle
+    members = list(iter_family("mcatalan", 1, 20, 7))
+    assert members == [q_catalan_general(n, 7) for n in range(1, 21)]
+
+
+def test_iter_family_yields_lazily():
+    members = iter_family("catalan", 1, 10 ** 9)
+    assert [next(members) for _ in range(3)] == [q_catalan(1), q_catalan(2), q_catalan(3)]
+
+
+def test_iter_family_rejects_before_building():
+    with pytest.raises(ValueError):
+        iter_family("unknown", 2, 5)
+    with pytest.raises(ValueError):
+        iter_family("mcatalan", 2, 5)
+    with pytest.raises(ValueError):
+        iter_family("mcatalan", 2, 5, m=1)
+    with pytest.raises(ValueError):
+        iter_family("catalan", 5, 2)
+    with pytest.raises(ValueError):
+        iter_family("catalan", 0, 2)
+
+
+def test_get_family_ignores_m_where_it_does_not_apply():
+    assert get_family("catalan", 3) is FAMILIES["catalan"]
+    assert get_family("mcatalan", 3).build(4, 3) == q_catalan_general(4, 3)
+
+
+def test_require_nonnegative():
+    c = [1, 0, 2]
+    assert _require_nonnegative(c, "x") is c
+    assert _require_nonnegative([], "x") == []
+    with pytest.raises(ArithmeticError, match="q_catalan\\(7\\) has a negative coefficient"):
+        _require_nonnegative([1, -1, 1], "q_catalan(7)")
