@@ -26,6 +26,7 @@ from .limitlaw import (
     GecoParams,
     GecoReport,
     GecoViolation,
+    StandardizedLaw,
     TailReport,
     catalan_geco_params,
     condition_ratio,
@@ -35,6 +36,7 @@ from .limitlaw import (
     log_mgf_truncated,
     mcatalan_geco_params,
     power_sum_diff,
+    series_coefficients,
     tail_series,
 )
 from .moments import (
@@ -90,6 +92,7 @@ __all__ = [
     "NotPolynomial",
     "QuotientSpec",
     "ShapeReport",
+    "StandardizedLaw",
     "TailReport",
     "bernoulli_asymptotic",
     "bernoulli_table",
@@ -125,6 +128,7 @@ __all__ = [
     "qint",
     "quotient_poly",
     "scan_family",
+    "series_coefficients",
     "shape_report",
     "tail_series",
     "__version__",

@@ -15,6 +15,7 @@ requested quotient is not a polynomial, or a value left float range).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -25,14 +26,14 @@ from typing import Any, Sequence, TextIO
 from .exactnum import bernoulli_table
 from .limitlaw import (
     GecoParams,
+    StandardizedLaw,
     catalan_geco_params,
     condition_ratio,
-    exact_standardized_mgf,
-    ks_distance_to_normal,
-    log_mgf_truncated,
     mcatalan_geco_params,
     power_sum_diff,
-    tail_series,
+    series_coefficients,
+    series_terms,
+    split_tail,
 )
 from .moments import QuotientSpec, dist_summary, general_moments_closed, preset
 from .polyq import FAMILIES, NotPolynomial, get_family, iter_family, q_catalan, quotient_poly
@@ -40,6 +41,8 @@ from .shape import scan_family
 
 SCHEMA_VERSION = "1"
 INT_AS_STRING_LIMIT = 2 ** 53
+# Encoder chunks joined into one write by the JSON writer.
+JSON_BLOCK_CHUNKS = 2 ** 14
 # Largest t grid `normality` accepts: 4001 points, i.e. --grid-step >= 0.001.
 GRID_MAX_POINTS = 4001
 
@@ -64,6 +67,8 @@ def _json_value(v: Any) -> Any:
     if isinstance(v, Fraction):
         return str(v)
     if isinstance(v, float):
+        if not math.isfinite(v):
+            raise OverflowError(f"cannot write the non-finite value {v} as JSON")
         return float(_fmt_float(v))
     raise TypeError(f"cannot encode {type(v)!r}")
 
@@ -95,7 +100,11 @@ def _emit(
             ],
             "schema_version": SCHEMA_VERSION,
         }
-        out.write(json.dumps(envelope, indent=2))
+        # Written in blocks of encoder chunks, so the whole document never
+        # sits in memory as one string; the bytes equal json.dumps(indent=2).
+        chunks = json.JSONEncoder(indent=2).iterencode(envelope)
+        while block := "".join(itertools.islice(chunks, JSON_BLOCK_CHUNKS)):
+            out.write(block)
         out.write("\n")
     else:
         out.write(",".join(columns) + "\n")
@@ -107,7 +116,7 @@ def _check_m(family: str, m: int | None) -> None:
     """Reject --m for a family without it; the library checks the rest."""
     if m is not None and not FAMILIES[family].takes_m:
         takers = "/".join(name for name, f in FAMILIES.items() if f.takes_m)
-        raise UsageError(f"--m only applies to --family {takers}, not {family!r}")
+        raise UsageError(f"--m only applies to the {takers} family, not {family!r}")
 
 
 def _cmd_coeffs(args: argparse.Namespace, out: TextIO) -> int:
@@ -183,16 +192,20 @@ def _cmd_normality(args: argparse.Namespace, out: TextIO) -> int:
         raise UsageError(f"need --K >= 2, got {args.K}")
     grid = _t_grid(args.grid_step)
     p = q_catalan(args.n)
+    law = StandardizedLaw(p)
+    mu, sigma, mass = law.mu, law.sigma, law.summary.mass
+    # Closed-form drift of log_mgf_truncated, and one coefficient list that
+    # serves both the K-term truncation and the 10-term convergence check.
     spec = preset("catalan", args.n)
-    table = bernoulli_table(args.K + 10)
-    s = dist_summary(p)
-    mu, sigma = float(s.mean), s.sigma
-    rows: list[dict[str, Any]] = [{"kind": "ks", "ks": ks_distance_to_normal(p)}]
-    for t in grid:
-        exact = exact_standardized_mgf(p, t)
+    mean, variance = general_moments_closed(spec)
+    c_mean, c_root = float(mean), math.sqrt(float(variance))
+    coeffs = series_coefficients(spec, args.K + 10, bernoulli_table(args.K + 10))
+    rows: list[dict[str, Any]] = [{"kind": "ks", "ks": law.ks()}]
+    for t, exact in zip(grid, law.mgf_grid(grid)):
+        terms = series_terms(coeffs, t)
         drift = mu * t / sigma
-        trunc = math.exp(log_mgf_truncated(spec, t, args.K, table) - drift)
-        tail = tail_series(args.n, t, args.K, table)
+        trunc = math.exp(c_mean * t / c_root + math.fsum(terms[: args.K]) - drift)
+        tail, delta = split_tail(terms, args.K)
         rows.append(
             {
                 "kind": "mgf",
@@ -201,9 +214,9 @@ def _cmd_normality(args: argparse.Namespace, out: TextIO) -> int:
                 "mgf_normal": math.exp(t * t / 2.0),
                 "mgf_truncated": trunc,
                 "mgf_residual": abs(exact - trunc),
-                "series_k1": tail.leading_term,
-                "series_tail": tail.tail_value,
-                "tail_delta": tail.truncation_delta,
+                "series_k1": terms[0],
+                "series_tail": tail,
+                "tail_delta": delta,
             }
         )
     for k, c in enumerate(p.coeffs):
@@ -214,7 +227,7 @@ def _cmd_normality(args: argparse.Namespace, out: TextIO) -> int:
                 "t": None,
                 "k": k,
                 "z": z,
-                "density": sigma * c / s.mass,
+                "density": sigma * c / mass,
                 "normal_density": math.exp(-z * z / 2.0) / math.sqrt(2.0 * math.pi),
             }
         )
@@ -288,6 +301,7 @@ def _general_spec(args: argparse.Namespace) -> tuple[QuotientSpec, int, GecoPara
             raise UsageError("give either --preset or --a/--b, not both")
         if args.n is None:
             raise UsageError("--preset requires --n")
+        _check_m(args.preset, args.m)
         spec = preset(args.preset, args.n, args.m)
         n = args.n
         if all(v is not None for v in explicit):

@@ -47,22 +47,31 @@ class BernoulliTable:
 
 
 def bernoulli_table(max_k: int) -> BernoulliTable:
-    """Tabulate B_0 .. B_{2*max_k} by the defining recurrence.
+    """Tabulate B_0 .. B_{2*max_k} from the tangent numbers.
 
-    B_0 = 1 and, for m >= 1,
-        B_m = -1/(m+1) * sum_{j<m} binomial(m+1, j) B_j,
-    which pins the B_1 = -1/2 convention.  Cost is O(max_k^2) Fraction
-    operations; a table through B_200 builds in well under a second.
+    The tangent numbers T_1..T_max_k come from the integer recurrence of
+    Brent & Harvey ("Fast computation of Bernoulli, Tangent and Secant
+    numbers", 2011), O(max_k^2) small big-int operations, and then
+
+        B_{2k} = (-1)^{k-1} 2k T_k / (4^k (4^k - 1)),
+
+    with B_0 = 1, B_1 = -1/2 and every odd index from 3 on equal to zero.
+    Only the even indices cost anything; B_200 takes about a millisecond.
     """
     if max_k < 1:
         raise ValueError(f"need max_k >= 1, got {max_k}")
-    top = 2 * max_k
-    vals: list[Fraction] = [Fraction(1)]
-    for m in range(1, top + 1):
-        acc = Fraction(0)
-        for j in range(m):
-            acc += math.comb(m + 1, j) * vals[j]
-        vals.append(-acc / (m + 1))
+    tangent = [0, 1] + [0] * (max_k - 1)  # tangent[k] = T_k, index 0 unused
+    for k in range(2, max_k + 1):
+        tangent[k] = (k - 1) * tangent[k - 1]
+    for k in range(2, max_k + 1):
+        for j in range(k, max_k + 1):
+            tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
+    vals: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
+    for k in range(1, max_k + 1):
+        four = 4 ** k
+        b = Fraction(2 * k * tangent[k], four * (four - 1))
+        vals += [b if k % 2 else -b, Fraction(0)]
+    vals.pop()  # the table ends at B_{2*max_k}
     return BernoulliTable(tuple(vals))
 
 

@@ -13,15 +13,22 @@ finite-n correction, and the functions here measure it three ways:
   * condition_ratio / geco_bound_check: the ratios S_k / S_1^k that must be
     small for the tail to vanish, tested against an explicit envelope
     alpha, beta, gamma with  ratio < n^gamma (alpha n^beta)^{2k}.
-  * log_mgf_truncated / tail_series: the expansion itself, exact rationals
-    until a single final float conversion per term.
-  * exact_standardized_mgf / ks_distance_to_normal: direct comparison of
-    the finite-n law against the standard normal, no series involved.
+  * series_coefficients / log_mgf_truncated / tail_series: the expansion
+    itself, exact rationals until a single final float conversion per
+    coefficient.
+  * StandardizedLaw (and its one-shot wrappers exact_standardized_mgf /
+    ks_distance_to_normal): direct comparison of the finite-n law against
+    the standard normal, no series involved.
+
+Everything that does not depend on t (the exact summary of the law, its
+log-weights, the series coefficients) is prepared once; a t grid then costs
+one float pass over the support and K multiplications per point.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -34,12 +41,16 @@ __all__ = [
     "GecoParams",
     "GecoViolation",
     "GecoReport",
+    "StandardizedLaw",
     "TailReport",
     "catalan_geco_params",
     "mcatalan_geco_params",
     "power_sum_diff",
     "condition_ratio",
     "geco_bound_check",
+    "series_coefficients",
+    "series_terms",
+    "split_tail",
     "log_mgf_truncated",
     "exact_standardized_mgf",
     "tail_series",
@@ -56,6 +67,10 @@ class GecoParams:
     gamma: float
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "gamma"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.alpha > 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if not self.beta < 0:
@@ -203,9 +218,14 @@ def geco_bound_check(
     return GecoReport(params=params, checked=checked, violations=tuple(violations))
 
 
-def _log_mgf_terms(spec: QuotientSpec, t: float, K: int, table: BernoulliTable) -> list[float]:
-    """Float values of the k = 1..K expansion terms; exact rational per term
-    until the one float conversion."""
+def series_coefficients(spec: QuotientSpec, K: int, table: BernoulliTable) -> list[float]:
+    """Float values of the t^{2k} coefficients B_{2k} S_k / (2k (2k)! var^k),
+    k = 1..K, with var = S_1/12.
+
+    One power-sum sweep gives S_1..S_K; each coefficient is an exact
+    rational until its one float conversion, so a list built once serves
+    every t (see series_terms).  Requires the table to hold B_2..B_{2K}.
+    """
     if K < 1:
         raise ValueError(f"need K >= 1, got {K}")
     if 2 * K > table.max_index:
@@ -214,11 +234,23 @@ def _log_mgf_terms(spec: QuotientSpec, t: float, K: int, table: BernoulliTable) 
     if sums[1] <= 0:
         raise ValueError(f"S_1 = {sums[1]} <= 0; standardization undefined")
     var = Fraction(sums[1], 12)
-    terms = []
-    for k in range(1, K + 1):
-        coeff = table[2 * k] * sums[k] / (2 * k * math.factorial(2 * k) * var ** k)
-        terms.append(float(coeff) * t ** (2 * k))
-    return terms
+    return [
+        float(table[2 * k] * sums[k] / (2 * k * math.factorial(2 * k) * var ** k))
+        for k in range(1, K + 1)
+    ]
+
+
+def series_terms(coeffs: Sequence[float], t: float) -> list[float]:
+    """The k = 1..len(coeffs) expansion terms c_k t^{2k} at t."""
+    return [c * t ** (2 * k) for k, c in enumerate(coeffs, 1)]
+
+
+def split_tail(terms: Sequence[float], K: int) -> tuple[float, float | None]:
+    """The k = 2..K tail sum of the terms, and how far the terms past K move
+    it (None when there are none)."""
+    tail = math.fsum(terms[1:K])
+    delta = abs(math.fsum(terms[1:]) - tail) if len(terms) > K else None
+    return tail, delta
 
 
 def log_mgf_truncated(spec: QuotientSpec, t: float, K: int, table: BernoulliTable) -> float:
@@ -229,7 +261,7 @@ def log_mgf_truncated(spec: QuotientSpec, t: float, K: int, table: BernoulliTabl
     series alone; everything past its k = 1 term is the finite-n
     correction.  Requires the table to hold B_2..B_{2K}.
     """
-    terms = _log_mgf_terms(spec, t, K, table)
+    terms = series_terms(series_coefficients(spec, K, table), t)
     mean, variance = general_moments_closed(spec)
     drift = float(mean) * t / math.sqrt(float(variance))
     return drift + math.fsum(terms)
@@ -249,16 +281,9 @@ def tail_series(
         raise ValueError(f"need n >= 2, got {n}")
     if K < 2:
         raise ValueError(f"need K >= 2, got {K}")
-    spec = preset("catalan", n)
-    k_far = K + 10
-    if 2 * k_far <= table.max_index:
-        terms = _log_mgf_terms(spec, t, k_far, table)
-        tail = math.fsum(terms[1:K])
-        delta = abs(math.fsum(terms[1:]) - tail)
-    else:
-        terms = _log_mgf_terms(spec, t, K, table)
-        tail = math.fsum(terms[1:])
-        delta = None
+    k_far = K + 10 if 2 * (K + 10) <= table.max_index else K
+    terms = series_terms(series_coefficients(preset("catalan", n), k_far, table), t)
+    tail, delta = split_tail(terms, K)
     ks = ks_distance_to_normal(q_catalan(n)) if with_ks else None
     return TailReport(
         n=n,
@@ -271,26 +296,91 @@ def tail_series(
     )
 
 
+class StandardizedLaw:
+    """The standardized coefficient law of p, prepared once for many t.
+
+    P(X = k) is proportional to c_k and X* = (X - mean)/sigma.  Building it
+    takes the one exact dist_summary of p and stores, for every k with
+    c_k > 0, the float offset k - mean and log(c_k), so each mgf(t) is one
+    float pass over the support.
+    """
+
+    def __init__(self, p: IntPoly):
+        summary = dist_summary(p)
+        if summary.variance <= 0:
+            raise ValueError("variance is zero; standardization undefined")
+        self.poly = p
+        self.summary = summary
+        self.mu = float(summary.mean)
+        self.sigma = summary.sigma
+        self.log_mass = math.log(summary.mass)
+        self.offsets = array("d")
+        self.log_weights = array("d")
+        for k, c in enumerate(p.coeffs):
+            if c > 0:
+                self.offsets.append(k - self.mu)
+                self.log_weights.append(math.log(c))
+        self.palindromic = p.is_palindromic()
+
+    def mgf(self, t: float) -> float:
+        """E[e^{tX*}], by log-sum-exp over the support.
+
+        Every exponential inside the sum is <= 1, so the only way to
+        overflow is the final exp, which raises instead of returning inf.
+        """
+        sigma = self.sigma
+        logs = [t * x / sigma + lc for x, lc in zip(self.offsets, self.log_weights)]
+        top = max(logs)
+        ln_e = top + math.log(math.fsum(map(math.exp, [v - top for v in logs]))) - self.log_mass
+        if ln_e > 709.0:
+            raise OverflowError(f"standardized MGF exceeds float range (ln = {ln_e:.1f})")
+        return math.exp(ln_e)
+
+    def mgf_grid(self, ts: Iterable[float]) -> list[float]:
+        """mgf(t) for every t in ts.
+
+        A palindromic law evaluates each |t| once: its summands at -t are
+        those at t in reverse order, and fsum is correctly rounded, so both
+        signs give the same float.
+        """
+        done: dict[float, float] = {}
+        out = []
+        for t in ts:
+            key = abs(t) if self.palindromic else t
+            if key not in done:
+                done[key] = self.mgf(key)
+            out.append(done[key])
+        return out
+
+    def ks(self) -> float:
+        """Kolmogorov-Smirnov distance to the standard normal.
+
+        The empirical CDF is a step function, so the supremum is attained
+        at a jump: both the pre-jump and post-jump gaps are checked at every
+        support point.  CDF values come from big-int partial sums divided by
+        the mass, correctly rounded by int/int true division.
+        """
+        sigma = self.sigma
+        mass = self.summary.mass
+        best = 0.0
+        cum = 0
+        weights = (c for c in self.poly.coeffs if c > 0)
+        for x, c in zip(self.offsets, weights):
+            phi = _normal_cdf(x / sigma)
+            lo = cum / mass
+            cum += c
+            hi = cum / mass
+            best = max(best, abs(phi - lo), abs(hi - phi))
+        return best
+
+
 def exact_standardized_mgf(p: IntPoly, t: float) -> float:
     """E[e^{tX*}] for the standardized coefficient law of p, no series.
 
-    X* = (X - mean)/sigma with P(X = k) proportional to c_k.  Computed by
-    log-sum-exp over the support: every exponential inside the sum is <= 1,
-    so the only way to overflow is the final exp, which raises instead of
-    returning inf.
+    X* = (X - mean)/sigma with P(X = k) proportional to c_k; see
+    StandardizedLaw.mgf, which serves many t from one preparation.
     """
-    summary = dist_summary(p)
-    if summary.variance <= 0:
-        raise ValueError("variance is zero; standardization undefined")
-    mu = float(summary.mean)
-    sigma = summary.sigma
-    pairs = [(k, c) for k, c in enumerate(p.coeffs) if c > 0]
-    logs = [t * (k - mu) / sigma + math.log(c) for k, c in pairs]
-    top = max(logs)
-    ln_e = top + math.log(math.fsum(math.exp(v - top) for v in logs)) - math.log(summary.mass)
-    if ln_e > 709.0:
-        raise OverflowError(f"standardized MGF exceeds float range (ln = {ln_e:.1f})")
-    return math.exp(ln_e)
+    return StandardizedLaw(p).mgf(t)
 
 
 def _normal_cdf(z: float) -> float:
@@ -299,27 +389,5 @@ def _normal_cdf(z: float) -> float:
 
 def ks_distance_to_normal(p: IntPoly) -> float:
     """Kolmogorov-Smirnov distance between the standardized coefficient law
-    and the standard normal.
-
-    The empirical CDF is a step function, so the supremum is attained at a
-    jump: both the pre-jump and post-jump gaps are checked at every support
-    point.  CDF values come from big-int partial sums divided by the mass,
-    correctly rounded by int/int true division.
-    """
-    summary = dist_summary(p)
-    if summary.variance <= 0:
-        raise ValueError("variance is zero; standardization undefined")
-    mu = float(summary.mean)
-    sigma = summary.sigma
-    mass = summary.mass
-    best = 0.0
-    cum = 0
-    for k, c in enumerate(p.coeffs):
-        if c == 0:
-            continue
-        phi = _normal_cdf((k - mu) / sigma)
-        lo = cum / mass
-        cum += c
-        hi = cum / mass
-        best = max(best, abs(phi - lo), abs(hi - phi))
-    return best
+    of p and the standard normal; see StandardizedLaw.ks."""
+    return StandardizedLaw(p).ks()

@@ -1,0 +1,100 @@
+"""Slow reference routes kept as test oracles.
+
+Each function here recomputes everything it needs on every call, exactly as
+the library did before it prepared t-independent work once
+(`StandardizedLaw`, `series_coefficients`) and before Bernoulli numbers came
+from tangent numbers.  Tests compare the fast routes against these with
+`==`, so a change in any float expression of the fast routes shows.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from qcatalan.exactnum import BernoulliTable
+from qcatalan.limitlaw import TailReport, _power_sum_diffs
+from qcatalan.moments import QuotientSpec, dist_summary, general_moments_closed, preset
+from qcatalan.polyq import IntPoly
+
+
+def bernoulli_by_recurrence(max_k: int) -> tuple[Fraction, ...]:
+    """B_0 .. B_{2*max_k} by the defining recurrence
+    B_m = -1/(m+1) * sum_{j<m} binomial(m+1, j) B_j, O(max_k^2) Fractions."""
+    vals = [Fraction(1)]
+    for m in range(1, 2 * max_k + 1):
+        acc = Fraction(0)
+        for j in range(m):
+            acc += math.comb(m + 1, j) * vals[j]
+        vals.append(-acc / (m + 1))
+    return tuple(vals)
+
+
+def log_mgf_terms(spec: QuotientSpec, t: float, K: int, table: BernoulliTable) -> list[float]:
+    """The k = 1..K expansion terms at t, one power-sum sweep per call."""
+    sums = _power_sum_diffs(spec, K)
+    var = Fraction(sums[1], 12)
+    terms = []
+    for k in range(1, K + 1):
+        coeff = table[2 * k] * sums[k] / (2 * k * math.factorial(2 * k) * var ** k)
+        terms.append(float(coeff) * t ** (2 * k))
+    return terms
+
+
+def log_mgf_truncated(spec: QuotientSpec, t: float, K: int, table: BernoulliTable) -> float:
+    terms = log_mgf_terms(spec, t, K, table)
+    mean, variance = general_moments_closed(spec)
+    drift = float(mean) * t / math.sqrt(float(variance))
+    return drift + math.fsum(terms)
+
+
+def tail_series(n: int, t: float, K: int, table: BernoulliTable) -> TailReport:
+    spec = preset("catalan", n)
+    k_far = K + 10
+    if 2 * k_far <= table.max_index:
+        terms = log_mgf_terms(spec, t, k_far, table)
+        tail = math.fsum(terms[1:K])
+        delta = abs(math.fsum(terms[1:]) - tail)
+    else:
+        terms = log_mgf_terms(spec, t, K, table)
+        tail = math.fsum(terms[1:])
+        delta = None
+    return TailReport(
+        n=n, t=t, K=K, tail_value=tail, leading_term=terms[0],
+        ks_distance=None, truncation_delta=delta,
+    )
+
+
+def exact_standardized_mgf(p: IntPoly, t: float) -> float:
+    """E[e^{tX*}] by log-sum-exp, one dist_summary and one log per
+    coefficient on every call."""
+    summary = dist_summary(p)
+    mu = float(summary.mean)
+    sigma = summary.sigma
+    pairs = [(k, c) for k, c in enumerate(p.coeffs) if c > 0]
+    logs = [t * (k - mu) / sigma + math.log(c) for k, c in pairs]
+    top = max(logs)
+    ln_e = top + math.log(math.fsum(math.exp(v - top) for v in logs)) - math.log(summary.mass)
+    return math.exp(ln_e)
+
+
+def _normal_cdf(z: float) -> float:
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
+def ks_distance_to_normal(p: IntPoly) -> float:
+    summary = dist_summary(p)
+    mu = float(summary.mean)
+    sigma = summary.sigma
+    mass = summary.mass
+    best = 0.0
+    cum = 0
+    for k, c in enumerate(p.coeffs):
+        if c == 0:
+            continue
+        phi = _normal_cdf((k - mu) / sigma)
+        lo = cum / mass
+        cum += c
+        hi = cum / mass
+        best = max(best, abs(phi - lo), abs(hi - phi))
+    return best

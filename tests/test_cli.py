@@ -134,6 +134,30 @@ def test_grid_step_exits_2(step, capsys):
     assert "--grid-step" in capsys.readouterr().err
 
 
+def test_normality_prepares_the_law_once(monkeypatch):
+    # one exact summary per invocation and one power-sum sweep per spec,
+    # however many t points the grid has
+    from qcatalan import limitlaw
+
+    calls = {"dist_summary": 0, "_power_sum_diffs": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(limitlaw, "dist_summary")
+    counted(cli, "dist_summary")
+    counted(limitlaw, "_power_sum_diffs")
+    rc, _ = run_cli("normality", "--n", "12", "--K", "8", "--grid-step", "0.1")
+    assert rc == 0
+    assert calls == {"dist_summary": 1, "_power_sum_diffs": 1}
+
+
 def test_normality_rejects_small_n():
     rc, _ = run_cli("normality", "--n", "1")
     assert rc == 2
@@ -238,11 +262,16 @@ def test_general_non_polynomial_is_domain_error(capsys):
         ("general", "--a", "5,6", "--b", "2,3", "--K", "1"),
         ("coeffs", "--family", "catalan", "--n", "3", "--m", "2"),
         ("coeffs", "--family", "mcatalan", "--n", "3"),
+        ("general", "--preset", "catalan", "--n", "3", "--m", "7"),  # catalan takes no m
+        ("general", "--preset", "catalan", "--n", "3",
+         "--alpha", "inf", "--beta", "-0.1", "--gamma", "-0.1", "--format", "json"),
+        ("general", "--a", "5,6", "--b", "2,3",
+         "--alpha", "18.0", "--beta=-inf", "--gamma", "-0.333"),
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
-    rc, _ = run_cli(*argv)
-    assert rc == 2
+    rc, out = run_cli(*argv)
+    assert rc == 2 and out == ""
     assert "qcat: error:" in capsys.readouterr().err
 
 
@@ -253,6 +282,36 @@ def test_general_explicit_geco_triple():
     )
     ratios = [r for r in doc["rows"] if r["kind"] == "ratio"]
     assert all(isinstance(r["ok"], bool) for r in ratios)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_emit_json_non_finite_writes_nothing(bad):
+    # OverflowError maps to exit 3; the envelope is checked before any write
+    out = io.StringIO()
+    with pytest.raises(OverflowError):
+        cli._emit("x", {"a": 1}, ["v"], [{"v": 1.0}, {"v": bad}], "json", out)
+    assert out.getvalue() == ""
+
+
+def test_emit_json_in_blocks_matches_one_shot(monkeypatch):
+    rows = [{"k": k, "v": k / 7, "big": 3 ** k} for k in range(60)]
+    params = {"n": 5, "s": "x"}
+    expected = io.StringIO()
+    cli._emit("x", params, ["k", "v", "big"], rows, "json", expected)
+    envelope = json.loads(expected.getvalue())
+    assert expected.getvalue() == json.dumps(envelope, indent=2) + "\n"
+    monkeypatch.setattr(cli, "JSON_BLOCK_CHUNKS", 3)
+    writes = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    out = Recorder()
+    cli._emit("x", params, ["k", "v", "big"], rows, "json", out)
+    assert out.getvalue() == expected.getvalue()
+    assert len(writes) > 100
 
 
 def test_determinism_byte_identical():

@@ -12,6 +12,8 @@ from qcatalan.exactnum import (
     log_sinh_series_coeff,
 )
 
+from oracles import bernoulli_by_recurrence
+
 TABLE = bernoulli_table(40)
 
 
@@ -30,6 +32,11 @@ def test_odd_indices_vanish():
 def test_even_signs_alternate():
     for k in range(1, 20):
         assert (TABLE[2 * k] > 0) == (k % 2 == 1)
+
+
+def test_tangent_route_equals_recurrence_through_b200():
+    for max_k in (1, 2, 3, 100):
+        assert bernoulli_table(max_k).values == bernoulli_by_recurrence(max_k)
 
 
 def test_defining_recurrence_residual():

@@ -4,10 +4,13 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcatalan.exactnum import bernoulli_table
 from qcatalan.limitlaw import (
     GecoParams,
+    StandardizedLaw,
     catalan_geco_params,
     condition_ratio,
     exact_standardized_mgf,
@@ -16,10 +19,14 @@ from qcatalan.limitlaw import (
     log_mgf_truncated,
     mcatalan_geco_params,
     power_sum_diff,
+    series_coefficients,
+    series_terms,
     tail_series,
 )
-from qcatalan.moments import QuotientSpec, general_moments_closed, preset
-from qcatalan.polyq import IntPoly, q_catalan
+from qcatalan.moments import QuotientSpec, central_moment, general_moments_closed, preset
+from qcatalan.polyq import IntPoly, q_catalan, quotient_poly
+
+import oracles
 
 TABLE = bernoulli_table(40)
 
@@ -37,6 +44,10 @@ def test_geco_params_validation():
         GecoParams(1.0, 0.0, -0.1)
     with pytest.raises(ValueError):
         GecoParams(1.0, -0.1, 0.1)
+    for bad in (math.inf, -math.inf, math.nan):
+        for args in ((bad, -0.1, -0.1), (1.0, bad, -0.1), (1.0, -0.1, bad)):
+            with pytest.raises(ValueError):
+                GecoParams(*args)
 
 
 def test_geco_presets():
@@ -200,3 +211,94 @@ def test_ks_basics():
         ks_distance_to_normal(IntPoly([5]))
     with pytest.raises(ValueError):
         ks_distance_to_normal(IntPoly([1, -2, 1]))
+
+
+def _cumulants(p, r_max):
+    """kappa_1..kappa_r_max of the coefficient law of p, from the exact
+    central moments by kappa_r = mu_r - sum_{j<r} C(r-1, j-1) kappa_j mu_{r-j}
+    (mu_1 = 0, so kappa_1 comes out 0; the others do not depend on the shift)."""
+    mu = [Fraction(1)] + [central_moment(p, r) for r in range(1, r_max + 1)]
+    kappa = [Fraction(0)] * (r_max + 1)
+    for r in range(1, r_max + 1):
+        kappa[r] = mu[r] - sum(
+            math.comb(r - 1, j - 1) * kappa[j] * mu[r - j] for j in range(1, r)
+        )
+    return kappa
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        preset("catalan", 6),
+        preset("catalan", 12),
+        preset("catalan", 25),
+        preset("mcatalan", 7, 3),
+        QuotientSpec(a=(5, 6, 7, 8), b=(1, 2, 3, 4)),
+    ],
+    ids=lambda spec: spec.label or "a=5..8,b=1..4",
+)
+def test_cumulants_equal_bernoulli_series(spec):
+    # the coefficients from polyq/moments against the Bernoulli series from
+    # exactnum/limitlaw, with no tolerance: kappa_{2k} = B_{2k} S_k / (2k),
+    # and the odd cumulants of a palindromic law vanish
+    kappa = _cumulants(quotient_poly(spec), 8)
+    for k in range(1, 5):
+        assert kappa[2 * k] == TABLE[2 * k] * power_sum_diff(spec, k) / (2 * k)
+    assert kappa[3] == kappa[5] == kappa[7] == 0
+
+
+# the `qcat normality` grid at step 0.1: most points are not dyadic, so a
+# reassociated product such as t * (x / sigma) rounds differently
+T_GRID = [round(i * 0.1, 12) for i in range(-20, 21)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    K=st.integers(2, 20),
+    ts=st.lists(st.sampled_from(T_GRID), min_size=1, max_size=4),
+)
+def test_prepared_routes_equal_per_call_oracles(n, K, ts):
+    p = q_catalan(n)
+    spec = preset("catalan", n)
+    law = StandardizedLaw(p)
+    coeffs = series_coefficients(spec, K + 10, TABLE)
+    assert law.ks() == oracles.ks_distance_to_normal(p)
+    assert law.mgf_grid(ts) == [oracles.exact_standardized_mgf(p, t) for t in ts]
+    for t in ts:
+        assert law.mgf(t) == oracles.exact_standardized_mgf(p, t)
+        assert series_terms(coeffs, t) == oracles.log_mgf_terms(spec, t, K + 10, TABLE)
+        assert log_mgf_truncated(spec, t, K, TABLE) == oracles.log_mgf_truncated(
+            spec, t, K, TABLE
+        )
+        assert tail_series(n, t, K, TABLE) == oracles.tail_series(n, t, K, TABLE)
+        assert tail_series(n, t, 35, TABLE) == oracles.tail_series(n, t, 35, TABLE)
+
+
+def test_standardized_law_equals_oracle_on_the_grid():
+    # every n in 2..40 at every grid point: a changed float expression in
+    # mgf moves only about one value in a hundred, so sample them all
+    for n in range(2, 41):
+        p = q_catalan(n)
+        expected = [oracles.exact_standardized_mgf(p, t) for t in T_GRID]
+        assert StandardizedLaw(p).mgf_grid(T_GRID) == expected
+
+
+def test_mgf_grid_mirrors_only_palindromic_laws():
+    law = StandardizedLaw(q_catalan(9))
+    assert law.palindromic
+    ts = [-1.5, -0.25, 0.0, 0.25, 1.5]
+    assert law.mgf_grid(ts) == [law.mgf(t) for t in ts]
+    assert law.mgf(-1.5) == law.mgf(1.5)
+    skewed = IntPoly([1, 3, 0, 1])
+    law = StandardizedLaw(skewed)
+    assert not law.palindromic
+    assert law.mgf_grid(ts) == [oracles.exact_standardized_mgf(skewed, t) for t in ts]
+    assert law.mgf(-1.5) != law.mgf(1.5)
+
+
+def test_standardized_law_rejects_degenerate_laws():
+    with pytest.raises(ValueError):
+        StandardizedLaw(IntPoly([0, 0, 4]))
+    with pytest.raises(ValueError):
+        StandardizedLaw(IntPoly([1, -2, 1]))
