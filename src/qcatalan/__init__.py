@@ -54,6 +54,8 @@ from .polyq import (
     IntPoly,
     NonzeroRemainder,
     NotPolynomial,
+    QuotientTooLarge,
+    SUM_LIMIT,
     gaussian_binomial,
     get_family,
     iter_family,
@@ -91,6 +93,8 @@ __all__ = [
     "NonzeroRemainder",
     "NotPolynomial",
     "QuotientSpec",
+    "QuotientTooLarge",
+    "SUM_LIMIT",
     "ShapeReport",
     "StandardizedLaw",
     "TailReport",

@@ -8,8 +8,10 @@ strings); floats are printed to 12 significant digits.  Integers beyond
 2^53 are JSON-encoded as decimal strings so consumers that parse JSON
 numbers as doubles cannot silently lose digits.
 
-Exit codes: 0 success, 2 usage or validation error, 3 domain error (the
-requested quotient is not a polynomial, or a value left float range).
+Exit codes: 0 success, 2 usage or validation error (including a quotient
+whose numerator exponents sum past polyq.SUM_LIMIT), 3 domain error: any
+ArithmeticError, such as a quotient that is not a polynomial, a value that
+left float range, or a construction that failed its own checks.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .limitlaw import (
     split_tail,
 )
 from .moments import QuotientSpec, dist_summary, general_moments_closed, preset
-from .polyq import FAMILIES, NotPolynomial, get_family, iter_family, q_catalan, quotient_poly
+from .polyq import FAMILIES, get_family, iter_family, q_catalan, quotient_poly
 from .shape import scan_family
 
 SCHEMA_VERSION = "1"
@@ -302,6 +304,7 @@ def _general_spec(args: argparse.Namespace) -> tuple[QuotientSpec, int, GecoPara
         if args.n is None:
             raise UsageError("--preset requires --n")
         _check_m(args.preset, args.m)
+        get_family(args.preset, args.m).check_size(args.n, args.m)
         spec = preset(args.preset, args.n, args.m)
         n = args.n
         if all(v is not None for v in explicit):
@@ -443,10 +446,7 @@ def main(argv: Sequence[str] | None = None, out: TextIO | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args, out)
-    except NotPolynomial as exc:
-        print(f"qcat: error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except OverflowError as exc:
+    except ArithmeticError as exc:
         print(f"qcat: error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except (UsageError, ValueError) as exc:

@@ -79,7 +79,13 @@ class GecoParams:
             raise ValueError(f"gamma must be negative, got {self.gamma}")
 
     def bound(self, n: int, k: int) -> float:
-        return n ** self.gamma * (self.alpha * n ** self.beta) ** (2 * k)
+        try:
+            return n ** self.gamma * (self.alpha * n ** self.beta) ** (2 * k)
+        except OverflowError as exc:
+            raise OverflowError(
+                f"envelope bound n^gamma (alpha n^beta)^(2k) leaves float range at "
+                f"n={n}, k={k}, alpha={self.alpha}, beta={self.beta}, gamma={self.gamma}"
+            ) from exc
 
 
 def catalan_geco_params() -> GecoParams:

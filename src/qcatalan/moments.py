@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polyq import IntPoly, _cancel_common, get_family
+from .polyq import IntPoly, _cancel_common, _check_exponents, get_family
 
 __all__ = [
     "QuotientSpec",
@@ -45,13 +45,9 @@ class QuotientSpec:
     label: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(int(x) for x in self.a))
-        object.__setattr__(self, "b", tuple(int(x) for x in self.b))
-        if len(self.a) != len(self.b):
-            raise ValueError(f"sequence lengths differ: {len(self.a)} vs {len(self.b)}")
-        for name, vals in (("a", self.a), ("b", self.b)):
-            if any(v < 1 for v in vals):
-                raise ValueError(f"{name} entries must be positive integers, got {vals}")
+        a, b = _check_exponents(self.a, self.b)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
 
 @dataclass(frozen=True)

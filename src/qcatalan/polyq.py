@@ -8,24 +8,39 @@ Gaussian binomial, q-Catalan of any flavor) ends up with nonnegative
 coefficients, a palindromic profile, and coefficient sum equal to the value
 of its defining expression at q = 1.
 
-The workhorse operations multiply and divide by a binomial (1 - q^k) in one
-linear pass each, using
+Every family member and every quotient prod(1 - q^a_i) / prod(1 - q^b_i)
+comes from one construction kernel, in three parts:
 
-    [k] = 1 + q + ... + q^(k-1) = (1 - q^k) / (1 - q).
+  * Ledger.  (1 - q^x) is the product of the cyclotomic Phi_d over d | x,
+    so after common exponents cancel, the quotient is a polynomial exactly
+    when #{i : d | a_i} >= #{j : d | b_j} for every d dividing some b_j.
+    These counts come from trial division up to sqrt(x), and a
+    non-polynomial raises NotPolynomial before any coefficient list exists.
+  * Half build.  Multiplying by (1 - q^k) is a shifted subtraction, and
+    dividing by it a strided prefix sum; both are causal on power series,
+    so once the ledger has passed they are exact modulo q^h.  With equal
+    list lengths the quotient is palindromic of degree D = sum(a) - sum(b),
+    so only h = D // 2 + 1 coefficients are built: O(len(a) * D) work
+    instead of the O(D^2) of naive convolution.
+  * Mirror.  The upper half is the lower half reversed.  The coefficient
+    sum must then equal prod(a) / prod(b), an explicit check that stands
+    in for the per-pass remainder checks the truncation drops.
 
-Multiplying by (1 - q^k) is a shifted subtraction; dividing by it is a
-strided prefix sum.  Every q-Catalan constructor therefore costs
-O(n * degree) coefficient operations instead of the O(n * degree^2) of naive
-convolution, which matters once degrees reach ~14000 around n = 120.
+The kernel refuses numerator exponents summing past SUM_LIMIT with
+QuotientTooLarge, a ValueError (the command line exits 2), before it
+allocates anything.
 
 FAMILIES is the one registry of named families.  iter_family sweeps a
 family over a range of n, stepping each member from the previous one in a
-few such passes instead of the ~2n a rebuild takes.
+few such passes instead of the ~2n a rebuild takes.  poly_mul,
+poly_div_exact, gaussian_binomial, q_catalan_via_binomial and
+major_index_histogram do not use the kernel and serve as oracles for it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
@@ -39,6 +54,8 @@ __all__ = [
     "IntPoly",
     "NonzeroRemainder",
     "NotPolynomial",
+    "QuotientTooLarge",
+    "SUM_LIMIT",
     "poly_mul",
     "poly_div_exact",
     "qint",
@@ -54,6 +71,10 @@ __all__ = [
 ]
 
 MAJOR_INDEX_MAX_N = 14
+# Largest numerator exponent sum the construction kernel accepts.  The
+# coefficient lists grow with it; `general --preset catalan --n 1000`
+# (sum 1499499) stays legal.
+SUM_LIMIT = 2 ** 22
 
 
 class NonzeroRemainder(ArithmeticError):
@@ -62,6 +83,10 @@ class NonzeroRemainder(ArithmeticError):
 
 class NotPolynomial(ArithmeticError):
     """A quotient of binomial products has no polynomial value."""
+
+
+class QuotientTooLarge(ValueError):
+    """The numerator exponents sum past SUM_LIMIT; nothing was built."""
 
 
 def _poly_str(coeffs: Sequence[int], max_terms: int = 8) -> str:
@@ -98,7 +123,7 @@ class IntPoly:
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = [int(c) for c in coeffs]
+        cs = list(map(int, coeffs))
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -199,65 +224,157 @@ def poly_div_exact(p: IntPoly, d: IntPoly) -> IntPoly:
 
 # -- linear passes for (1 - q^k) factors ------------------------------------
 
-def _mul_one_minus_qpow(c: list[int], k: int) -> list[int]:
-    """Multiply a coefficient list by (1 - q^k) in one pass."""
-    n = len(c)
-    if k >= n:
-        return c + [0] * (k - n) + [-x for x in c]
-    return c[:k] + [hi - lo for hi, lo in zip(c[k:], c)] + [-x for x in c[n - k:]]
+def _mul_one_minus_qpow(c: list[int], k: int, size: int) -> list[int]:
+    """c * (1 - q^k) modulo q^size, for len(c) <= size <= len(c) + k."""
+    ext = c + [0] * (size - len(c))
+    return ext[:k] + [hi - lo for hi, lo in zip(ext[k:], c)]
 
-def _div_one_minus_qpow(c: list[int], k: int) -> list[int]:
-    """Exactly divide a coefficient list by (1 - q^k).
+def _div_one_minus_qpow(c: list[int], k: int, size: int) -> list[int]:
+    """c / (1 - q^k) modulo q^size, for size <= len(c).
 
     Per residue class mod k the quotient is a prefix sum, which runs at C
-    speed through itertools.accumulate.  The top k running sums must come
-    out zero, otherwise the division has a remainder.
+    speed through itertools.accumulate.  Output index i reads inputs 0..i
+    only, so the pass is exact modulo q^size whether or not the division
+    leaves a remainder further up.
     """
+    out = c[:size]
+    for r in range(min(k, size)):
+        out[r::k] = itertools.accumulate(out[r::k])
+    return out
+
+def _div_exact(c: list[int], k: int) -> list[int]:
+    """Exactly divide by (1 - q^k): the top k running sums must come out
+    zero, otherwise NonzeroRemainder."""
     n = len(c)
     if n <= k:
         raise NonzeroRemainder(f"cannot divide degree {n - 1} by (1 - q^{k})")
-    out = [0] * n
-    for r in range(k):
-        out[r::k] = itertools.accumulate(c[r::k])
+    out = _div_one_minus_qpow(c, k, n)
     if any(out[n - k:]):
         raise NonzeroRemainder(f"division by (1 - q^{k}) is not exact")
-    return out[:n - k]
+    del out[n - k:]
+    return out
 
 def _mul_qint(c: list[int], m: int) -> list[int]:
     """Multiply by [m] = (1 - q^m)/(1 - q)."""
     if m == 1:
         return c
-    return _div_one_minus_qpow(_mul_one_minus_qpow(c, m), 1)
+    return _div_exact(_mul_one_minus_qpow(c, m, len(c) + m), 1)
 
 def _div_qint(c: list[int], m: int) -> list[int]:
     """Divide by [m]; exact or NonzeroRemainder."""
     if m == 1:
         return c
-    return _div_one_minus_qpow(_mul_one_minus_qpow(c, 1), m)
+    return _div_exact(_mul_one_minus_qpow(c, 1, len(c) + 1), m)
 
 
-def _binomial_product_quotient(a: Iterable[int], b: Iterable[int]) -> list[int]:
-    """Coefficients of prod(1 - q^a_i) / prod(1 - q^b_i), fast path.
+# -- the construction kernel -----------------------------------------------------
 
-    Builds the full numerator, then divides the binomial factors out one at
-    a time.  Each step is exact precisely when the final quotient is a
-    polynomial: any subproduct of the denominator divides the numerator once
-    the full denominator does, because cyclotomic factor multiplicities only
-    shrink when factors are removed.
-    """
-    c = [1]
-    for ai in sorted(a):
-        c = _mul_one_minus_qpow(c, ai)
-    for bi in sorted(b, reverse=True):
-        c = _div_one_minus_qpow(c, bi)
-    return c
+def _check_exponents(a: Iterable[int], b: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """a and b as int tuples, after checking equal lengths and positive entries."""
+    a, b = tuple(int(x) for x in a), tuple(int(x) for x in b)
+    if len(a) != len(b):
+        raise ValueError(f"sequence lengths differ: {len(a)} vs {len(b)}")
+    for name, vals in (("a", a), ("b", b)):
+        if any(v < 1 for v in vals):
+            raise ValueError(f"{name} entries must be positive integers, got {vals}")
+    return a, b
+
+
+def _check_size(a: Iterable[int]) -> list[int]:
+    """The numerator exponents a as a list, or QuotientTooLarge once their
+    running sum passes SUM_LIMIT; a lazy range of any length is read only
+    that far."""
+    kept = []
+    total = 0
+    for x in a:
+        total += x
+        if total > SUM_LIMIT:
+            raise QuotientTooLarge(
+                f"numerator exponents sum to more than {SUM_LIMIT}; "
+                "the coefficient lists would be too large to build"
+            )
+        kept.append(x)
+    return kept
 
 
 def _cancel_common(a: Iterable[int], b: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Drop exponents appearing in both multisets; those factors cancel."""
     ca, cb = Counter(a), Counter(b)
-    common = ca & cb
-    return tuple(sorted((ca - common).elements())), tuple(sorted((cb - common).elements()))
+    for x in ca.keys() & cb.keys():
+        common = min(ca[x], cb[x])
+        ca[x] -= common
+        cb[x] -= common
+    return tuple(sorted(ca.elements())), tuple(sorted(cb.elements()))
+
+
+def _divisor_counts(xs: Iterable[int]) -> Counter[int]:
+    """For every d, how many x in xs it divides, by trial division up to sqrt(x)."""
+    divisors: list[int] = []
+    for x in xs:
+        small = [d for d in range(1, math.isqrt(x) + 1) if x % d == 0]
+        divisors += small
+        divisors += [x // d for d in small if d * d != x]
+    return Counter(divisors)
+
+
+def _is_polynomial(a: Sequence[int], b: Sequence[int]) -> bool:
+    """The cyclotomic ledger.  (1 - q^x) is the product of Phi_d over d | x,
+    so the quotient is a polynomial exactly when every Phi_d occurs at least
+    as often upstairs: #{i : d | a_i} >= #{j : d | b_j} for every d that
+    divides some b_j."""
+    have = _divisor_counts(a)
+    return all(have[d] >= need for d, need in _divisor_counts(b).items())
+
+
+def _quotient_coeffs(
+    a: Iterable[int],
+    b: Iterable[int],
+    step: tuple[list[int], Sequence[int], Sequence[int]] | None = None,
+) -> list[int]:
+    """Coefficients of prod(1 - q^a_i) / prod(1 - q^b_i), or NotPolynomial.
+
+    Every check runs before any coefficient list exists: the size limit,
+    the lengths and entries, the degree D = sum(a) - sum(b) >= 0, and the
+    ledger on the lists with common entries cancelled.  The quotient is
+    then palindromic of degree D, so only its head modulo q^h,
+    h = D // 2 + 1, is built, by multiplying by every (1 - q^a_i) and then
+    dividing by every (1 - q^b_j), largest first; the tail is the head
+    mirrored.  Once the ledger has passed, every partial quotient is a
+    polynomial (a subproduct of the denominator has no more of any Phi_d
+    than the whole), so each pass stops at min(its degree + 1, h).
+
+    step = (c, ups, downs) builds the same quotient from the full
+    coefficient list c of another polynomial P instead of from 1, as
+    P * prod(1 - q^u) / prod(1 - q^d) with ups and downs sorted ascending;
+    c is not modified.  The result must have coefficient sum
+    prod(a) / prod(b), its value at q = 1; anything else raises
+    ArithmeticError, since it means a construction error.
+    """
+    num, den = _check_exponents(_check_size(a), b)
+    degree = sum(num) - sum(den)
+    if degree < 0:
+        raise NotPolynomial(f"quotient of a={num} by b={den} has negative degree {degree}")
+    a, b = _cancel_common(num, den)
+    if not _is_polynomial(a, b):
+        raise NotPolynomial(f"quotient of a={num} by b={den} is not a polynomial")
+    h = degree // 2 + 1
+    c, ups, downs = step if step is not None else ([1], a, b)
+    deg = len(c) - 1
+    c = c[:h]
+    for u in ups:
+        deg += u
+        c = _mul_one_minus_qpow(c, u, min(deg + 1, h))
+    for d in reversed(downs):
+        deg -= d
+        c = _div_one_minus_qpow(c, d, min(deg + 1, h))
+    # coefficient degree - i equals coefficient i
+    c.extend(itertools.islice(reversed(c), 2 * h - degree - 1, None))
+    if deg != degree or sum(c) * math.prod(b) != math.prod(a):
+        raise ArithmeticError(
+            f"quotient of a={a} by b={b} does not sum to prod(a)/prod(b); "
+            "construction is broken"
+        )
+    return c
 
 
 def _require_nonnegative(c: list[int], what: str) -> list[int]:
@@ -269,11 +386,6 @@ def _require_nonnegative(c: list[int], what: str) -> list[int]:
     if c and min(c) < 0:
         raise ArithmeticError(f"{what} has a negative coefficient; construction is broken")
     return c
-
-
-def _check_factor_list(name: str, vals: tuple[int, ...]) -> None:
-    if any(v < 1 for v in vals):
-        raise ValueError(f"{name} entries must be positive integers, got {vals}")
 
 
 # -- q-object constructors ----------------------------------------------------
@@ -291,7 +403,8 @@ def gaussian_binomial(n: int, k: int) -> IntPoly:
     Built by interleaved multiply-by-[n-k+i] / divide-by-[i] passes for
     i = 1..k; each partial product is itself a Gaussian binomial, so every
     division is exact.  Result is palindromic of degree k(n-k) with
-    nonnegative coefficients summing to binomial(n, k).
+    nonnegative coefficients summing to binomial(n, k).  Independent of the
+    construction kernel, so it serves as an oracle for it.
     """
     if n < 0 or k < 0 or k > n:
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
@@ -302,17 +415,22 @@ def gaussian_binomial(n: int, k: int) -> IntPoly:
     return IntPoly(c)
 
 
-def q_catalan(n: int) -> IntPoly:
-    """q-Catalan polynomial via the product of [n+i]/[i] for i = 2..n.
-
-    Degree n(n-1), palindromic, coefficients sum to the Catalan number.
-    """
+def _member(name: str, n: int, m: int | None, label: str) -> IntPoly:
+    """Member n of a registry family through the kernel; n = 1 is 1."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n == 1:
         return IntPoly([1])
-    c = _binomial_product_quotient(range(n + 2, 2 * n + 1), range(2, n + 1))
-    return IntPoly(_require_nonnegative(c, f"q_catalan({n})"))
+    c = _quotient_coeffs(*FAMILIES[name].exponents(n, m))
+    return IntPoly(_require_nonnegative(c, label))
+
+
+def q_catalan(n: int) -> IntPoly:
+    """q-Catalan polynomial, the product of [n+i]/[i] for i = 2..n.
+
+    Degree n(n-1), palindromic, coefficients sum to the Catalan number.
+    """
+    return _member("catalan", n, None, f"q_catalan({n})")
 
 
 def q_catalan_via_binomial(n: int) -> IntPoly:
@@ -331,12 +449,7 @@ def q_catalan_second(n: int) -> IntPoly:
 
     Degree (n-1)^2, palindromic, coefficient sum is again the Catalan number.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    c = list(gaussian_binomial(2 * n, n - 1).coeffs)
-    c = _mul_qint(c, 2)
-    c = _div_qint(c, 2 * n)
-    return IntPoly(_require_nonnegative(c, f"q_catalan_second({n})"))
+    return _member("catalan2", n, None, f"q_catalan_second({n})")
 
 
 def q_catalan_general(n: int, m: int) -> IntPoly:
@@ -345,15 +458,9 @@ def q_catalan_general(n: int, m: int) -> IntPoly:
     Coefficients sum to binomial(mn, n)/((m-1)n + 1); m = 2 recovers
     q_catalan(n).
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
-    if n == 1:
-        return IntPoly([1])
-    base = (m - 1) * n
-    c = _binomial_product_quotient(range(base + 2, base + n + 1), range(2, n + 1))
-    return IntPoly(_require_nonnegative(c, f"q_catalan_general({n}, {m})"))
+    return _member("mcatalan", n, m, f"q_catalan_general({n}, {m})")
 
 
 # -- the family registry and incremental sweeps --------------------------------
@@ -363,21 +470,28 @@ class Family:
     """One named family of q-Catalan analogs.
 
     build(n, m) is the from-scratch constructor.  exponents(n, m) gives,
-    for n >= 2, multisets a and b with member(n) = prod(1 - q^a_i) /
-    prod(1 - q^b_i), before common entries are cancelled.  At n = 1 every
-    family is the constant 1 and has no exponent lists.  takes_m marks the
-    families parameterized by m >= 2.
+    for n >= 2, fresh lazy iterables over multisets a and b with member(n)
+    = prod(1 - q^a_i) / prod(1 - q^b_i), before common entries are
+    cancelled; being lazy, they let a size check refuse a huge n without
+    building its lists.  At n = 1 every family is the constant 1 and has
+    no exponent lists.  takes_m marks the families parameterized by m >= 2.
     """
 
     name: str
     takes_m: bool
     build: Callable[[int, int | None], IntPoly]
-    exponents: Callable[[int, int | None], tuple[list[int], list[int]]]
+    exponents: Callable[[int, int | None], tuple[Iterable[int], Iterable[int]]]
+
+    def check_size(self, n: int, m: int | None = None) -> None:
+        """Raise QuotientTooLarge if member n is past the construction
+        kernel's size limit, without building its exponent lists."""
+        if n > 1:
+            _check_size(self.exponents(n, m)[0])
 
 
-def _mcatalan_exponents(n: int, m: int) -> tuple[list[int], list[int]]:
+def _mcatalan_exponents(n: int, m: int) -> tuple[range, range]:
     base = (m - 1) * n
-    return list(range(base + 2, base + n + 1)), list(range(2, n + 1))
+    return range(base + 2, base + n + 1), range(2, n + 1)
 
 
 # The builders are looked up when called, not bound here, so wrappers
@@ -389,13 +503,13 @@ FAMILIES: dict[str, Family] = {
             "catalan",
             False,
             lambda n, m: q_catalan(n),
-            lambda n, m: (list(range(n + 2, 2 * n + 1)), list(range(2, n + 1))),
+            lambda n, m: (range(n + 2, 2 * n + 1), range(2, n + 1)),
         ),
         Family(
             "catalan2",
             False,
             lambda n, m: q_catalan_second(n),
-            lambda n, m: ([2] + list(range(n + 2, 2 * n)), [1] + list(range(2, n))),
+            lambda n, m: (itertools.chain((2,), range(n + 2, 2 * n)), range(1, n)),
         ),
         Family(
             "mcatalan",
@@ -433,27 +547,29 @@ def iter_family(
         u = a(n+1) + b(n),  d = b(n+1) + a(n),  common entries cancelled,
 
     which for catalan is C_n (1 - q^(2n+1))(1 - q^(2n+2)) /
-    ((1 - q^(n+1))(1 - q^(n+2))): 4 linear passes against about 2n for a
-    rebuild.  The multiplies come first, so every division is exact by the
-    cyclotomic argument of _binomial_product_quotient.  A step that needs
-    at least as many passes as a rebuild (m-Catalan with m >= n, roughly)
-    rebuilds instead.  Only the current member is held.  Bad arguments
-    raise here, before any member is built.
+    ((1 - q^(n+1))(1 - q^(n+2))): 4 linear passes over half the
+    coefficients against about 2n for a rebuild.  Each step goes through
+    the construction kernel, so it is checked like a from-scratch build.
+    A step that needs at least as many passes as a rebuild (m-Catalan with
+    m >= n, roughly) rebuilds instead.  Only the current member is held.
+    Bad arguments, and an n_to whose member exceeds the kernel's size
+    limit, raise here, before any member is built.
     """
     fam = get_family(name, m)
     if not 1 <= n_from <= n_to:
         raise ValueError(f"need 1 <= n_from <= n_to, got {n_from}..{n_to}")
+    fam.check_size(n_to, m)
     return _sweep(fam, n_from, n_to, m)
 
 
 def _step_factors(prev, cur) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Exponents (ups, downs) taking the member with lists prev to the one
-    with lists cur, or None when that costs at least as many passes as a
-    rebuild or either side has no lists."""
+    """Exponents (ups, downs) taking the member with cancelled lists prev
+    to the one with cancelled lists cur, or None when that costs at least
+    as many passes as a rebuild or either side has no lists."""
     if prev is None or cur is None:
         return None
     ups, downs = _cancel_common(cur[0] + prev[1], cur[1] + prev[0])
-    if len(ups) + len(downs) >= sum(map(len, _cancel_common(*cur))):
+    if len(ups) + len(downs) >= len(cur[0]) + len(cur[1]):
         return None
     return ups, downs
 
@@ -462,17 +578,13 @@ def _sweep(fam: Family, n_from: int, n_to: int, m: int | None) -> Iterator[IntPo
     c: list[int] = []
     prev = None  # exponent lists of member n - 1
     for n in range(n_from, n_to + 1):
-        cur = fam.exponents(n, m) if n > 1 else None
+        cur = _cancel_common(*fam.exponents(n, m)) if n > 1 else None
         step = _step_factors(prev, cur)
         if step is None:
             p = fam.build(n, m)
             c = list(p.coeffs)
         else:
-            ups, downs = step
-            for u in ups:
-                c = _mul_one_minus_qpow(c, u)
-            for d in reversed(downs):
-                c = _div_one_minus_qpow(c, d)
+            c = _quotient_coeffs(*cur, step=(c, *step))
             p = IntPoly(_require_nonnegative(c, f"{fam.name} member n={n}"))
         yield p
         prev = cur
@@ -481,31 +593,12 @@ def _sweep(fam: Family, n_from: int, n_to: int, m: int | None) -> Iterator[IntPo
 def quotient_poly(spec: "QuotientSpec") -> IntPoly:
     """Polynomial value of prod(1 - q^a_i) / prod(1 - q^b_i), if one exists.
 
-    Fast path: full numerator, then one linear division pass per denominator
-    factor.  If a pass leaves a remainder, fall back to a single long
-    division of the full numerator by the full denominator; a remainder
-    there means the quotient genuinely is not a polynomial and
-    NotPolynomial is raised.
+    The construction kernel decides from the cyclotomic ledger, before any
+    arithmetic, and raises NotPolynomial when there is no polynomial value;
+    QuotientTooLarge (a ValueError) when the numerator exponents sum past
+    SUM_LIMIT.
     """
-    a, b = tuple(spec.a), tuple(spec.b)
-    if len(a) != len(b):
-        raise ValueError(f"sequence lengths differ: {len(a)} vs {len(b)}")
-    _check_factor_list("a", a)
-    _check_factor_list("b", b)
-    try:
-        return IntPoly(_binomial_product_quotient(a, b))
-    except NonzeroRemainder:
-        pass
-    num = [1]
-    for ai in a:
-        num = _mul_one_minus_qpow(num, ai)
-    den = [1]
-    for bi in b:
-        den = _mul_one_minus_qpow(den, bi)
-    try:
-        return poly_div_exact(IntPoly(num), IntPoly(den))
-    except NonzeroRemainder as exc:
-        raise NotPolynomial(f"quotient of a={a} by b={b} is not a polynomial") from exc
+    return IntPoly(_quotient_coeffs(spec.a, spec.b))
 
 
 def major_index_histogram(n: int) -> IntPoly:

@@ -5,17 +5,24 @@ the library did before it prepared t-independent work once
 (`StandardizedLaw`, `series_coefficients`) and before Bernoulli numbers came
 from tangent numbers.  Tests compare the fast routes against these with
 `==`, so a change in any float expression of the fast routes shows.
+
+The quotient routes build at full length, as the library did before its
+construction kernel decided polynomiality from the cyclotomic ledger and
+built half of each quotient: `sequential_quotient` with one checked linear
+pass per factor, `is_polynomial_by_division` by long division of the full
+products.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
 from qcatalan.exactnum import BernoulliTable
 from qcatalan.limitlaw import TailReport, _power_sum_diffs
 from qcatalan.moments import QuotientSpec, dist_summary, general_moments_closed, preset
-from qcatalan.polyq import IntPoly
+from qcatalan.polyq import IntPoly, NonzeroRemainder, poly_div_exact, poly_mul
 
 
 def bernoulli_by_recurrence(max_k: int) -> tuple[Fraction, ...]:
@@ -98,3 +105,51 @@ def ks_distance_to_normal(p: IntPoly) -> float:
         hi = cum / mass
         best = max(best, abs(phi - lo), abs(hi - phi))
     return best
+
+
+def _mul_one_minus_qpow(c: list[int], k: int) -> list[int]:
+    n = len(c)
+    if k >= n:
+        return c + [0] * (k - n) + [-x for x in c]
+    return c[:k] + [hi - lo for hi, lo in zip(c[k:], c)] + [-x for x in c[n - k:]]
+
+
+def _div_one_minus_qpow(c: list[int], k: int) -> list[int]:
+    n = len(c)
+    if n <= k:
+        raise NonzeroRemainder(f"cannot divide degree {n - 1} by (1 - q^{k})")
+    out = [0] * n
+    for r in range(k):
+        out[r::k] = itertools.accumulate(c[r::k])
+    if any(out[n - k:]):
+        raise NonzeroRemainder(f"division by (1 - q^{k}) is not exact")
+    return out[:n - k]
+
+
+def sequential_quotient(a, b) -> list[int]:
+    """prod(1 - q^a_i) / prod(1 - q^b_i) at full length: the whole
+    numerator, then one division pass per denominator factor, largest first,
+    each checked for a remainder (NonzeroRemainder)."""
+    c = [1]
+    for x in sorted(a):
+        c = _mul_one_minus_qpow(c, x)
+    for x in sorted(b, reverse=True):
+        c = _div_one_minus_qpow(c, x)
+    return c
+
+
+def _binomial_product(xs) -> IntPoly:
+    out = IntPoly([1])
+    for x in xs:
+        out = poly_mul(out, IntPoly([1] + [0] * (x - 1) + [-1]))
+    return out
+
+
+def is_polynomial_by_division(a, b) -> bool:
+    """Whether the full numerator product divides by the full denominator
+    product, by long division."""
+    try:
+        poly_div_exact(_binomial_product(a), _binomial_product(b))
+    except NonzeroRemainder:
+        return False
+    return True

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from qcatalan import cli
+from qcatalan import cli, polyq
 from qcatalan.cli import main
 from qcatalan.limitlaw import ks_distance_to_normal
 from qcatalan.polyq import q_catalan
@@ -273,6 +273,44 @@ def test_usage_errors_exit_2(argv, capsys):
     rc, out = run_cli(*argv)
     assert rc == 2 and out == ""
     assert "qcat: error:" in capsys.readouterr().err
+
+
+def test_general_envelope_overflow_names_the_bound(capsys):
+    rc, out = run_cli(
+        "general", "--a", "5,6", "--b", "2,3", "--K", "400",
+        "--alpha", "1e300", "--beta", "-0.0001", "--gamma", "-0.1",
+    )
+    assert rc == 3 and out == ""
+    err = capsys.readouterr().err
+    assert "envelope bound" in err
+    assert "n=3, k=2, alpha=1e+300, beta=-0.0001, gamma=-0.1" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("general", "--a", "1000000000", "--b", "1"),
+        ("general", "--preset", "catalan", "--n", "1700"),
+        ("coeffs", "--family", "catalan", "--n", "1700"),
+        ("moments", "--family", "catalan", "--n-from", "2", "--n-to", "1700"),
+    ],
+)
+def test_oversized_quotient_exits_2_before_building(argv, monkeypatch, capsys):
+    def no_pass(*args):
+        raise AssertionError("a linear pass ran")
+
+    monkeypatch.setattr(polyq, "_mul_one_minus_qpow", no_pass)
+    monkeypatch.setattr(polyq, "_div_one_minus_qpow", no_pass)
+    rc, out = run_cli(*argv)
+    assert rc == 2 and out == ""
+    assert f"sum to more than {polyq.SUM_LIMIT}" in capsys.readouterr().err
+
+
+def test_broken_construction_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(polyq, "_quotient_coeffs", lambda a, b, step=None: [1, -1, 1])
+    rc, out = run_cli("coeffs", "--family", "catalan", "--n", "3")
+    assert rc == 3 and out == ""
+    assert "q_catalan(3) has a negative coefficient" in capsys.readouterr().err
 
 
 def test_general_explicit_geco_triple():

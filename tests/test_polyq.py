@@ -5,15 +5,21 @@ import random
 from fractions import Fraction
 from types import SimpleNamespace
 
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcatalan import polyq
+from qcatalan.moments import QuotientSpec
 from qcatalan.polyq import (
     FAMILIES,
+    SUM_LIMIT,
     IntPoly,
     NonzeroRemainder,
     NotPolynomial,
+    QuotientTooLarge,
+    _check_size,
     _require_nonnegative,
     gaussian_binomial,
     get_family,
@@ -214,6 +220,17 @@ def test_q_catalan_second_structure():
         assert p.evaluate(1) == catalan_number(n)
 
 
+def test_kernel_families_match_gaussian_binomial_routes():
+    # independent of the kernel: [2]/[2n] [2n choose n-1] and
+    # [mn choose n]/[(m-1)n+1], by convolution and long division
+    for n in range(1, 25):
+        second = poly_div_exact(poly_mul(gaussian_binomial(2 * n, n - 1), qint(2)), qint(2 * n))
+        assert q_catalan_second(n) == second
+        for m in (3, 4):
+            general = poly_div_exact(gaussian_binomial(m * n, n), qint((m - 1) * n + 1))
+            assert q_catalan_general(n, m) == general
+
+
 def test_q_catalan_general():
     assert q_catalan_general(2, 3) == IntPoly([1, 0, 1, 0, 1])
     assert q_catalan_general(1, 5) == IntPoly([1])
@@ -256,6 +273,110 @@ def test_quotient_poly_validation():
         quotient_poly(SimpleNamespace(a=(2, 3), b=(2,)))
     with pytest.raises(ValueError):
         quotient_poly(SimpleNamespace(a=(0,), b=(1,)))
+
+
+@st.composite
+def exponent_lists(draw):
+    # A product of up to three Gaussian binomials [top choose k], which is a
+    # polynomial, mostly spoiled by one more factor (1 - q)/(1 - q^x) or by
+    # one redrawn exponent: about 60% of the draws stay polynomials.
+    a, b = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(1, 5))
+        top = draw(st.integers(k, 16))
+        a += range(top - k + 1, top + 1)
+        b += range(1, k + 1)
+    how = draw(st.integers(0, 4))
+    if how in (1, 2):
+        a.append(1)
+        b.append(draw(st.integers(2, 16)))
+    elif how > 2:
+        side = a if how == 3 else b
+        side[draw(st.integers(0, len(side) - 1))] = draw(st.integers(1, 16))
+    return tuple(a), tuple(b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lists=exponent_lists())
+def test_kernel_agrees_with_long_division_and_the_full_build(lists):
+    a, b = lists
+    verdict = oracles.is_polynomial_by_division(a, b)
+    assert polyq._is_polynomial(*polyq._cancel_common(a, b)) == verdict
+    spec = SimpleNamespace(a=a, b=b)
+    if not verdict:
+        with pytest.raises(NotPolynomial):
+            quotient_poly(spec)
+        return
+    p = quotient_poly(spec)
+    assert p.coeffs == tuple(oracles.sequential_quotient(a, b))
+    assert p.is_palindromic() and p.degree == sum(a) - sum(b)
+
+
+def test_kernel_builds_only_the_head(monkeypatch):
+    sizes = []
+    for name in ("_mul_one_minus_qpow", "_div_one_minus_qpow"):
+        def record(c, k, size, _pass=getattr(polyq, name)):
+            sizes.append(size)
+            return _pass(c, k, size)
+
+        monkeypatch.setattr(polyq, name, record)
+    p = q_catalan(30)
+    assert max(sizes) == p.degree // 2 + 1 == 436
+
+
+def test_reject_is_decided_before_any_pass(monkeypatch):
+    # the benchmark's reject case: 59 divides only 118 among a, twice in b
+    def no_pass(*args):
+        raise AssertionError("a linear pass ran")
+
+    monkeypatch.setattr(polyq, "_mul_one_minus_qpow", no_pass)
+    monkeypatch.setattr(polyq, "_div_one_minus_qpow", no_pass)
+    spec = QuotientSpec(a=tuple(range(61, 121)), b=tuple(range(1, 60)) + (59,))
+    with pytest.raises(NotPolynomial):
+        quotient_poly(spec)
+
+
+def test_negative_degree_is_rejected_before_the_ledger(monkeypatch):
+    def no_ledger(*args):
+        raise AssertionError("the ledger ran")
+
+    monkeypatch.setattr(polyq, "_is_polynomial", no_ledger)
+    with pytest.raises(NotPolynomial, match="negative degree"):
+        quotient_poly(SimpleNamespace(a=(2, 9), b=(3, 9)))
+
+
+def test_mass_check_catches_a_broken_pass(monkeypatch):
+    good = polyq._div_one_minus_qpow
+
+    def off_by_one(c, k, size):
+        out = good(c, k, size)
+        out[-1] += 1
+        return out
+
+    monkeypatch.setattr(polyq, "_div_one_minus_qpow", off_by_one)
+    with pytest.raises(ArithmeticError, match="does not sum to prod"):
+        q_catalan(6)
+
+
+def test_size_check_reads_lazily_and_refuses_past_the_limit():
+    assert _check_size(range(1, 4)) == [1, 2, 3]
+    assert _check_size([SUM_LIMIT]) == [SUM_LIMIT]
+    with pytest.raises(QuotientTooLarge, match=str(SUM_LIMIT)):
+        _check_size([SUM_LIMIT, 1])
+    with pytest.raises(QuotientTooLarge):
+        _check_size(range(1, 10 ** 12))  # stops after about 2900 entries
+    assert issubclass(QuotientTooLarge, ValueError)
+    # general --preset catalan --n 1000 stays legal
+    _check_size(FAMILIES["catalan"].exponents(1000, None)[0])
+
+
+def test_iter_family_refuses_an_oversized_n_to_up_front():
+    # catalan at n = 1700 has numerator exponents summing to 4334149;
+    # iter_family is lazy otherwise, so nothing is built either way
+    with pytest.raises(QuotientTooLarge):
+        iter_family("catalan", 1, 1700)
+    with pytest.raises(QuotientTooLarge):
+        iter_family("catalan2", 1, 10 ** 9)
 
 
 # -- brute-force enumeration oracle -------------------------------------------
@@ -312,7 +433,7 @@ def test_iter_family_steps_past_the_rebuild_crossover():
 
 
 def test_iter_family_yields_lazily():
-    members = iter_family("catalan", 1, 10 ** 9)
+    members = iter_family("catalan", 1, 1500)
     assert [next(members) for _ in range(3)] == [q_catalan(1), q_catalan(2), q_catalan(3)]
 
 
