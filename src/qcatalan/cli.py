@@ -9,9 +9,10 @@ strings); floats are printed to 12 significant digits.  Integers beyond
 numbers as doubles cannot silently lose digits.
 
 Exit codes: 0 success, 2 usage or validation error (including a quotient
-whose numerator exponents sum past polyq.SUM_LIMIT), 3 domain error: any
-ArithmeticError, such as a quotient that is not a polynomial, a value that
-left float range, or a construction that failed its own checks.
+whose numerator exponents sum past polyq.SUM_LIMIT, and --K past K_MAX),
+3 domain error: any ArithmeticError, such as a quotient that is not a
+polynomial, a value that left float range, or a construction that failed
+its own checks.
 """
 
 from __future__ import annotations
@@ -23,16 +24,17 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import Any, Sequence, TextIO
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
 from .exactnum import bernoulli_table
 from .limitlaw import (
     GecoParams,
     StandardizedLaw,
+    _int_ratio,
+    _power_sum_diffs,
     catalan_geco_params,
-    condition_ratio,
     mcatalan_geco_params,
-    power_sum_diff,
     series_coefficients,
     series_terms,
     split_tail,
@@ -43,10 +45,14 @@ from .shape import scan_family
 
 SCHEMA_VERSION = "1"
 INT_AS_STRING_LIMIT = 2 ** 53
-# Encoder chunks joined into one write by the JSON writer.
-JSON_BLOCK_CHUNKS = 2 ** 14
+# Rows encoded and joined into one write by the table writer.
+BLOCK_ROWS = 2 ** 10
 # Largest t grid `normality` accepts: 4001 points, i.e. --grid-step >= 0.001.
 GRID_MAX_POINTS = 4001
+# Largest --K.  `normality` sums the series to K + 10 terms, and t^(2k) at
+# |t| = 2 leaves float range past k = 511; `general` takes time growing
+# with K^2.
+K_MAX = 500
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -85,6 +91,77 @@ def _csv_cell(v: Any) -> str:
     return str(v)
 
 
+def _json_int(v: int) -> str:
+    if -INT_AS_STRING_LIMIT < v < INT_AS_STRING_LIMIT:
+        return int.__repr__(v)
+    return f'"{int.__repr__(v)}"'
+
+
+def _json_float(v: float) -> str:
+    if math.isfinite(v):
+        return float.__repr__(float(_fmt_float(v)))
+    return _json_other(v)  # raises OverflowError
+
+
+def _json_other(v: Any) -> str:
+    return json.dumps(_json_value(v))
+
+
+def _bool_text(v: bool) -> str:
+    return "true" if v else "false"
+
+
+# Cell encoders by exact type, at C speed where one exists.  Each gives the
+# text of the generic route (json.dumps(_json_value(v)), resp. _csv_cell),
+# which every other type, subclasses included, still takes.
+_JSON_CELLS: dict[type, Callable[[Any], str]] = {
+    bool: _bool_text,
+    int: _json_int,
+    float: _json_float,
+    str: encode_basestring_ascii,
+    Fraction: lambda v: encode_basestring_ascii(str(v)),
+}
+_CSV_CELLS: dict[type, Callable[[Any], str]] = {
+    bool: _bool_text,
+    int: int.__repr__,
+    float: _fmt_float,
+    str: str,
+    Fraction: Fraction.__str__,
+}
+
+
+def _row_blocks(rows: Iterable[dict[str, Any]]) -> Iterator[list[dict[str, Any]]]:
+    it = iter(rows)
+    while block := list(itertools.islice(it, BLOCK_ROWS)):
+        yield block
+
+
+def _json_blocks(columns: Sequence[str], rows: Iterable[dict[str, Any]]) -> list[str]:
+    """The rows as json.dumps(indent=2) lays them out inside the envelope's
+    "rows" array, joined in blocks of BLOCK_ROWS rows; joined by commas,
+    the blocks give the array's contents."""
+    # Each cell is its column's '\n      "col": ' prefix and the value.
+    keys = [
+        ("," if i else "") + "\n      " + encode_basestring_ascii(col) + ": "
+        for i, col in enumerate(columns)
+    ]
+    nulls = [key + "null" for key in keys]
+    close = "\n    }" if columns else "}"
+    cells = _JSON_CELLS.get
+    return [
+        ",".join([
+            "\n    {"
+            + "".join([
+                null if v is None else key + cells(type(v), _json_other)(v)
+                for key, null, v in zip(keys, nulls, map(row.get, columns))
+            ])
+            + close
+            for row in block
+        ])
+        for block in _row_blocks(rows)
+    ]
+
+
 def _emit(
     command: str,
     params: dict[str, Any],
@@ -93,25 +170,32 @@ def _emit(
     fmt: str,
     out: TextIO,
 ) -> None:
+    """Write the table as CSV, or as the JSON envelope in the bytes of
+    json.dumps(envelope, indent=2) + "\n".  JSON is encoded whole before its
+    first write, so a value it cannot encode leaves `out` empty; CSV is
+    written as it is encoded, BLOCK_ROWS rows at a time."""
     if fmt == "json":
-        envelope = {
-            "command": command,
-            "params": {k: _json_value(v) for k, v in params.items()},
-            "rows": [
-                {col: _json_value(row.get(col)) for col in columns} for row in rows
-            ],
-            "schema_version": SCHEMA_VERSION,
-        }
-        # Written in blocks of encoder chunks, so the whole document never
-        # sits in memory as one string; the bytes equal json.dumps(indent=2).
-        chunks = json.JSONEncoder(indent=2).iterencode(envelope)
-        while block := "".join(itertools.islice(chunks, JSON_BLOCK_CHUNKS)):
-            out.write(block)
-        out.write("\n")
+        params_json = {k: _json_value(v) for k, v in params.items()}
+        head = json.dumps({"command": command, "params": params_json}, indent=2)
+        blocks = _json_blocks(columns, rows)
+        # rows and schema_version take the place of the head's closing "\n}"
+        out.write(head[:-2] + ',\n  "rows": [')
+        for i, block in enumerate(blocks):
+            out.write("," + block if i else block)
+        out.write("\n  ]" if blocks else "]")
+        out.write(f',\n  "schema_version": {encode_basestring_ascii(SCHEMA_VERSION)}\n}}\n')
     else:
         out.write(",".join(columns) + "\n")
-        for row in rows:
-            out.write(",".join(_csv_cell(row.get(col)) for col in columns) + "\n")
+        cells = _CSV_CELLS.get
+        for block in _row_blocks(rows):
+            out.write("".join([
+                ",".join([
+                    "" if v is None else cells(type(v), _csv_cell)(v)
+                    for v in map(row.get, columns)
+                ])
+                + "\n"
+                for row in block
+            ]))
 
 
 def _check_m(family: str, m: int | None) -> None:
@@ -168,6 +252,11 @@ def _cmd_moments(args: argparse.Namespace, out: TextIO) -> int:
     return EXIT_OK
 
 
+def _check_K(K: int) -> None:
+    if not 2 <= K <= K_MAX:
+        raise UsageError(f"need 2 <= --K <= {K_MAX}, got {K}")
+
+
 def _t_grid_half(step: float) -> int:
     """Grid points on each side of t = 0 for --grid-step, checked against
     GRID_MAX_POINTS before anything is allocated."""
@@ -190,8 +279,7 @@ def _t_grid(step: float) -> list[float]:
 def _cmd_normality(args: argparse.Namespace, out: TextIO) -> int:
     if args.n < 2:
         raise UsageError(f"normality needs --n >= 2, got {args.n}")
-    if args.K < 2:
-        raise UsageError(f"need --K >= 2, got {args.K}")
+    _check_K(args.K)
     grid = _t_grid(args.grid_step)
     p = q_catalan(args.n)
     law = StandardizedLaw(p)
@@ -327,8 +415,7 @@ def _general_spec(args: argparse.Namespace) -> tuple[QuotientSpec, int, GecoPara
 
 
 def _cmd_general(args: argparse.Namespace, out: TextIO) -> int:
-    if args.K < 2:
-        raise UsageError(f"need --K >= 2, got {args.K}")
+    _check_K(args.K)
     spec, n, geco = _general_spec(args)
     p = quotient_poly(spec)
     c_mean, c_var = general_moments_closed(spec)
@@ -349,9 +436,10 @@ def _cmd_general(args: argparse.Namespace, out: TextIO) -> int:
             match=s.mean == c_mean and s.variance == c_var,
         )
     rows.append(moment_row)
-    if power_sum_diff(spec, 1) > 0:
+    sums = _power_sum_diffs(spec, args.K)
+    if sums[1] > 0:  # S_k / S_1^k, as condition_ratio gives it
         for k in range(2, args.K + 1):
-            ratio = condition_ratio(spec, k)
+            ratio = _int_ratio(sums[k], sums[1] ** k)
             row: dict[str, Any] = {"kind": "ratio", "k": k, "ratio": ratio}
             if geco is not None:
                 bound = geco.bound(n, k)
@@ -405,7 +493,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("normality", help="normal-limit diagnostics for q-Catalan at one n")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--K", type=int, default=30, help="series truncation depth")
+    sp.add_argument(
+        "--K", type=int, default=30, help=f"series truncation depth, 2..{K_MAX}"
+    )
     sp.add_argument(
         "--grid-step", type=float, default=0.5,
         help=f"t grid spacing on [-2, 2], at most {GRID_MAX_POINTS} points",
@@ -427,7 +517,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--preset", choices=tuple(FAMILIES), default=None)
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--m", type=int, default=None)
-    sp.add_argument("--K", type=int, default=10, help="largest ratio index k")
+    sp.add_argument(
+        "--K", type=int, default=10, help=f"largest ratio index k, 2..{K_MAX}"
+    )
     sp.add_argument("--alpha", type=float, default=None)
     sp.add_argument("--beta", type=float, default=None)
     sp.add_argument("--gamma", type=float, default=None)

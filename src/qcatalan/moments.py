@@ -16,11 +16,19 @@ specialize to mean n(n-1)/2 and variance n(n^2-1)/6.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polyq import IntPoly, _cancel_common, _check_exponents, get_family
+from .polyq import (
+    SUM_LIMIT,
+    IntPoly,
+    QuotientTooLarge,
+    _cancel_common,
+    _check_exponents,
+    get_family,
+)
 
 __all__ = [
     "QuotientSpec",
@@ -146,10 +154,19 @@ def preset(name: str, n: int, m: int | None = None) -> QuotientSpec:
 
     The lists come from polyq.FAMILIES.  All presets need n >= 2 (at n = 1
     every family is the constant 1 and the factor lists would be empty).
+    Lists with more than polyq.SUM_LIMIT entries raise QuotientTooLarge (a
+    ValueError) before any is built; the closed forms reach well past the
+    construction kernel's limit (mcatalan m = 5, n = 1000 is legal).
     """
     fam = get_family(name, m)
     if n < 2:
         raise ValueError(f"presets need n >= 2, got {n}")
+    for xs in fam.exponents(n, m):
+        if next(itertools.islice(xs, SUM_LIMIT, None), None) is not None:
+            raise QuotientTooLarge(
+                f"{name} at n={n} has more than {SUM_LIMIT} exponents; "
+                "the exponent lists would be too large to hold"
+            )
     a, b = _cancel_common(*fam.exponents(n, m))
     label = f"{name}(n={n},m={m})" if fam.takes_m else f"{name}(n={n})"
     return QuotientSpec(a=a, b=b, label=label)

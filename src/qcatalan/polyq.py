@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
@@ -227,7 +228,7 @@ def poly_div_exact(p: IntPoly, d: IntPoly) -> IntPoly:
 def _mul_one_minus_qpow(c: list[int], k: int, size: int) -> list[int]:
     """c * (1 - q^k) modulo q^size, for len(c) <= size <= len(c) + k."""
     ext = c + [0] * (size - len(c))
-    return ext[:k] + [hi - lo for hi, lo in zip(ext[k:], c)]
+    return ext[:k] + list(map(operator.sub, ext[k:], c))
 
 def _div_one_minus_qpow(c: list[int], k: int, size: int) -> list[int]:
     """c / (1 - q^k) modulo q^size, for size <= len(c).

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 # q_catalan is re-exported: code that wraps or reads the builders through
@@ -227,5 +226,9 @@ def scan_family(
     jobs = [(family, lo, hi, m) for lo, hi in split_range(n_from, n_to, size)]
     if len(jobs) == 1:
         return _scan_chunk(jobs[0])
+    # imported here, not at the top: loading the pool takes some 20 ms,
+    # which every `qcat` process would pay, and only a pooled scan needs it
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
         return [r for chunk in pool.map(_scan_chunk, jobs) for r in chunk]

@@ -11,14 +11,21 @@ construction kernel decided polynomiality from the cyclotomic ledger and
 built half of each quotient: `sequential_quotient` with one checked linear
 pass per factor, `is_polynomial_by_division` by long division of the full
 products.
+
+`emit` is the table writer as it was before `cli._emit` encoded its rows
+cell by cell: the generic `json` encoder on the whole envelope, and one
+CSV line per row.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from fractions import Fraction
+from typing import Any, Sequence, TextIO
 
+from qcatalan.cli import SCHEMA_VERSION, _csv_cell, _json_value
 from qcatalan.exactnum import BernoulliTable
 from qcatalan.limitlaw import TailReport, _power_sum_diffs
 from qcatalan.moments import QuotientSpec, dist_summary, general_moments_closed, preset
@@ -153,3 +160,29 @@ def is_polynomial_by_division(a, b) -> bool:
     except NonzeroRemainder:
         return False
     return True
+
+
+def emit(
+    command: str,
+    params: dict[str, Any],
+    columns: Sequence[str],
+    rows: Sequence[dict[str, Any]],
+    fmt: str,
+    out: TextIO,
+) -> None:
+    """CSV, or the envelope {command, params, rows, schema_version} as
+    json.dumps(envelope, indent=2) + "\n"."""
+    if fmt == "json":
+        envelope = {
+            "command": command,
+            "params": {k: _json_value(v) for k, v in params.items()},
+            "rows": [
+                {col: _json_value(row.get(col)) for col in columns} for row in rows
+            ],
+            "schema_version": SCHEMA_VERSION,
+        }
+        out.write(json.dumps(envelope, indent=2) + "\n")
+    else:
+        out.write(",".join(columns) + "\n")
+        for row in rows:
+            out.write(",".join(_csv_cell(row.get(col)) for col in columns) + "\n")

@@ -3,12 +3,22 @@
 import io
 import json
 import math
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+import qcatalan
 from qcatalan import cli, polyq
 from qcatalan.cli import main
-from qcatalan.limitlaw import ks_distance_to_normal
+from qcatalan.limitlaw import condition_ratio, ks_distance_to_normal
+from qcatalan.moments import preset
 from qcatalan.polyq import q_catalan
 
 
@@ -338,7 +348,7 @@ def test_emit_json_in_blocks_matches_one_shot(monkeypatch):
     cli._emit("x", params, ["k", "v", "big"], rows, "json", expected)
     envelope = json.loads(expected.getvalue())
     assert expected.getvalue() == json.dumps(envelope, indent=2) + "\n"
-    monkeypatch.setattr(cli, "JSON_BLOCK_CHUNKS", 3)
+    monkeypatch.setattr(cli, "BLOCK_ROWS", 3)
     writes = []
 
     class Recorder(io.StringIO):
@@ -346,10 +356,130 @@ def test_emit_json_in_blocks_matches_one_shot(monkeypatch):
             writes.append(text)
             return super().write(text)
 
-    out = Recorder()
-    cli._emit("x", params, ["k", "v", "big"], rows, "json", out)
-    assert out.getvalue() == expected.getvalue()
-    assert len(writes) > 100
+    for fmt in ("json", "csv"):
+        writes.clear()
+        out, one_shot = Recorder(), io.StringIO()
+        cli._emit("x", params, ["k", "v", "big"], rows, fmt, out)
+        oracles.emit("x", params, ["k", "v", "big"], rows, fmt, one_shot)
+        assert out.getvalue() == one_shot.getvalue()
+        assert len(writes) >= 60 // 3  # one write per block of 3 rows at least
+
+
+class Count(int):
+    """An int subclass: takes the generic encoding route."""
+
+
+class Tag:
+    """A type the JSON writer refuses; CSV writes its str()."""
+
+    def __str__(self):
+        return "tag"
+
+
+_CELLS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2 ** 53) - 3, -(2 ** 53) + 3),
+    st.integers(2 ** 53 - 3, 2 ** 53 + 3),
+    st.integers(-(2 ** 300), 2 ** 300),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 1e16, 1e-7, 123456789012345.0, 2.0 ** 53, 1 / 3]),
+    st.fractions(max_denominator=10 ** 30),
+    st.text(),
+    st.sampled_from(['"', "\\", "\n\t\x00\x1f", "caf\u00e9 \u2603 \U0001f600", "a,b"]),
+    st.builds(Count, st.integers(-(2 ** 60), 2 ** 60)),
+)
+
+
+def _outcome(emit, table, fmt):
+    out = io.StringIO()
+    try:
+        emit(*table, fmt, out)
+    except (OverflowError, TypeError) as exc:
+        return type(exc), out.getvalue()
+    return None, out.getvalue()
+
+
+@st.composite
+def _tables(draw):
+    columns = draw(st.lists(st.text(max_size=4), unique=True, max_size=5))
+    keys = st.sampled_from(columns) | st.text(max_size=2) if columns else st.text(max_size=2)
+    rows = draw(st.lists(st.dictionaries(keys, _CELLS, max_size=6), max_size=12))
+    params = draw(st.dictionaries(st.text(max_size=4), _CELLS, max_size=3))
+    if rows and columns and draw(st.booleans()):  # one value JSON cannot hold
+        bad = draw(st.sampled_from([Tag(), math.inf, -math.inf, math.nan]))
+        draw(st.sampled_from(rows))[draw(st.sampled_from(columns))] = bad
+    return draw(st.text(max_size=6)), params, columns, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=_tables(), block_rows=st.integers(1, 5))
+def test_emit_equals_the_generic_encoder_byte_for_byte(table, block_rows):
+    with mock.patch.object(cli, "BLOCK_ROWS", block_rows):
+        for fmt in ("json", "csv"):
+            got = _outcome(cli._emit, table, fmt)
+            assert got == _outcome(oracles.emit, table, fmt)
+            if got[0] is not None and fmt == "json":
+                assert got[1] == ""
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    src = str(Path(qcatalan.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "before = set(sys.modules)\n"
+        "import qcatalan.cli\n"
+        "print(sorted(m for m in set(sys.modules) - before\n"
+        "             if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("normality", "--n", "10", "--K", "501"),
+        ("normality", "--n", "10", "--K", "1000"),
+        ("general", "--a", "1000,1001,1002", "--b", "1,2,3", "--K", "8000"),
+        ("general", "--preset", "catalan", "--n", "30", "--K", "501"),
+    ],
+)
+def test_K_past_its_limit_exits_2_before_building(argv, monkeypatch, capsys):
+    def no_pass(*args):
+        raise AssertionError("a linear pass ran")
+
+    monkeypatch.setattr(polyq, "_mul_one_minus_qpow", no_pass)
+    rc, out = run_cli(*argv)
+    assert rc == 2 and out == ""
+    assert f"need 2 <= --K <= {cli.K_MAX}" in capsys.readouterr().err
+
+
+def test_K_limit_is_legal_and_documented(capsys):
+    assert cli.K_MAX == 500
+    rc, text = run_cli("normality", "--n", "4", "--K", "500")
+    assert rc == 0 and text
+    rc, text = run_cli("general", "--a", "1000,1001,1002", "--b", "1,2,3", "--K", "500")
+    assert rc == 0 and text.count("\nratio,") == 499
+    for command in ("normality", "general"):
+        assert run_cli(command, "--help")[0] == 0
+        assert "2..500" in capsys.readouterr().out
+
+
+def test_general_ratios_come_from_one_power_sum_sweep(monkeypatch):
+    calls = []
+    sweep = cli._power_sum_diffs
+    monkeypatch.setattr(cli, "_power_sum_diffs", lambda *a: calls.append(a) or sweep(*a))
+    doc = run_json("general", "--preset", "catalan", "--n", "30", "--K", "30")
+    assert len(calls) == 1
+    spec = preset("catalan", 30)
+    ratios = {r["k"]: r["ratio"] for r in doc["rows"] if r["kind"] == "ratio"}
+    assert sorted(ratios) == list(range(2, 31))
+    for k, ratio in ratios.items():
+        assert ratio == float(f"{condition_ratio(spec, k):.12g}")
 
 
 def test_determinism_byte_identical():

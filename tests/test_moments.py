@@ -4,6 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from qcatalan import moments
+from qcatalan.exactnum import bernoulli_table
+from qcatalan.limitlaw import catalan_geco_params, geco_bound_check, tail_series
 from qcatalan.moments import (
     QuotientSpec,
     catalan_moments_closed,
@@ -13,7 +16,9 @@ from qcatalan.moments import (
     preset,
 )
 from qcatalan.polyq import (
+    SUM_LIMIT,
     IntPoly,
+    QuotientTooLarge,
     q_catalan,
     q_catalan_general,
     q_catalan_second,
@@ -141,3 +146,30 @@ def test_preset_rejects():
         preset("mcatalan", 5)
     with pytest.raises(ValueError):
         preset("mcatalan", 5, 1)
+
+
+def test_preset_refuses_huge_lists_before_building(monkeypatch):
+    def no_lists(*args):
+        raise AssertionError("exponent lists were built")
+
+    monkeypatch.setattr(moments, "_cancel_common", no_lists)
+    for args in (("catalan", 10 ** 8), ("catalan2", 10 ** 12), ("mcatalan", 10 ** 8, 5)):
+        with pytest.raises(QuotientTooLarge, match=f"more than {SUM_LIMIT} exponents"):
+            preset(*args)
+    with pytest.raises(QuotientTooLarge):
+        tail_series(10 ** 8, 1.0, 4, bernoulli_table(8))
+    with pytest.raises(QuotientTooLarge):
+        geco_bound_check(
+            lambda n: preset("catalan", n), catalan_geco_params(), [2], [10 ** 8]
+        )
+
+
+def test_preset_limit_counts_entries(monkeypatch):
+    monkeypatch.setattr(moments, "SUM_LIMIT", 5)
+    assert len(preset("catalan", 6).a) == 5
+    with pytest.raises(QuotientTooLarge):
+        preset("catalan", 7)
+    monkeypatch.undo()
+    # the closed forms stay legal far past the construction kernel's limit
+    assert len(preset("mcatalan", 1000, 5).a) == 999
+    assert len(preset("catalan", 1000).b) == 999
