@@ -8,11 +8,13 @@ strings); floats are printed to 12 significant digits.  Integers beyond
 2^53 are JSON-encoded as decimal strings so consumers that parse JSON
 numbers as doubles cannot silently lose digits.
 
-Exit codes: 0 success, 2 usage or validation error (including a quotient
-whose numerator exponents sum past polyq.SUM_LIMIT, and --K past K_MAX),
-3 domain error: any ArithmeticError, such as a quotient that is not a
-polynomial, a value that left float range, or a construction that failed
-its own checks.
+Exit codes: 0 success, 1 the reader closed stdout before the output ended
+(`qcat ... | head -1`; nothing is written to stderr), 2 usage or validation
+error (including a quotient whose numerator exponents sum past
+polyq.SUM_LIMIT, --K past K_MAX, and a `normality` grid whose mgf work
+passes MGF_WORK_MAX), 3 domain error: any ArithmeticError, such as a
+quotient that is not a polynomial, a value that left float range, or a
+construction that failed its own checks.
 """
 
 from __future__ import annotations
@@ -53,6 +55,11 @@ GRID_MAX_POINTS = 4001
 # |t| = 2 leaves float range past k = 511; `general` takes time growing
 # with K^2.
 K_MAX = 500
+# Largest mgf work `normality` accepts: distinct |t| on the grid times the
+# n(n - 1) + 1 support points of q_catalan(n), one float term each, about
+# 0.53 us apiece (2^25 is about 18 s).  --n 100 --grid-step 0.001 (19.8M)
+# stays legal.
+MGF_WORK_MAX = 2 ** 25
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -276,11 +283,23 @@ def _t_grid(step: float) -> list[float]:
     return [round(i * step, 12) for i in range(-count, count + 1)]
 
 
+def _check_mgf_work(n: int, grid: Sequence[float]) -> None:
+    """Refuse a grid on which the mgf of q_catalan(n) would take more than
+    MGF_WORK_MAX terms: one per distinct |t| and support point."""
+    work = (len(grid) // 2 + 1) * (n * (n - 1) + 1)
+    if work > MGF_WORK_MAX:
+        raise UsageError(
+            f"--n {n} on a grid of {len(grid)} t points needs {work} mgf terms, "
+            f"more than {MGF_WORK_MAX}; use a smaller --n or a larger --grid-step"
+        )
+
+
 def _cmd_normality(args: argparse.Namespace, out: TextIO) -> int:
     if args.n < 2:
         raise UsageError(f"normality needs --n >= 2, got {args.n}")
     _check_K(args.K)
     grid = _t_grid(args.grid_step)
+    _check_mgf_work(args.n, grid)
     p = q_catalan(args.n)
     law = StandardizedLaw(p)
     mu, sigma, mass = law.mu, law.sigma, law.summary.mass
@@ -427,7 +446,7 @@ def _cmd_general(args: argparse.Namespace, out: TextIO) -> int:
         "closed_mean": c_mean,
         "closed_variance": c_var,
     }
-    if all(c >= 0 for c in p.coeffs):
+    if min(p.coeffs, default=0) >= 0:
         s = dist_summary(p)
         moment_row.update(
             mass=s.mass,
@@ -498,7 +517,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument(
         "--grid-step", type=float, default=0.5,
-        help=f"t grid spacing on [-2, 2], at most {GRID_MAX_POINTS} points",
+        help=f"t grid spacing on [-2, 2], at most {GRID_MAX_POINTS} points and "
+        f"at most {MGF_WORK_MAX} mgf terms (distinct |t| times n(n-1)+1)",
     )
     add_format(sp)
     sp.set_defaults(func=_cmd_normality)
@@ -547,7 +567,16 @@ def main(argv: Sequence[str] | None = None, out: TextIO | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe fails here, inside the try
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at devnull, as the signal module
+        # documentation advises, so the flush at shutdown cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -75,7 +75,7 @@ class DistSummary:
 def _check_distribution(p: IntPoly) -> None:
     if p.is_zero():
         raise ValueError("zero polynomial carries no distribution")
-    if any(c < 0 for c in p.coeffs):
+    if min(p.coeffs) < 0:
         raise ValueError("negative coefficient; not a distribution")
 
 

@@ -73,7 +73,7 @@ def interior_unimodal(p: IntPoly) -> tuple[bool, int | None]:
 def _validate_shape_input(p: IntPoly) -> None:
     if p.is_zero():
         raise ValueError("zero polynomial has no shape")
-    if any(c < 0 for c in p.coeffs):
+    if min(p.coeffs) < 0:
         raise ValueError("negative coefficient; shape scans expect a distribution")
 
 

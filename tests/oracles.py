@@ -12,6 +12,9 @@ built half of each quotient: `sequential_quotient` with one checked linear
 pass per factor, `is_polynomial_by_division` by long division of the full
 products.
 
+`interior_unimodal` tests every candidate peak, the definition the scanner
+in `shape` shortcuts with one pass.
+
 `emit` is the table writer as it was before `cli._emit` encoded its rows
 cell by cell: the generic `json` encoder on the whole envelope, and one
 CSV line per row.
@@ -112,6 +115,25 @@ def ks_distance_to_normal(p: IntPoly) -> float:
         hi = cum / mass
         best = max(best, abs(phi - lo), abs(hi - phi))
     return best
+
+
+def interior_unimodal(coeffs: Sequence[int]) -> tuple[bool, int | None]:
+    """shape.interior_unimodal from the definition.  The interior
+    c_1..c_{d-1} is weakly unimodal when, for some peak j, it weakly rises
+    up to c_j and weakly falls after it.  Otherwise the answer names the
+    first k with a strict rise c_k > c_{k-1} after a strict fall somewhere
+    in the interior before it."""
+    last = len(coeffs) - 2
+    for j in range(1, last + 1):
+        rises = all(coeffs[i] <= coeffs[i + 1] for i in range(1, j))
+        falls = all(coeffs[i] >= coeffs[i + 1] for i in range(j, last))
+        if rises and falls:
+            return True, None
+    for k in range(2, last + 1):
+        fell = any(coeffs[i] < coeffs[i - 1] for i in range(2, k))
+        if fell and coeffs[k] > coeffs[k - 1]:
+            return False, k
+    raise AssertionError("a sequence that is not unimodal has a rise after a fall")
 
 
 def _mul_one_minus_qpow(c: list[int], k: int) -> list[int]:

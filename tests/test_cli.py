@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -135,6 +136,40 @@ def test_grid_step_cap_and_default_grids():
     assert cli._t_grid(0.5) == [-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0]
     grid = cli._t_grid(0.1)
     assert len(grid) == 41 and grid[0] == -2.0 and grid[20] == 0.0 and grid[-1] == 2.0
+
+
+PASS_NAMES = ("_mul_one_plus_qpow", "_mul_one_minus_qpow", "_div_one_minus_qpow")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--n", "300", "--grid-step", "0.001"),  # 2001 * 89701 terms
+        ("--n", "130", "--grid-step", "0.001"),  # 2001 * 16771, just past
+        ("--n", "10000",),  # 5 * 99990001 on the default grid
+    ],
+)
+def test_normality_mgf_work_past_its_limit_exits_2_before_building(argv, monkeypatch, capsys):
+    def no_pass(*args):
+        raise AssertionError("a linear pass ran")
+
+    for name in PASS_NAMES:
+        monkeypatch.setattr(polyq, name, no_pass)
+    rc, out = run_cli("normality", *argv)
+    assert rc == 2 and out == ""
+    assert f"more than {cli.MGF_WORK_MAX}" in capsys.readouterr().err
+
+
+def test_normality_mgf_work_limit_is_legal_and_documented(capsys):
+    assert cli.MGF_WORK_MAX == 2 ** 25
+    finest = cli._t_grid(0.001)
+    cli._check_mgf_work(100, finest)  # 2001 * 9901, about 19.8M terms
+    cli._check_mgf_work(129, finest)  # 2001 * 16513, the largest n there
+    cli._check_mgf_work(2591, cli._t_grid(0.5))  # 5 * 6710691
+    with pytest.raises(cli.UsageError):
+        cli._check_mgf_work(2592, cli._t_grid(0.5))
+    assert run_cli("normality", "--help")[0] == 0
+    assert str(cli.MGF_WORK_MAX) in " ".join(capsys.readouterr().out.split())
 
 
 @pytest.mark.parametrize("step", ["nan", "inf", "1e-12"])
@@ -309,8 +344,8 @@ def test_oversized_quotient_exits_2_before_building(argv, monkeypatch, capsys):
     def no_pass(*args):
         raise AssertionError("a linear pass ran")
 
-    monkeypatch.setattr(polyq, "_mul_one_minus_qpow", no_pass)
-    monkeypatch.setattr(polyq, "_div_one_minus_qpow", no_pass)
+    for name in PASS_NAMES:
+        monkeypatch.setattr(polyq, name, no_pass)
     rc, out = run_cli(*argv)
     assert rc == 2 and out == ""
     assert f"sum to more than {polyq.SUM_LIMIT}" in capsys.readouterr().err
@@ -452,10 +487,26 @@ def test_K_past_its_limit_exits_2_before_building(argv, monkeypatch, capsys):
     def no_pass(*args):
         raise AssertionError("a linear pass ran")
 
-    monkeypatch.setattr(polyq, "_mul_one_minus_qpow", no_pass)
+    for name in PASS_NAMES:
+        monkeypatch.setattr(polyq, name, no_pass)
     rc, out = run_cli(*argv)
     assert rc == 2 and out == ""
     assert f"need 2 <= --K <= {cli.K_MAX}" in capsys.readouterr().err
+
+
+def test_closed_pipe_exits_1_without_a_traceback():
+    src = str(Path(qcatalan.__file__).resolve().parents[1])
+    # about 600 kB of rows, far past what the pipe buffers
+    with subprocess.Popen(
+        [sys.executable, "-m", "qcatalan.cli", "coeffs", "--family", "catalan", "--n", "150"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    ) as proc:
+        assert proc.stdout.readline() == b"k,coeff\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
 
 
 def test_K_limit_is_legal_and_documented(capsys):

@@ -204,6 +204,19 @@ def test_ks_two_point():
     assert abs(ks_distance_to_normal(IntPoly([1, 0, 1])) - 0.341345) < 1e-6
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    inner=st.lists(st.integers(0, 10 ** 30), max_size=40),
+    ends=st.tuples(st.integers(1, 10 ** 30), st.integers(1, 10 ** 30)),
+)
+def test_ks_lies_in_the_unit_interval(inner, ends):
+    # two positive end coefficients: a nonnegative law with positive variance
+    p = IntPoly([ends[0], *inner, ends[1]])
+    ks = ks_distance_to_normal(p)
+    assert 0.0 <= ks <= 1.0
+    assert ks == pytest.approx(oracles.ks_distance_to_normal(p), abs=1e-9)
+
+
 def test_ks_basics():
     vals = [ks_distance_to_normal(q_catalan(n)) for n in (10, 40)]
     assert 0 < vals[1] < vals[0] < 1

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -312,9 +313,93 @@ def test_kernel_agrees_with_long_division_and_the_full_build(lists):
     assert p.is_palindromic() and p.degree == sum(a) - sum(b)
 
 
+@st.composite
+def paired_exponent_lists(draw):
+    # Doubling chains d, 2d, 4d with 0..2 copies of each link on either
+    # side, so pairs (1 - q^2d)/(1 - q^d), chains of them, repeats and
+    # cancelled entries all occur.  The denominator is padded with 1s and
+    # the numerator with random exponents; about half of the draws are
+    # polynomials, and a third of those run a pair pass.
+    a, b = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(1, 12))
+        for x in (d, 2 * d, 4 * d)[: draw(st.integers(1, 3))]:
+            a += [x] * draw(st.integers(0, 2))
+            b += [x] * draw(st.integers(0, 2))
+    b += [1] * (len(a) - len(b))
+    a += draw(st.lists(st.integers(1, 24), min_size=len(b) - len(a), max_size=len(b) - len(a)))
+    return tuple(a), tuple(b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lists=paired_exponent_lists())
+def test_kernel_pairs_doubles_exactly(lists):
+    a, b = lists
+    spec = SimpleNamespace(a=a, b=b)
+    if not oracles.is_polynomial_by_division(a, b):
+        with pytest.raises(NotPolynomial):
+            quotient_poly(spec)
+        return
+    assert quotient_poly(spec).coeffs == tuple(oracles.sequential_quotient(a, b))
+
+
+def test_pair_doubles_takes_each_up_once():
+    assert polyq._pair_doubles((2, 6, 6, 7), (1, 3, 3, 5)) == ([1, 3, 3], [7], [5])
+    # a chain: the down 2 takes the up 4, and the down 1 finds no up 2
+    assert polyq._pair_doubles((4, 8), (1, 2)) == ([2], [8], [1])
+    assert polyq._pair_doubles((6, 6), (3,)) == ([3], [6], [])
+    assert polyq._pair_doubles((5,), (2, 3)) == ([], [5], [3, 2])
+
+
+PASSES = ("_mul_one_plus_qpow", "_mul_one_minus_qpow", "_div_one_minus_qpow")
+
+
+def count_passes(monkeypatch):
+    """Patch the three linear passes to count their calls by name."""
+    counts = Counter()
+    for name in PASSES:
+        def counted(c, k, size, _pass=getattr(polyq, name), _name=name):
+            counts[_name] += 1
+            return _pass(c, k, size)
+
+        monkeypatch.setattr(polyq, name, counted)
+    return counts
+
+
+def test_q_catalan_runs_one_pass_per_pair(monkeypatch):
+    counts = count_passes(monkeypatch)
+    q_catalan(30)
+    assert sum(counts.values()) == 43  # 2 * 29 - 15, against 58 unpaired
+    assert counts["_mul_one_plus_qpow"] == 15
+    for n in range(2, 41):
+        counts.clear()
+        q_catalan(n)
+        assert sum(counts.values()) == 2 * (n - 1) - n // 2
+
+
+@pytest.mark.parametrize("name, n_from", [("catalan", 2), ("catalan2", 3)])
+def test_every_catalan_step_runs_three_passes(name, n_from, monkeypatch):
+    counts = count_passes(monkeypatch)
+    members = iter_family(name, n_from, 40)
+    next(members)  # built from scratch
+    for _ in range(n_from + 1, 41):
+        counts.clear()
+        next(members)
+        assert sum(counts.values()) == 3 and counts["_mul_one_plus_qpow"] == 1
+
+
+def test_step_or_rebuild_compares_passes_after_pairing():
+    # from 1 + q to [4]: the step (1 - q^4)/(1 - q^2) is one pair pass, the
+    # rebuild (1 - q^4)/(1 - q) two passes, so the kernel steps
+    assert polyq._step_factors(((2,), (1,)), ((4,), (1,))) == ((4,), (2,))
+    # rebuilding (1 - q^2)(1 - q^12)/((1 - q)(1 - q^6)) is two pair passes,
+    # as cheap as the unpaired step (1 - q^2)/(1 - q^6), so it rebuilds
+    assert polyq._step_factors(((12,), (1,)), ((2, 12), (1, 6))) is None
+
+
 def test_kernel_builds_only_the_head(monkeypatch):
     sizes = []
-    for name in ("_mul_one_minus_qpow", "_div_one_minus_qpow"):
+    for name in PASSES:
         def record(c, k, size, _pass=getattr(polyq, name)):
             sizes.append(size)
             return _pass(c, k, size)
@@ -329,8 +414,8 @@ def test_reject_is_decided_before_any_pass(monkeypatch):
     def no_pass(*args):
         raise AssertionError("a linear pass ran")
 
-    monkeypatch.setattr(polyq, "_mul_one_minus_qpow", no_pass)
-    monkeypatch.setattr(polyq, "_div_one_minus_qpow", no_pass)
+    for name in PASSES:
+        monkeypatch.setattr(polyq, name, no_pass)
     spec = QuotientSpec(a=tuple(range(61, 121)), b=tuple(range(1, 60)) + (59,))
     with pytest.raises(NotPolynomial):
         quotient_poly(spec)

@@ -4,7 +4,10 @@ import os
 import random
 import warnings
 
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcatalan.polyq import IntPoly, gaussian_binomial, q_catalan, qint
 from qcatalan.shape import (
@@ -62,6 +65,12 @@ def test_min_logconcave_t_none_when_uncoverable():
     assert quiet_brute(IntPoly([1, 1, 0, 1, 1])) is None
 
 
+def test_scanners_reject_negative_coefficients():
+    for scan in (min_logconcave_t, min_logconcave_t_bruteforce):
+        with pytest.raises(ValueError, match="negative coefficient"):
+            scan(IntPoly([1, -1, 1]))
+
+
 def test_min_logconcave_t_warnings():
     with pytest.warns(UserWarning):
         min_logconcave_t(IntPoly([1, 2, 4, 8, 16]))  # not palindromic
@@ -89,6 +98,31 @@ def test_scanner_matches_bruteforce_random():
         coeffs.append(rng.randrange(1, 6))
         p = IntPoly(coeffs)
         assert quiet_min_t(p) == quiet_brute(p), coeffs
+
+
+@st.composite
+def palindromes(draw):
+    # nonnegative, with zeros and plateaus common, degree >= 2 and a
+    # positive end so that IntPoly keeps the whole palindrome
+    half = [draw(st.integers(1, 9))] + draw(st.lists(st.sampled_from([0, 1, 2, 3, 5, 9, 40]), max_size=20))
+    middle = draw(st.lists(st.integers(0, 50), max_size=1))
+    coeffs = half + middle + half[::-1]
+    return IntPoly(coeffs if len(coeffs) >= 3 else [1, *coeffs, 1])
+
+
+@settings(max_examples=400, deadline=None)
+@given(p=palindromes())
+def test_scanners_equal_brute_force_on_random_palindromes(p):
+    assert p.is_palindromic()
+    assert quiet_min_t(p) == quiet_brute(p)
+    assert interior_unimodal(p) == oracles.interior_unimodal(p.coeffs)
+
+
+def test_unimodality_oracle_examples():
+    assert oracles.interior_unimodal((9, 2, 1, 2, 9)) == (False, 3)
+    assert oracles.interior_unimodal((1, 1, 0, 1)) == (True, None)
+    assert oracles.interior_unimodal((5, 0, 5)) == (True, None)
+    assert oracles.interior_unimodal((1, 3, 1, 1, 4, 4, 1)) == (False, 4)
 
 
 def test_reversal_invariance():
