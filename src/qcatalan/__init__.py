@@ -74,7 +74,6 @@ from .shape import (
     interior_unimodal,
     min_logconcave_t,
     min_logconcave_t_bruteforce,
-    pool_size,
     scan_family,
     shape_report,
 )
@@ -122,7 +121,6 @@ __all__ = [
     "min_logconcave_t_bruteforce",
     "poly_div_exact",
     "poly_mul",
-    "pool_size",
     "power_sum_diff",
     "preset",
     "q_catalan",

@@ -222,8 +222,6 @@ def _cmd_coeffs(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_moments(args: argparse.Namespace, out: TextIO) -> int:
-    if not 1 <= args.n_from <= args.n_to:
-        raise UsageError(f"need 1 <= --n-from <= --n-to, got {args.n_from}..{args.n_to}")
     _check_m(args.family, args.m)
     rows = []
     members = iter_family(args.family, args.n_from, args.n_to, args.m)
@@ -350,20 +348,9 @@ def _cmd_normality(args: argparse.Namespace, out: TextIO) -> int:
     return EXIT_OK
 
 
-def _workers_from_env() -> int:
-    raw = os.environ.get("QCAT_THREADS", "1")
-    try:
-        w = int(raw)
-    except ValueError:
-        raise UsageError(f"QCAT_THREADS must be an integer, got {raw!r}") from None
-    return max(1, w)
-
-
 def _cmd_shape(args: argparse.Namespace, out: TextIO) -> int:
     _check_m(args.family, args.m)
-    reports = scan_family(
-        args.family, args.n_from, args.n_to, m=args.m, workers=_workers_from_env()
-    )
+    reports = scan_family(args.family, args.n_from, args.n_to, m=args.m)
     rows = [
         {
             "n": r.n,

@@ -159,26 +159,6 @@ class IntPoly:
     def is_palindromic(self) -> bool:
         return bool(self.coeffs) and self.coeffs == self.coeffs[::-1]
 
-    def __neg__(self) -> IntPoly:
-        return IntPoly(-c for c in self.coeffs)
-
-    def __add__(self, other: int | IntPoly) -> IntPoly:
-        oc = (other,) if isinstance(other, int) else other.coeffs
-        return IntPoly(a + b for a, b in itertools.zip_longest(self.coeffs, oc, fillvalue=0))
-
-    __radd__ = __add__
-
-    def __sub__(self, other: int | IntPoly) -> IntPoly:
-        oc = (other,) if isinstance(other, int) else other.coeffs
-        return IntPoly(a - b for a, b in itertools.zip_longest(self.coeffs, oc, fillvalue=0))
-
-    def __mul__(self, other: int | IntPoly) -> IntPoly:
-        if isinstance(other, int):
-            return IntPoly(c * other for c in self.coeffs)
-        return poly_mul(self, other)
-
-    __rmul__ = __mul__
-
     def __repr__(self) -> str:
         return f"IntPoly({_poly_str(self.coeffs)})"
 

@@ -17,7 +17,6 @@ definition and exists purely to keep the fast scanner honest.
 
 from __future__ import annotations
 
-import os
 import warnings
 from dataclasses import dataclass
 
@@ -32,8 +31,6 @@ __all__ = [
     "min_logconcave_t_bruteforce",
     "shape_report",
     "scan_family",
-    "pool_size",
-    "split_range",
 ]
 
 
@@ -151,84 +148,14 @@ def shape_report(p: IntPoly, family: str, n: int) -> ShapeReport:
     )
 
 
-def pool_size(requested: int, jobs: int, cpus: int | None = None) -> int:
-    """Worker processes for a scan: min(requested, cpus, jobs), at least 1.
-
-    cpus defaults to os.cpu_count().  A process pool under fork starts all
-    its workers at once, so the request alone must never set the size.
-    """
-    if cpus is None:
-        cpus = os.cpu_count() or 1
-    return max(1, min(requested, cpus, jobs))
-
-
-def _chunk_cost(n_from: int, n_to: int) -> int:
-    """Relative cost of scanning n_from..n_to as one chunk.
-
-    A member of size n has degree ~ n^2 and coefficients of ~ n bits, so a
-    step plus its scan costs ~ n^3, and the from-scratch seed, about 2n
-    passes, ~ n^4 / 8 in the same units (measured on catalan, n = 60..200).
-    """
-    def cubes(k: int) -> int:  # 1^3 + ... + k^3
-        return (k * (k + 1) // 2) ** 2
-
-    return n_from ** 4 // 8 + cubes(n_to) - cubes(n_from - 1)
-
-
-def split_range(n_from: int, n_to: int, parts: int) -> list[tuple[int, int]]:
-    """Cut n_from..n_to into at most `parts` contiguous chunks, in order,
-    minimizing the largest _chunk_cost.  Fewer chunks come back when
-    another seed would cost more than it saves."""
-
-    def greedy(limit: int) -> list[tuple[int, int]]:
-        chunks = []
-        lo = n_from
-        while lo <= n_to:
-            hi = lo
-            while hi < n_to and _chunk_cost(lo, hi + 1) <= limit:
-                hi += 1
-            chunks.append((lo, hi))
-            lo = hi + 1
-        return chunks
-
-    low, high = _chunk_cost(n_to, n_to), _chunk_cost(n_from, n_to)
-    while low < high:
-        mid = (low + high) // 2
-        if len(greedy(mid)) <= parts:
-            high = mid
-        else:
-            low = mid + 1
-    return greedy(high)
-
-
-def _scan_chunk(job: tuple[str, int, int, int | None]) -> list[ShapeReport]:
-    family, n_from, n_to, m = job
-    members = iter_family(family, n_from, n_to, m)
-    return [shape_report(p, family, n) for n, p in zip(range(n_from, n_to + 1), members)]
-
-
 def scan_family(
-    family: str,
-    n_from: int,
-    n_to: int,
-    m: int | None = None,
-    workers: int = 1,
+    family: str, n_from: int, n_to: int, m: int | None = None
 ) -> list[ShapeReport]:
     """Shape reports for family members n_from..n_to inclusive, in order.
 
-    Members come from iter_family.  workers > 1 gives each of up to
-    pool_size(workers, number of n) processes one contiguous chunk of the
-    range, seeded from scratch at its first n; results come back in n order
-    either way, so output is deterministic.
+    Members come from one iter_family sweep, which checks the arguments
+    before it builds anything.  Only the reports are kept, not the members,
+    and the whole scan runs in the calling process.
     """
-    iter_family(family, n_from, n_to, m)  # checks the arguments, builds nothing
-    size = pool_size(workers, n_to - n_from + 1)
-    jobs = [(family, lo, hi, m) for lo, hi in split_range(n_from, n_to, size)]
-    if len(jobs) == 1:
-        return _scan_chunk(jobs[0])
-    # imported here, not at the top: loading the pool takes some 20 ms,
-    # which every `qcat` process would pay, and only a pooled scan needs it
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-        return [r for chunk in pool.map(_scan_chunk, jobs) for r in chunk]
+    members = iter_family(family, n_from, n_to, m)
+    return [shape_report(p, family, n) for n, p in zip(range(n_from, n_to + 1), members)]

@@ -92,9 +92,15 @@ def test_moments_big_mass_as_string():
     assert mass == str(math.comb(80, 40) // 41)
 
 
-def test_moments_bad_range():
-    rc, _ = run_cli("moments", "--family", "catalan", "--n-from", "5", "--n-to", "2")
-    assert rc == 2
+def test_moments_bad_range(capsys):
+    # moments and shape share iter_family's range check and its message
+    for command in ("moments", "shape"):
+        for lo, hi in (("5", "2"), ("0", "3")):
+            rc, text = run_cli(command, "--family", "catalan", "--n-from", lo, "--n-to", hi)
+            assert rc == 2
+            assert text == ""
+            err = capsys.readouterr().err
+            assert f"need 1 <= n_from <= n_to, got {lo}..{hi}" in err
 
 
 def test_normality_rows():
@@ -230,11 +236,20 @@ def test_shape_workers_env_does_not_change_bytes(monkeypatch):
     assert serial == threaded
 
 
-def test_shape_workers_env_rejected(monkeypatch, capsys):
-    monkeypatch.setenv("QCAT_THREADS", "abc")
-    rc, _ = run_cli("shape", "--family", "catalan", "--n-from", "2", "--n-to", "3")
-    assert rc == 2
-    assert "QCAT_THREADS" in capsys.readouterr().err
+def test_shape_runs_in_one_process(monkeypatch):
+    args = ("shape", "--family", "catalan", "--n-from", "2", "--n-to", "30")
+    monkeypatch.delenv("QCAT_THREADS", raising=False)
+    _, expected = run_cli(*args)
+
+    def no_fork():
+        raise OSError("the shape scan must not fork")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setenv("QCAT_THREADS", "2")
+    rc, text = run_cli(*args)
+    assert rc == 0
+    assert text == expected
 
 
 def test_shape_rejects_m_for_plain_family():

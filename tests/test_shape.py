@@ -1,6 +1,5 @@
 """Unimodality and log-concavity scanners, including the oracle cross-check."""
 
-import os
 import random
 import warnings
 
@@ -9,15 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcatalan.polyq import IntPoly, gaussian_binomial, q_catalan, qint
+from qcatalan.polyq import IntPoly, gaussian_binomial, poly_mul, q_catalan, qint
 from qcatalan.shape import (
     interior_unimodal,
     min_logconcave_t,
     min_logconcave_t_bruteforce,
-    pool_size,
     scan_family,
     shape_report,
-    split_range,
 )
 
 
@@ -141,7 +138,7 @@ def test_logconcave_at_zero_trim_implies_unimodal():
     for parts in ((3, 4), (2, 2, 5), (6, 3, 2)):
         p = IntPoly([1])
         for k in parts:
-            p = p * qint(k)
+            p = poly_mul(p, qint(k))
         assert quiet_min_t(p) == 0
         assert all(c > 0 for c in p.coeffs[1:-1])
         assert interior_unimodal(p) == (True, None)
@@ -175,12 +172,6 @@ def test_scan_family_ordering_and_values():
     assert any(not r.interior_unimodal for r in low)
 
 
-def test_scan_family_workers_match_serial():
-    serial = scan_family("catalan2", 3, 10)
-    parallel = scan_family("catalan2", 3, 10, workers=2)
-    assert serial == parallel
-
-
 def test_scan_family_mcatalan():
     reports = scan_family("mcatalan", 2, 6, m=3)
     assert [r.n for r in reports] == [2, 3, 4, 5, 6]
@@ -206,30 +197,3 @@ def test_shape_report_matches_separate_scanners():
             (k for k in range(1, len(cs) - 1) if cs[k] * cs[k] < cs[k - 1] * cs[k + 1]), None
         )
         assert r.first_lc_violation_at_t0 == first
-
-
-def test_pool_size_is_clamped():
-    assert pool_size(10 ** 9, 100, cpus=2) == 2
-    assert pool_size(10 ** 9, 3, cpus=64) == 3
-    assert pool_size(4, 10 ** 9, cpus=10 ** 6) == 4
-    assert pool_size(0, 10, cpus=8) == 1
-    assert pool_size(-5, 10, cpus=8) == 1
-    assert pool_size(10 ** 9, 10 ** 9) <= (os.cpu_count() or 1)
-
-
-def test_split_range_covers_in_order():
-    for lo, hi, parts in ((2, 100, 2), (2, 200, 3), (71, 120, 2), (1, 1, 4), (3, 10, 8)):
-        chunks = split_range(lo, hi, parts)
-        assert 1 <= len(chunks) <= parts
-        assert chunks[0][0] == lo and chunks[-1][1] == hi
-        assert all(a <= b for a, b in chunks)
-        assert all(b + 1 == c for (_, b), (c, _) in zip(chunks, chunks[1:]))
-    # later members cost more, so the last chunk is the short one
-    first, last = split_range(2, 100, 2)
-    assert last[1] - last[0] < first[1] - first[0]
-
-
-def test_scan_family_chunks_match_serial(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert len(split_range(2, 30, 2)) == 2  # the range crosses a chunk boundary
-    assert scan_family("catalan", 2, 30, workers=2) == scan_family("catalan", 2, 30)
