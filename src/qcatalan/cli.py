@@ -60,6 +60,10 @@ K_MAX = 500
 # 0.53 us apiece (2^25 is about 18 s).  --n 100 --grid-step 0.001 (19.8M)
 # stays legal.
 MGF_WORK_MAX = 2 ** 25
+# The float options.  argparse reads a negative number written with an
+# exponent (-1e-3) as an unknown flag, so main joins each of these options
+# to the token after it (--beta -1e-3 becomes --beta=-1e-3).
+FLOAT_FLAGS = ("--alpha", "--beta", "--gamma", "--grid-step")
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -536,11 +540,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_float_values(argv: Sequence[str]) -> list[str]:
+    """argv with each FLOAT_FLAGS option joined to the token after it."""
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1] in FLOAT_FLAGS:
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv: Sequence[str] | None = None, out: TextIO | None = None) -> int:
     out = sys.stdout if out is None else out
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_float_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

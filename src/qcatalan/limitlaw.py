@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Sequence
 
 from .exactnum import BernoulliTable
 from .moments import QuotientSpec, dist_summary, general_moments_closed, preset
-from .polyq import IntPoly, q_catalan
+from .polyq import IntPoly
 
 __all__ = [
     "GecoParams",
@@ -126,10 +126,9 @@ class TailReport:
     """Truncated tail of the standardized log-MGF at one (n, t).
 
     tail_value sums the k = 2..K terms; leading_term is the k = 1 term
-    (t^2/2 up to float rounding); ks_distance is filled on request with the
-    distance of the exact law to normal; truncation_delta is how much the
-    tail moves when K grows by 10, or None when the Bernoulli table cannot
-    reach that far.  A tail_value far above truncation_delta is a real
+    (t^2/2 up to float rounding); truncation_delta is how much the tail
+    moves when K grows by 10, or None when the Bernoulli table cannot reach
+    that far.  A tail_value far above truncation_delta is a real
     finite-n effect, not a truncation artifact.
     """
 
@@ -138,7 +137,6 @@ class TailReport:
     K: int
     tail_value: float
     leading_term: float
-    ks_distance: float | None
     truncation_delta: float | None
 
 
@@ -273,15 +271,13 @@ def log_mgf_truncated(spec: QuotientSpec, t: float, K: int, table: BernoulliTabl
     return drift + math.fsum(terms)
 
 
-def tail_series(
-    n: int, t: float, K: int, table: BernoulliTable, with_ks: bool = False
-) -> TailReport:
+def tail_series(n: int, t: float, K: int, table: BernoulliTable) -> TailReport:
     """Tail (k >= 2) of the expansion for the q-Catalan family at size n.
 
     Sums the k = 2..K terms, and when the table reaches B_{2(K+10)} also
     reports how much the sum moves with 10 more terms, so convergence of
-    the truncation is checked rather than assumed.  with_ks additionally
-    builds q_catalan(n) and fills ks_distance (costly for large n).
+    the truncation is checked rather than assumed.  The distance of the
+    exact law to the normal is ks_distance_to_normal(q_catalan(n)).
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -290,14 +286,12 @@ def tail_series(
     k_far = K + 10 if 2 * (K + 10) <= table.max_index else K
     terms = series_terms(series_coefficients(preset("catalan", n), k_far, table), t)
     tail, delta = split_tail(terms, K)
-    ks = ks_distance_to_normal(q_catalan(n)) if with_ks else None
     return TailReport(
         n=n,
         t=t,
         K=K,
         tail_value=tail,
         leading_term=terms[0],
-        ks_distance=ks,
         truncation_delta=delta,
     )
 

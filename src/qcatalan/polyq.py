@@ -340,15 +340,10 @@ def _pair_doubles(
     return pairs, sorted(left.elements()), rest
 
 
-def _pass_count(ups: Sequence[int], downs: Sequence[int]) -> int:
-    """Linear passes the kernel runs for ups and downs, after pairing."""
-    return sum(map(len, _pair_doubles(ups, downs)))
-
-
 def _quotient_coeffs(
     a: Iterable[int],
     b: Iterable[int],
-    step: tuple[list[int], Sequence[int], Sequence[int]] | None = None,
+    prev: tuple[list[int], Sequence[int], Sequence[int]] | None = None,
 ) -> list[int]:
     """Coefficients of prod(1 - q^a_i) / prod(1 - q^b_i), or NotPolynomial.
 
@@ -364,12 +359,13 @@ def _quotient_coeffs(
     times the factors not yet divided out), so each pass stops at
     min(its degree + 1, h); every division pass runs at h.
 
-    step = (c, ups, downs) builds the same quotient from the full
-    coefficient list c of another polynomial P instead of from 1, as
-    P * prod(1 - q^u) / prod(1 - q^d) with ups and downs sorted ascending;
-    c is not modified.  The result must have coefficient sum
-    prod(a) / prod(b), its value at q = 1; anything else raises
-    ArithmeticError, since it means a construction error.
+    prev = (c, pa, pb) offers c, the full coefficient list of the known
+    quotient Q(pa, pb) = prod(1 - q^pa_i) / prod(1 - q^pb_i), as a start;
+    c is not modified.  Q(a, b) is also Q(pa, pb) * Q(a + pb, b + pa), and
+    that plan, cancelled and paired like the other, runs from c instead of
+    from 1 when it takes strictly fewer passes.  The result must have
+    coefficient sum prod(a) / prod(b), its value at q = 1; anything else
+    raises ArithmeticError, since it means a construction error.
     """
     num, den = _check_exponents(_check_size(a), b)
     degree = sum(num) - sum(den)
@@ -379,8 +375,12 @@ def _quotient_coeffs(
     if not _is_polynomial(a, b):
         raise NotPolynomial(f"quotient of a={num} by b={den} is not a polynomial")
     h = degree // 2 + 1
-    c, ups, downs = step if step is not None else ([1], a, b)
-    pairs, ups, downs = _pair_doubles(ups, downs)
+    c, plan = [1], _pair_doubles(a, b)
+    if prev is not None:
+        step = _pair_doubles(*_cancel_common((*a, *prev[2]), (*b, *prev[1])))
+        if sum(map(len, step)) < sum(map(len, plan)):
+            c, plan = prev[0], step
+    pairs, ups, downs = plan
     deg = len(c) - 1
     c = c[:h]
     for d in pairs:
@@ -494,12 +494,14 @@ def q_catalan_general(n: int, m: int) -> IntPoly:
 class Family:
     """One named family of q-Catalan analogs.
 
-    build(n, m) is the from-scratch constructor.  exponents(n, m) gives,
-    for n >= 2, fresh lazy iterables over multisets a and b with member(n)
-    = prod(1 - q^a_i) / prod(1 - q^b_i), before common entries are
-    cancelled; being lazy, they let a size check refuse a huge n without
-    building its lists.  At n = 1 every family is the constant 1 and has
-    no exponent lists.  takes_m marks the families parameterized by m >= 2.
+    build(n, m) is the from-scratch constructor; iter_family calls it for
+    the first member of a sweep only, and takes every later member from
+    the kernel on exponents.  exponents(n, m) gives, for n >= 2, fresh
+    lazy iterables over multisets a and b with member(n) = prod(1 - q^a_i)
+    / prod(1 - q^b_i), before common entries are cancelled; being lazy,
+    they let a size check refuse a huge n without building its lists.  At
+    n = 1 every family is the constant 1 and has no exponent lists.
+    takes_m marks the families parameterized by m >= 2.
     """
 
     name: str
@@ -565,8 +567,10 @@ def iter_family(
 ) -> Iterator[IntPoly]:
     """Members n_from..n_to of a named family, in order, one at a time.
 
-    The member at n_from is built from scratch; each later member is
-    stepped from the one before.  With lists a(n), b(n) from the registry,
+    The member at n_from comes from the family's builder; each later
+    member is one kernel call on the registry lists a(n+1), b(n+1) with
+    prev = (member(n), a(n), b(n)), the lists of n = 1 being empty.  The
+    kernel then picks the cheaper of the rebuild and the step
 
         member(n+1) = member(n) * prod(1 - q^u) / prod(1 - q^d),
         u = a(n+1) + b(n),  d = b(n+1) + a(n),  common entries cancelled,
@@ -574,10 +578,9 @@ def iter_family(
     which for catalan is C_n (1 - q^(2n+1))(1 - q^(2n+2)) /
     ((1 - q^(n+1))(1 - q^(n+2))) = C_n (1 - q^(2n+1))(1 + q^(n+1)) /
     (1 - q^(n+2)): 3 linear passes over half the coefficients against
-    about 3n/2 for a rebuild.  Each step goes through the construction
-    kernel, so it is checked like a from-scratch build.  A step that
-    needs at least as many passes as a rebuild (m-Catalan with m >= n,
-    roughly) rebuilds instead.  Only the current member is held.
+    about 3n/2 for a rebuild.  m-Catalan with m >= n, roughly, rebuilds.
+    Either way each member is checked like a from-scratch build.  Only
+    the current member is held.
     Bad arguments, and an n_to whose member exceeds the kernel's size
     limit, raise here, before any member is built.
     """
@@ -588,33 +591,16 @@ def iter_family(
     return _sweep(fam, n_from, n_to, m)
 
 
-def _step_factors(prev, cur) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Exponents (ups, downs) taking the member with cancelled lists prev
-    to the one with cancelled lists cur, or None when that costs at least
-    as many passes as a rebuild, both counted after pairing, or either side
-    has no lists."""
-    if prev is None or cur is None:
-        return None
-    ups, downs = _cancel_common(cur[0] + prev[1], cur[1] + prev[0])
-    if _pass_count(ups, downs) >= _pass_count(*cur):
-        return None
-    return ups, downs
-
-
 def _sweep(fam: Family, n_from: int, n_to: int, m: int | None) -> Iterator[IntPoly]:
-    c: list[int] = []
-    prev = None  # exponent lists of member n - 1
-    for n in range(n_from, n_to + 1):
-        cur = _cancel_common(*fam.exponents(n, m)) if n > 1 else None
-        step = _step_factors(prev, cur)
-        if step is None:
-            p = fam.build(n, m)
-            c = list(p.coeffs)
-        else:
-            c = _quotient_coeffs(*cur, step=(c, *step))
-            p = IntPoly(_require_nonnegative(c, f"{fam.name} member n={n}"))
-        yield p
-        prev = cur
+    p = fam.build(n_from, m)
+    yield p
+    c = list(p.coeffs)
+    pa, pb = map(tuple, fam.exponents(n_from, m)) if n_from > 1 else ((), ())
+    for n in range(n_from + 1, n_to + 1):
+        a, b = map(tuple, fam.exponents(n, m))
+        c = _quotient_coeffs(a, b, prev=(c, pa, pb))
+        yield IntPoly(_require_nonnegative(c, f"{fam.name} member n={n}"))
+        pa, pb = a, b
 
 
 def quotient_poly(spec: "QuotientSpec") -> IntPoly:

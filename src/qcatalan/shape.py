@@ -20,6 +20,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
+from .moments import _check_distribution
+
 # q_catalan is re-exported: code that wraps or reads the builders through
 # this module (the benchmark's tracer) finds it here.
 from .polyq import IntPoly, iter_family, q_catalan  # noqa: F401
@@ -67,13 +69,6 @@ def interior_unimodal(p: IntPoly) -> tuple[bool, int | None]:
     return True, None
 
 
-def _validate_shape_input(p: IntPoly) -> None:
-    if p.is_zero():
-        raise ValueError("zero polynomial has no shape")
-    if min(p.coeffs) < 0:
-        raise ValueError("negative coefficient; shape scans expect a distribution")
-
-
 def _lc_violations(p: IntPoly) -> list[int]:
     """All k in [1, d-1] with c_k^2 < c_{k-1} c_{k+1}."""
     cs = p.coeffs
@@ -92,7 +87,7 @@ def min_logconcave_t(p: IntPoly) -> int | None:
     t = floor((d - 2)/2), past which the trimmed range is empty; None means
     no candidate works.
     """
-    _validate_shape_input(p)
+    _check_distribution(p)
     d = p.degree
     if d < 4:
         warnings.warn(f"degree {d} leaves little to trim; result is near-vacuous")
@@ -113,7 +108,7 @@ def min_logconcave_t_bruteforce(p: IntPoly) -> int | None:
     Tries t = 0, 1, 2, ... and re-tests the whole trimmed range each time.
     Deliberately unclever; the independent oracle for the scanner.
     """
-    _validate_shape_input(p)
+    _check_distribution(p)
     cs = p.coeffs
     d = p.degree
     for t in range((d - 2) // 2 + 1):
@@ -130,7 +125,7 @@ def shape_report(p: IntPoly, family: str, n: int) -> ShapeReport:
     Degree 0 and 1 inputs have an empty interior and are reported as
     vacuously unimodal rather than rejected, so family scans can start low.
     """
-    _validate_shape_input(p)
+    _check_distribution(p)
     d = p.degree
     if d >= 2:
         uni, uni_viol = interior_unimodal(p)

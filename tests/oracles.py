@@ -78,7 +78,7 @@ def tail_series(n: int, t: float, K: int, table: BernoulliTable) -> TailReport:
         delta = None
     return TailReport(
         n=n, t=t, K=K, tail_value=tail, leading_term=terms[0],
-        ks_distance=None, truncation_delta=delta,
+        truncation_delta=delta,
     )
 
 

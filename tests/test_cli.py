@@ -367,7 +367,7 @@ def test_oversized_quotient_exits_2_before_building(argv, monkeypatch, capsys):
 
 
 def test_broken_construction_exits_3(monkeypatch, capsys):
-    monkeypatch.setattr(polyq, "_quotient_coeffs", lambda a, b, step=None: [1, -1, 1])
+    monkeypatch.setattr(polyq, "_quotient_coeffs", lambda a, b, prev=None: [1, -1, 1])
     rc, out = run_cli("coeffs", "--family", "catalan", "--n", "3")
     assert rc == 3 and out == ""
     assert "q_catalan(3) has a negative coefficient" in capsys.readouterr().err
@@ -380,6 +380,20 @@ def test_general_explicit_geco_triple():
     )
     ratios = [r for r in doc["rows"] if r["kind"] == "ratio"]
     assert all(isinstance(r["ok"], bool) for r in ratios)
+
+
+def test_negative_exponent_values_parse_as_separate_tokens():
+    head = ("general", "--preset", "catalan", "--n", "10")
+    rc, joined = run_cli(*head, "--beta=-1e-3", "--gamma=-5e-1", "--alpha", "1")
+    assert rc == 0 and joined
+    assert run_cli(*head, "--beta", "-1e-3", "--gamma", "-5e-1", "--alpha", "1") == (0, joined)
+    out = io.StringIO()
+    argv = ["qcat", *head, "--beta", "-1e-3", "--gamma", "-5e-1", "--alpha", "1"]
+    with mock.patch.object(sys, "argv", argv):
+        assert main(out=out) == 0
+    assert out.getvalue() == joined
+    # a flag in the value's place is still a usage error
+    assert run_cli(*head, "--beta", "--gamma", "-5e-1", "--alpha", "1") == (2, "")
 
 
 @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])

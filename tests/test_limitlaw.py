@@ -173,7 +173,6 @@ def test_tail_series_basics():
     r = tail_series(10, 2.0, 30, TABLE)
     assert r.leading_term == 2.0
     assert r.tail_value < 0
-    assert r.ks_distance is None
     with pytest.raises(ValueError):
         tail_series(1, 1.0, 30, TABLE)
     with pytest.raises(ValueError):
@@ -184,12 +183,6 @@ def test_tail_series_truncation_converged():
     r = tail_series(20, 2.0, 30, bernoulli_table(40))
     assert r.truncation_delta is not None
     assert r.truncation_delta < 1e-15
-
-
-def test_tail_series_with_ks():
-    r = tail_series(10, 2.0, 30, TABLE, with_ks=True)
-    assert r.ks_distance is not None
-    assert 0 < r.ks_distance < 1
 
 
 def test_tail_decay_ratios_below_one():

@@ -378,13 +378,35 @@ def test_every_catalan_step_runs_three_passes(name, n_from, monkeypatch):
         assert sum(counts.values()) == 3 and counts["_mul_one_plus_qpow"] == 1
 
 
-def test_step_or_rebuild_compares_passes_after_pairing():
+def polynomial_lists():
+    return exponent_lists().filter(lambda lists: oracles.is_polynomial_by_division(*lists))
+
+
+@settings(max_examples=200, deadline=None)
+@given(prev=polynomial_lists(), other=polynomial_lists(), product=st.booleans())
+def test_kernel_from_prev_equals_the_build_from_one(prev, other, product):
+    # the target is the other quotient, or the product of both, which the
+    # kernel can reach from prev in the other quotient's passes
+    pa, pb = prev
+    a, b = (pa + other[0], pb + other[1]) if product else other
+    c = list(quotient_poly(SimpleNamespace(a=pa, b=pb)).coeffs)
+    kept = c[:]
+    assert polyq._quotient_coeffs(a, b, prev=(c, pa, pb)) == polyq._quotient_coeffs(a, b)
+    assert c == kept
+
+
+def test_kernel_runs_from_prev_only_when_it_saves_passes(monkeypatch):
+    counts = count_passes(monkeypatch)
     # from 1 + q to [4]: the step (1 - q^4)/(1 - q^2) is one pair pass, the
     # rebuild (1 - q^4)/(1 - q) two passes, so the kernel steps
-    assert polyq._step_factors(((2,), (1,)), ((4,), (1,))) == ((4,), (2,))
+    assert polyq._quotient_coeffs((4,), (1,), prev=([1, 1], (2,), (1,))) == [1] * 4
+    assert counts == {"_mul_one_plus_qpow": 1}
     # rebuilding (1 - q^2)(1 - q^12)/((1 - q)(1 - q^6)) is two pair passes,
-    # as cheap as the unpaired step (1 - q^2)/(1 - q^6), so it rebuilds
-    assert polyq._step_factors(((12,), (1,)), ((2, 12), (1, 6))) is None
+    # as many as the unpaired step (1 - q^2)/(1 - q^6), so it builds from 1
+    counts.clear()
+    c = polyq._quotient_coeffs((2, 12), (1, 6), prev=([1] * 12, (12,), (1,)))
+    assert c == [1, 1, 0, 0, 0, 0, 1, 1]
+    assert counts == {"_mul_one_plus_qpow": 2}
 
 
 def test_kernel_builds_only_the_head(monkeypatch):
