@@ -30,6 +30,7 @@ from .limitlaw import (
     TailReport,
     catalan_geco_params,
     condition_ratio,
+    condition_ratios,
     exact_standardized_mgf,
     geco_bound_check,
     ks_distance_to_normal,
@@ -46,6 +47,7 @@ from .moments import (
     central_moment,
     dist_summary,
     general_moments_closed,
+    power_sums,
     preset,
 )
 from .polyq import (
@@ -104,6 +106,7 @@ __all__ = [
     "catalan_moments_closed",
     "central_moment",
     "condition_ratio",
+    "condition_ratios",
     "dist_summary",
     "exact_standardized_mgf",
     "gaussian_binomial",
@@ -122,6 +125,7 @@ __all__ = [
     "poly_div_exact",
     "poly_mul",
     "power_sum_diff",
+    "power_sums",
     "preset",
     "q_catalan",
     "q_catalan_general",

@@ -6,7 +6,10 @@ deterministic: identical invocations produce byte-identical bytes.  Numbers
 are exact where the library is exact (integers in full, rationals as "p/q"
 strings); floats are printed to 12 significant digits.  Integers beyond
 2^53 are JSON-encoded as decimal strings so consumers that parse JSON
-numbers as doubles cannot silently lose digits.
+numbers as doubles cannot silently lose digits.  Each cell is encoded by
+its exact type (None, bool, int, float, str or Fraction), and the JSON
+params take the same encoders as the rows.  Options are spelled in full:
+an abbreviation such as --bet for --beta is a usage error.
 
 Exit codes: 0 success, 1 the reader closed stdout before the output ended
 (`qcat ... | head -1`; nothing is written to stderr), 2 usage or validation
@@ -21,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import os
 import sys
@@ -33,9 +35,8 @@ from .exactnum import bernoulli_table
 from .limitlaw import (
     GecoParams,
     StandardizedLaw,
-    _int_ratio,
-    _power_sum_diffs,
     catalan_geco_params,
+    condition_ratios,
     mcatalan_geco_params,
     series_coefficients,
     series_terms,
@@ -62,7 +63,8 @@ K_MAX = 500
 MGF_WORK_MAX = 2 ** 25
 # The float options.  argparse reads a negative number written with an
 # exponent (-1e-3) as an unknown flag, so main joins each of these options
-# to the token after it (--beta -1e-3 becomes --beta=-1e-3).
+# to the token after it (--beta -1e-3 becomes --beta=-1e-3).  The parsers
+# take options by their full names only, the rule this join matches by.
 FLOAT_FLAGS = ("--alpha", "--beta", "--gamma", "--grid-step")
 
 EXIT_OK = 0
@@ -78,30 +80,6 @@ def _fmt_float(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _json_value(v: Any) -> Any:
-    if v is None or isinstance(v, (str, bool)):
-        return v
-    if isinstance(v, int):
-        return str(v) if abs(v) >= INT_AS_STRING_LIMIT else v
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, float):
-        if not math.isfinite(v):
-            raise OverflowError(f"cannot write the non-finite value {v} as JSON")
-        return float(_fmt_float(v))
-    raise TypeError(f"cannot encode {type(v)!r}")
-
-
-def _csv_cell(v: Any) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return _fmt_float(v)
-    return str(v)
-
-
 def _json_int(v: int) -> str:
     if -INT_AS_STRING_LIMIT < v < INT_AS_STRING_LIMIT:
         return int.__repr__(v)
@@ -111,20 +89,17 @@ def _json_int(v: int) -> str:
 def _json_float(v: float) -> str:
     if math.isfinite(v):
         return float.__repr__(float(_fmt_float(v)))
-    return _json_other(v)  # raises OverflowError
-
-
-def _json_other(v: Any) -> str:
-    return json.dumps(_json_value(v))
+    raise OverflowError(f"cannot write the non-finite value {v} as JSON")
 
 
 def _bool_text(v: bool) -> str:
     return "true" if v else "false"
 
 
-# Cell encoders by exact type, at C speed where one exists.  Each gives the
-# text of the generic route (json.dumps(_json_value(v)), resp. _csv_cell),
-# which every other type, subclasses included, still takes.
+# Cell encoders by exact type, at C speed where one exists: the types the
+# commands write, each as json.dumps would write its JSON value (integers
+# past 2^53 and Fractions as strings, floats at 12 significant digits).
+# None is written before the lookup, as null or an empty CSV cell.
 _JSON_CELLS: dict[type, Callable[[Any], str]] = {
     bool: _bool_text,
     int: _json_int,
@@ -158,12 +133,12 @@ def _json_blocks(columns: Sequence[str], rows: Iterable[dict[str, Any]]) -> list
     ]
     nulls = [key + "null" for key in keys]
     close = "\n    }" if columns else "}"
-    cells = _JSON_CELLS.get
+    cells = _JSON_CELLS.__getitem__
     return [
         ",".join([
             "\n    {"
             + "".join([
-                null if v is None else key + cells(type(v), _json_other)(v)
+                null if v is None else key + cells(type(v))(v)
                 for key, null, v in zip(keys, nulls, map(row.get, columns))
             ])
             + close
@@ -186,22 +161,28 @@ def _emit(
     first write, so a value it cannot encode leaves `out` empty; CSV is
     written as it is encoded, BLOCK_ROWS rows at a time."""
     if fmt == "json":
-        params_json = {k: _json_value(v) for k, v in params.items()}
-        head = json.dumps({"command": command, "params": params_json}, indent=2)
+        fields = ",".join([
+            "\n    " + encode_basestring_ascii(k) + ": "
+            + ("null" if v is None else _JSON_CELLS[type(v)](v))
+            for k, v in params.items()
+        ])
         blocks = _json_blocks(columns, rows)
-        # rows and schema_version take the place of the head's closing "\n}"
-        out.write(head[:-2] + ',\n  "rows": [')
+        out.write(
+            '{\n  "command": ' + encode_basestring_ascii(command)
+            + ',\n  "params": ' + ("{" + fields + "\n  }" if fields else "{}")
+            + ',\n  "rows": ['
+        )
         for i, block in enumerate(blocks):
             out.write("," + block if i else block)
         out.write("\n  ]" if blocks else "]")
         out.write(f',\n  "schema_version": {encode_basestring_ascii(SCHEMA_VERSION)}\n}}\n')
     else:
         out.write(",".join(columns) + "\n")
-        cells = _CSV_CELLS.get
+        cells = _CSV_CELLS.__getitem__
         for block in _row_blocks(rows):
             out.write("".join([
                 ",".join([
-                    "" if v is None else cells(type(v), _csv_cell)(v)
+                    "" if v is None else cells(type(v))(v)
                     for v in map(row.get, columns)
                 ])
                 + "\n"
@@ -446,10 +427,8 @@ def _cmd_general(args: argparse.Namespace, out: TextIO) -> int:
             match=s.mean == c_mean and s.variance == c_var,
         )
     rows.append(moment_row)
-    sums = _power_sum_diffs(spec, args.K)
-    if sums[1] > 0:  # S_k / S_1^k, as condition_ratio gives it
-        for k in range(2, args.K + 1):
-            ratio = _int_ratio(sums[k], sums[1] ** k)
+    if c_var > 0:  # S_1 = 12 var > 0, so the ratios S_k / S_1^k are defined
+        for k, ratio in enumerate(condition_ratios(spec, args.K), 2):
             row: dict[str, Any] = {"kind": "ratio", "k": k, "ratio": ratio}
             if geco is not None:
                 bound = geco.bound(n, k)
@@ -478,22 +457,26 @@ def _cmd_general(args: argparse.Namespace, out: TextIO) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcat",
+        allow_abbrev=False,
         description="Coefficient polynomials of q-Catalan families: "
         "exact coefficients, moments, normal-limit diagnostics, shape scans.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_command(name: str, help: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=help, allow_abbrev=False)
+
     def add_format(sp: argparse.ArgumentParser) -> None:
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    sp = sub.add_parser("coeffs", help="coefficients of one family member")
+    sp = add_command("coeffs", "coefficients of one family member")
     sp.add_argument("--family", choices=tuple(FAMILIES), required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--m", type=int, default=None)
     add_format(sp)
     sp.set_defaults(func=_cmd_coeffs)
 
-    sp = sub.add_parser("moments", help="exact vs closed-form moments over an n range")
+    sp = add_command("moments", "exact vs closed-form moments over an n range")
     sp.add_argument("--family", choices=tuple(FAMILIES), required=True)
     sp.add_argument("--n-from", type=int, required=True)
     sp.add_argument("--n-to", type=int, required=True)
@@ -501,7 +484,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_format(sp)
     sp.set_defaults(func=_cmd_moments)
 
-    sp = sub.add_parser("normality", help="normal-limit diagnostics for q-Catalan at one n")
+    sp = add_command("normality", "normal-limit diagnostics for q-Catalan at one n")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument(
         "--K", type=int, default=30, help=f"series truncation depth, 2..{K_MAX}"
@@ -514,7 +497,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_format(sp)
     sp.set_defaults(func=_cmd_normality)
 
-    sp = sub.add_parser("shape", help="unimodality / log-concavity scan over an n range")
+    sp = add_command("shape", "unimodality / log-concavity scan over an n range")
     sp.add_argument("--family", choices=tuple(FAMILIES), required=True)
     sp.add_argument("--n-from", type=int, required=True)
     sp.add_argument("--n-to", type=int, required=True)
@@ -522,7 +505,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_format(sp)
     sp.set_defaults(func=_cmd_shape)
 
-    sp = sub.add_parser("general", help="arbitrary quotient of binomial products")
+    sp = add_command("general", "arbitrary quotient of binomial products")
     sp.add_argument("--a", default=None, help="comma-separated numerator exponents")
     sp.add_argument("--b", default=None, help="comma-separated denominator exponents")
     sp.add_argument("--preset", choices=tuple(FAMILIES), default=None)

@@ -107,12 +107,6 @@ def bernoulli_tail_partial_sums(K: int, table: BernoulliTable) -> tuple[float, f
         raise ValueError(f"need K >= 2, got {K}")
     if 2 * K > table.max_index:
         raise ValueError(f"table holds B_0..B_{table.max_index}, need B_{2 * K}")
-    odd = math.fsum(
-        float(abs(table[2 * k]) / (2 * k * math.factorial(2 * k)))
-        for k in range(3, K + 1, 2)
-    )
-    even = math.fsum(
-        float(abs(table[2 * k]) / (2 * k * math.factorial(2 * k)))
-        for k in range(2, K + 1, 2)
-    )
-    return odd, even
+    # sizes[i] belongs to k = i + 2, so odd k sit at odd i
+    sizes = [float(abs(log_sinh_series_coeff(k, table))) for k in range(2, K + 1)]
+    return math.fsum(sizes[1::2]), math.fsum(sizes[::2])

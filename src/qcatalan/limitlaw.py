@@ -10,9 +10,10 @@ S_k = sum(a_i^{2k} - b_i^{2k}) and sigma^2 = S_1 / 12,
 whose k = 1 term is exactly t^2/2.  Everything in the tail (k >= 2) is a
 finite-n correction, and the functions here measure it three ways:
 
-  * condition_ratio / geco_bound_check: the ratios S_k / S_1^k that must be
-    small for the tail to vanish, tested against an explicit envelope
-    alpha, beta, gamma with  ratio < n^gamma (alpha n^beta)^{2k}.
+  * condition_ratios (and condition_ratio, geco_bound_check): the ratios
+    S_k / S_1^k that must be small for the tail to vanish, tested against
+    an explicit envelope alpha, beta, gamma with
+    ratio < n^gamma (alpha n^beta)^{2k}.
   * series_coefficients / log_mgf_truncated / tail_series: the expansion
     itself, exact rationals until a single final float conversion per
     coefficient.
@@ -20,6 +21,8 @@ finite-n correction, and the functions here measure it three ways:
     ks_distance_to_normal): direct comparison of the finite-n law against
     the standard normal, no series involved.
 
+S_k comes from moments.power_sums and B_{2k} / (2k (2k)!) from
+exactnum.log_sinh_series_coeff, each the one place its quantity is computed.
 Everything that does not depend on t (the exact summary of the law, its
 log-weights, the series coefficients) is prepared once; a t grid then costs
 one float pass over the support and K multiplications per point.
@@ -33,8 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .exactnum import BernoulliTable
-from .moments import QuotientSpec, dist_summary, general_moments_closed, preset
+from .exactnum import BernoulliTable, log_sinh_series_coeff
+from .moments import QuotientSpec, dist_summary, general_moments_closed, power_sums, preset
 from .polyq import IntPoly
 
 __all__ = [
@@ -47,6 +50,7 @@ __all__ = [
     "mcatalan_geco_params",
     "power_sum_diff",
     "condition_ratio",
+    "condition_ratios",
     "geco_bound_check",
     "series_coefficients",
     "series_terms",
@@ -141,52 +145,32 @@ class TailReport:
 
 
 def power_sum_diff(spec: QuotientSpec, k: int) -> int:
-    """S_k = sum(a_i^{2k}) - sum(b_i^{2k}), exact."""
+    """S_k = sum(a_i^{2k}) - sum(b_i^{2k}), exact; see moments.power_sums."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    e = 2 * k
-    return sum(x ** e for x in spec.a) - sum(x ** e for x in spec.b)
+    return power_sums(spec, k)[k]
 
 
-def _power_sum_diffs(spec: QuotientSpec, k_max: int) -> list[int]:
-    """S_1..S_k_max in one sweep; index 0 unused.
+def condition_ratios(spec: QuotientSpec, k_max: int) -> list[float]:
+    """The normalized power-sum ratios S_k / S_1^k for k = 2..k_max.
 
-    Incremental squaring: each exponent list is walked once with one big-int
-    multiply per k, which keeps 30-term sweeps over thousand-entry specs
-    comfortably under a second.
+    One power-sum sweep gives every exact integer numerator and
+    denominator; each ratio is one int/int true division, which is
+    correctly rounded and raises OverflowError only when the ratio itself
+    leaves float range.  Requires S_1 > 0, i.e. positive variance.
     """
-    out = [0] * (k_max + 1)
-    for xs, sign in ((spec.a, 1), (spec.b, -1)):
-        for x in xs:
-            sq = x * x
-            p = 1
-            for k in range(1, k_max + 1):
-                p *= sq
-                out[k] += sign * p
-    return out
-
-
-def _int_ratio(num: int, den: int) -> float:
-    try:
-        return num / den
-    except OverflowError:
-        sign = -1.0 if (num < 0) != (den < 0) else 1.0
-        return sign * math.exp(math.log(abs(num)) - math.log(abs(den)))
+    if k_max < 2:
+        raise ValueError(f"need k_max >= 2, got {k_max}")
+    sums = power_sums(spec, k_max)
+    s1 = sums[1]
+    if s1 <= 0:
+        raise ValueError(f"S_1 = {s1} <= 0; ratio undefined")
+    return [sums[k] / s1 ** k for k in range(2, k_max + 1)]
 
 
 def condition_ratio(spec: QuotientSpec, k: int) -> float:
-    """The normalized power-sum ratio S_k / S_1^k.
-
-    Exact integer numerator and denominator, one float division at the end
-    (falling back to log space if both overflow float range).  Requires
-    S_1 > 0, i.e. positive variance.
-    """
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
-    s1 = power_sum_diff(spec, 1)
-    if s1 <= 0:
-        raise ValueError(f"S_1 = {s1} <= 0; ratio undefined")
-    return _int_ratio(power_sum_diff(spec, k), s1 ** k)
+    """The normalized power-sum ratio S_k / S_1^k; see condition_ratios."""
+    return condition_ratios(spec, k)[-1]
 
 
 def geco_bound_check(
@@ -207,14 +191,9 @@ def geco_bound_check(
     checked = 0
     violations: list[GecoViolation] = []
     for n in n_list:
-        spec = family(n)
-        sums = _power_sum_diffs(spec, ks[-1])
-        s1 = sums[1]
-        if s1 <= 0:
-            raise ValueError(f"S_1 = {s1} <= 0 at n = {n}; ratio undefined")
-        s1_pow = {k: s1 ** k for k in ks}
+        ratios = condition_ratios(family(n), ks[-1])
         for k in ks:
-            ratio = _int_ratio(sums[k], s1_pow[k])
+            ratio = ratios[k - 2]
             bound = params.bound(n, k)
             checked += 1
             if not ratio < bound:
@@ -234,12 +213,12 @@ def series_coefficients(spec: QuotientSpec, K: int, table: BernoulliTable) -> li
         raise ValueError(f"need K >= 1, got {K}")
     if 2 * K > table.max_index:
         raise ValueError(f"table holds B_0..B_{table.max_index}, need B_{2 * K}")
-    sums = _power_sum_diffs(spec, K)
+    sums = power_sums(spec, K)
     if sums[1] <= 0:
         raise ValueError(f"S_1 = {sums[1]} <= 0; standardization undefined")
     var = Fraction(sums[1], 12)
     return [
-        float(table[2 * k] * sums[k] / (2 * k * math.factorial(2 * k) * var ** k))
+        float(log_sinh_series_coeff(k, table) * sums[k] / var ** k)
         for k in range(1, K + 1)
     ]
 

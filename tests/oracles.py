@@ -17,7 +17,11 @@ in `shape` shortcuts with one pass.
 
 `emit` is the table writer as it was before `cli._emit` encoded its rows
 cell by cell: the generic `json` encoder on the whole envelope, and one
-CSV line per row.
+CSV line per row, with cell encoders of its own.
+
+Nothing here imports a private name of `qcatalan`, so an oracle never
+shares a helper with the code it checks: `power_sum` is the naive S_k,
+and `json_value` and `csv_cell` are the writer's generic encoders.
 """
 
 from __future__ import annotations
@@ -28,9 +32,9 @@ import math
 from fractions import Fraction
 from typing import Any, Sequence, TextIO
 
-from qcatalan.cli import SCHEMA_VERSION, _csv_cell, _json_value
+from qcatalan.cli import SCHEMA_VERSION
 from qcatalan.exactnum import BernoulliTable
-from qcatalan.limitlaw import TailReport, _power_sum_diffs
+from qcatalan.limitlaw import TailReport
 from qcatalan.moments import QuotientSpec, dist_summary, general_moments_closed, preset
 from qcatalan.polyq import IntPoly, NonzeroRemainder, poly_div_exact, poly_mul
 
@@ -47,13 +51,17 @@ def bernoulli_by_recurrence(max_k: int) -> tuple[Fraction, ...]:
     return tuple(vals)
 
 
+def power_sum(spec: QuotientSpec, k: int) -> int:
+    """S_k = sum(a_i^{2k}) - sum(b_i^{2k}) from the definition."""
+    return sum(x ** (2 * k) for x in spec.a) - sum(x ** (2 * k) for x in spec.b)
+
+
 def log_mgf_terms(spec: QuotientSpec, t: float, K: int, table: BernoulliTable) -> list[float]:
-    """The k = 1..K expansion terms at t, one power-sum sweep per call."""
-    sums = _power_sum_diffs(spec, K)
-    var = Fraction(sums[1], 12)
+    """The k = 1..K expansion terms at t, every power sum from scratch."""
+    var = Fraction(power_sum(spec, 1), 12)
     terms = []
     for k in range(1, K + 1):
-        coeff = table[2 * k] * sums[k] / (2 * k * math.factorial(2 * k) * var ** k)
+        coeff = table[2 * k] * power_sum(spec, k) / (2 * k * math.factorial(2 * k) * var ** k)
         terms.append(float(coeff) * t ** (2 * k))
     return terms
 
@@ -184,6 +192,32 @@ def is_polynomial_by_division(a, b) -> bool:
     return True
 
 
+def json_value(v: Any) -> Any:
+    """The JSON value of a cell: integers past 2^53 and Fractions as
+    strings, floats rounded to 12 significant digits."""
+    if v is None or isinstance(v, (str, bool)):
+        return v
+    if isinstance(v, int):
+        return str(v) if abs(v) >= 2 ** 53 else v
+    if isinstance(v, Fraction):
+        return str(v)
+    if isinstance(v, float):
+        if not math.isfinite(v):
+            raise OverflowError(f"cannot write the non-finite value {v} as JSON")
+        return float(f"{v:.12g}")
+    raise TypeError(f"cannot encode {type(v)!r}")
+
+
+def csv_cell(v: Any) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return f"{v:.12g}"
+    return str(v)
+
+
 def emit(
     command: str,
     params: dict[str, Any],
@@ -197,9 +231,9 @@ def emit(
     if fmt == "json":
         envelope = {
             "command": command,
-            "params": {k: _json_value(v) for k, v in params.items()},
+            "params": {k: json_value(v) for k, v in params.items()},
             "rows": [
-                {col: _json_value(row.get(col)) for col in columns} for row in rows
+                {col: json_value(row.get(col)) for col in columns} for row in rows
             ],
             "schema_version": SCHEMA_VERSION,
         }
@@ -207,4 +241,4 @@ def emit(
     else:
         out.write(",".join(columns) + "\n")
         for row in rows:
-            out.write(",".join(_csv_cell(row.get(col)) for col in columns) + "\n")
+            out.write(",".join(csv_cell(row.get(col)) for col in columns) + "\n")

@@ -190,7 +190,7 @@ def test_normality_prepares_the_law_once(monkeypatch):
     # however many t points the grid has
     from qcatalan import limitlaw
 
-    calls = {"dist_summary": 0, "_power_sum_diffs": 0}
+    calls = {"dist_summary": 0, "power_sums": 0}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -203,10 +203,10 @@ def test_normality_prepares_the_law_once(monkeypatch):
 
     counted(limitlaw, "dist_summary")
     counted(cli, "dist_summary")
-    counted(limitlaw, "_power_sum_diffs")
+    counted(limitlaw, "power_sums")
     rc, _ = run_cli("normality", "--n", "12", "--K", "8", "--grid-step", "0.1")
     assert rc == 0
-    assert calls == {"dist_summary": 1, "_power_sum_diffs": 1}
+    assert calls == {"dist_summary": 1, "power_sums": 1}
 
 
 def test_normality_rejects_small_n():
@@ -396,6 +396,25 @@ def test_negative_exponent_values_parse_as_separate_tokens():
     assert run_cli(*head, "--beta", "--gamma", "-5e-1", "--alpha", "1") == (2, "")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("general", "--preset", "catalan", "--n", "10",
+         "--bet", "-1e-3", "--gamma", "-5e-1", "--alpha", "1"),
+        ("general", "--preset", "catalan", "--n", "10",
+         "--bet", "-0.001", "--gamma", "-5e-1", "--alpha", "1"),
+        ("coeffs", "--fam", "catalan", "--n", "3"),
+        ("normality", "--n", "5", "--grid", "0.5"),
+        ("shape", "--family", "catalan", "--n-from", "2", "--n-to", "5", "--form", "json"),
+    ],
+)
+def test_abbreviated_options_exit_2(argv, capsys):
+    # options match by full name only, the rule the float-value join uses,
+    # so --bet is refused whether or not its value has an exponent
+    assert run_cli(*argv) == (2, "")
+    assert "error:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
 def test_emit_json_non_finite_writes_nothing(bad):
     # OverflowError maps to exit 3; the envelope is checked before any write
@@ -429,17 +448,6 @@ def test_emit_json_in_blocks_matches_one_shot(monkeypatch):
         assert len(writes) >= 60 // 3  # one write per block of 3 rows at least
 
 
-class Count(int):
-    """An int subclass: takes the generic encoding route."""
-
-
-class Tag:
-    """A type the JSON writer refuses; CSV writes its str()."""
-
-    def __str__(self):
-        return "tag"
-
-
 _CELLS = st.one_of(
     st.none(),
     st.booleans(),
@@ -451,7 +459,6 @@ _CELLS = st.one_of(
     st.fractions(max_denominator=10 ** 30),
     st.text(),
     st.sampled_from(['"', "\\", "\n\t\x00\x1f", "caf\u00e9 \u2603 \U0001f600", "a,b"]),
-    st.builds(Count, st.integers(-(2 ** 60), 2 ** 60)),
 )
 
 
@@ -459,7 +466,7 @@ def _outcome(emit, table, fmt):
     out = io.StringIO()
     try:
         emit(*table, fmt, out)
-    except (OverflowError, TypeError) as exc:
+    except OverflowError as exc:
         return type(exc), out.getvalue()
     return None, out.getvalue()
 
@@ -471,7 +478,7 @@ def _tables(draw):
     rows = draw(st.lists(st.dictionaries(keys, _CELLS, max_size=6), max_size=12))
     params = draw(st.dictionaries(st.text(max_size=4), _CELLS, max_size=3))
     if rows and columns and draw(st.booleans()):  # one value JSON cannot hold
-        bad = draw(st.sampled_from([Tag(), math.inf, -math.inf, math.nan]))
+        bad = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
         draw(st.sampled_from(rows))[draw(st.sampled_from(columns))] = bad
     return draw(st.text(max_size=6)), params, columns, rows
 
@@ -550,9 +557,11 @@ def test_K_limit_is_legal_and_documented(capsys):
 
 
 def test_general_ratios_come_from_one_power_sum_sweep(monkeypatch):
+    from qcatalan import limitlaw
+
     calls = []
-    sweep = cli._power_sum_diffs
-    monkeypatch.setattr(cli, "_power_sum_diffs", lambda *a: calls.append(a) or sweep(*a))
+    sweep = limitlaw.power_sums
+    monkeypatch.setattr(limitlaw, "power_sums", lambda *a: calls.append(a) or sweep(*a))
     doc = run_json("general", "--preset", "catalan", "--n", "30", "--K", "30")
     assert len(calls) == 1
     spec = preset("catalan", 30)

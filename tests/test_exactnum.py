@@ -109,3 +109,14 @@ def test_tail_partial_sums():
         bernoulli_tail_partial_sums(1, TABLE)
     with pytest.raises(ValueError):
         bernoulli_tail_partial_sums(41, TABLE)
+
+
+def test_tail_partial_sums_equal_the_per_k_formula():
+    def partial(ks):
+        return math.fsum(
+            float(abs(TABLE[2 * k]) / (2 * k * math.factorial(2 * k))) for k in ks
+        )
+
+    for K in range(2, 41):
+        expected = (partial(range(3, K + 1, 2)), partial(range(2, K + 1, 2)))
+        assert bernoulli_tail_partial_sums(K, TABLE) == expected

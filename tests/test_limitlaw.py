@@ -13,6 +13,7 @@ from qcatalan.limitlaw import (
     StandardizedLaw,
     catalan_geco_params,
     condition_ratio,
+    condition_ratios,
     exact_standardized_mgf,
     geco_bound_check,
     ks_distance_to_normal,
@@ -23,7 +24,13 @@ from qcatalan.limitlaw import (
     series_terms,
     tail_series,
 )
-from qcatalan.moments import QuotientSpec, central_moment, general_moments_closed, preset
+from qcatalan.moments import (
+    QuotientSpec,
+    central_moment,
+    general_moments_closed,
+    power_sums,
+    preset,
+)
 from qcatalan.polyq import IntPoly, q_catalan, quotient_poly
 
 import oracles
@@ -70,6 +77,25 @@ def test_power_sum_diff():
         power_sum_diff(spec, 0)
 
 
+@st.composite
+def specs(draw):
+    """A quotient spec with equal-length exponent lists, polynomial or not."""
+    size = draw(st.integers(1, 6))
+    exponents = st.lists(st.integers(1, 60), min_size=size, max_size=size)
+    return QuotientSpec(a=tuple(draw(exponents)), b=tuple(draw(exponents)))
+
+
+@given(spec=specs(), k_max=st.integers(0, 12))
+def test_power_sums_equal_the_naive_sums(spec, k_max):
+    assert power_sums(spec, k_max) == [oracles.power_sum(spec, k) for k in range(k_max + 1)]
+
+
+def test_power_sums_validation():
+    assert power_sums(preset("catalan", 3), 2) == [0, 48, 1824]
+    with pytest.raises(ValueError):
+        power_sums(preset("catalan", 3), -1)
+
+
 def test_power_sum_is_twelve_times_variance():
     for n in range(2, 61):
         spec = preset("catalan", n)
@@ -88,6 +114,34 @@ def test_condition_ratio():
         condition_ratio(preset("catalan", 3), 1)
     with pytest.raises(ValueError):
         condition_ratio(QuotientSpec(a=(5,), b=(5,)), 2)
+
+
+@given(spec=specs(), K=st.integers(2, 12))
+def test_condition_ratios_equal_the_exact_quotients(spec, K):
+    s1 = oracles.power_sum(spec, 1)
+    if s1 <= 0:
+        with pytest.raises(ValueError):
+            condition_ratios(spec, K)
+        return
+    ratios = condition_ratios(spec, K)
+    assert len(ratios) == K - 1
+    for k in range(2, K + 1):
+        expected = float(Fraction(oracles.power_sum(spec, k), s1 ** k))
+        assert ratios[k - 2] == expected
+        assert condition_ratio(spec, k) == expected
+
+
+def test_condition_ratios_past_float_range_raise():
+    # S_k / S_1^k = (1000^2k - 999^2k) / 1999^k leaves float range at k = 115
+    spec = QuotientSpec(a=(1000,), b=(999,))
+    k = 200
+    with pytest.raises(OverflowError):
+        float(Fraction(oracles.power_sum(spec, k), oracles.power_sum(spec, 1) ** k))
+    with pytest.raises(OverflowError):
+        condition_ratios(spec, k)
+    with pytest.raises(OverflowError):
+        condition_ratio(spec, k)
+    assert math.isfinite(condition_ratio(spec, 114))
 
 
 def test_geco_bound_check_clean_families():
