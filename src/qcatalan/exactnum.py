@@ -18,8 +18,9 @@ geometrically on |x| < 2 pi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .polyq import _Frozen
 
 __all__ = [
     "BernoulliTable",
@@ -30,11 +31,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BernoulliTable:
-    """Bernoulli numbers B_0 .. B_max_index as exact fractions."""
+class BernoulliTable(_Frozen):
+    """Bernoulli numbers B_0 .. B_max_index as exact fractions; table[j] is B_j."""
 
+    __slots__ = ("values",)
     values: tuple[Fraction, ...]
+
+    def __init__(self, values: tuple[Fraction, ...]):
+        object.__setattr__(self, "values", values)
 
     @property
     def max_index(self) -> int:

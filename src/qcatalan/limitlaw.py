@@ -32,13 +32,12 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .exactnum import BernoulliTable, log_sinh_series_coeff
 from .moments import QuotientSpec, dist_summary, general_moments_closed, power_sums, preset
-from .polyq import IntPoly
+from .polyq import IntPoly, _Frozen
 
 __all__ = [
     "GecoParams",
@@ -62,25 +61,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GecoParams:
+class GecoParams(_Frozen):
     """Envelope parameters: ratios must stay below n^gamma (alpha n^beta)^{2k}."""
 
+    __slots__ = ("alpha", "beta", "gamma")
     alpha: float
     beta: float
     gamma: float
 
-    def __post_init__(self):
-        for name in ("alpha", "beta", "gamma"):
-            value = getattr(self, name)
+    def __init__(self, alpha: float, beta: float, gamma: float):
+        for name, value in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not self.beta < 0:
-            raise ValueError(f"beta must be negative, got {self.beta}")
-        if not self.gamma < 0:
-            raise ValueError(f"gamma must be negative, got {self.gamma}")
+        if not alpha > 0:
+            raise ValueError(f"alpha must be positive, got {alpha}")
+        if not beta < 0:
+            raise ValueError(f"beta must be negative, got {beta}")
+        if not gamma < 0:
+            raise ValueError(f"gamma must be negative, got {gamma}")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "gamma", gamma)
 
     def bound(self, n: int, k: int) -> float:
         try:
@@ -104,16 +105,14 @@ def mcatalan_geco_params(m: int) -> GecoParams:
     return GecoParams(alpha=8.0 * math.sqrt(2.0 * m), beta=-1 / 6, gamma=-1 / 3)
 
 
-@dataclass(frozen=True)
-class GecoViolation:
+class GecoViolation(NamedTuple):
     n: int
     k: int
     ratio: float
     bound: float
 
 
-@dataclass(frozen=True)
-class GecoReport:
+class GecoReport(NamedTuple):
     """Outcome of sweeping the ratio bound over a family and a k-range."""
 
     params: GecoParams
@@ -125,8 +124,7 @@ class GecoReport:
         return not self.violations
 
 
-@dataclass(frozen=True)
-class TailReport:
+class TailReport(NamedTuple):
     """Truncated tail of the standardized log-MGF at one (n, t).
 
     tail_value sums the k = 2..K terms; leading_term is the k = 1 term

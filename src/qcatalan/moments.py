@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, NamedTuple
 
 from .polyq import (
     SUM_LIMIT,
@@ -31,6 +31,7 @@ from .polyq import (
     QuotientTooLarge,
     _cancel_common,
     _check_exponents,
+    _Frozen,
     get_family,
 )
 
@@ -45,26 +46,26 @@ __all__ = [
     "preset",
 ]
 
-@dataclass(frozen=True)
-class QuotientSpec:
+class QuotientSpec(_Frozen):
     """Exponent multisets of a quotient prod(1-q^a_i) / prod(1-q^b_i).
 
-    Both tuples must have the same length and positive entries; a and b are
-    multisets, so repeats are meaningful and order is not.
+    Both tuples must have the same length and positive integer entries; a
+    and b are multisets, so repeats are meaningful and order is not.
     """
 
+    __slots__ = ("a", "b", "label")
     a: tuple[int, ...]
     b: tuple[int, ...]
-    label: str = ""
+    label: str
 
-    def __post_init__(self):
-        a, b = _check_exponents(self.a, self.b)
+    def __init__(self, a: Iterable[int], b: Iterable[int], label: str = ""):
+        a, b = _check_exponents(a, b)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "label", label)
 
 
-@dataclass(frozen=True)
-class DistSummary:
+class DistSummary(NamedTuple):
     """Exact mass, mean, and variance of a coefficient distribution."""
 
     mass: int

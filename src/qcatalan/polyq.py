@@ -49,8 +49,7 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from .moments import QuotientSpec
@@ -117,20 +116,56 @@ def _poly_str(coeffs: Sequence[int], max_terms: int = 8) -> str:
     return " ".join(parts)
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class IntPoly:
+class _Frozen:
+    """Base of the records that validate or index their own way.
+
+    The fields are the subclass's __slots__, set once in __init__ through
+    object.__setattr__; equality, hashing, copying and the repr go by their
+    values in that order, and assignment raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class IntPoly(_Frozen):
     """Immutable dense polynomial with exact integer coefficients.
 
     The zero polynomial is the empty coefficient tuple; its degree is
     undefined and asking for it raises.  Trailing zero coefficients are
     trimmed on construction, so the trailing stored coefficient is nonzero
-    whenever the polynomial is nonzero.
+    whenever the polynomial is nonzero.  Coefficients must be integers
+    (operator.index); a float or a string raises TypeError.
     """
 
+    __slots__ = ("coeffs",)
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = list(map(int, coeffs))
+        cs = list(map(operator.index, coeffs))
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -263,8 +298,12 @@ def _div_qint(c: list[int], m: int) -> list[int]:
 # -- the construction kernel -----------------------------------------------------
 
 def _check_exponents(a: Iterable[int], b: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """a and b as int tuples, after checking equal lengths and positive entries."""
-    a, b = tuple(int(x) for x in a), tuple(int(x) for x in b)
+    """a and b as int tuples, after checking equal lengths and positive entries.
+
+    Entries go through operator.index, so a float, a string or a Fraction
+    raises TypeError instead of being truncated or parsed.
+    """
+    a, b = tuple(map(operator.index, a)), tuple(map(operator.index, b))
     if len(a) != len(b):
         raise ValueError(f"sequence lengths differ: {len(a)} vs {len(b)}")
     for name, vals in (("a", a), ("b", b)):
@@ -490,8 +529,7 @@ def q_catalan_general(n: int, m: int) -> IntPoly:
 
 # -- the family registry and incremental sweeps --------------------------------
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """One named family of q-Catalan analogs.
 
     build(n, m) is the from-scratch constructor; iter_family calls it for

@@ -18,7 +18,7 @@ definition and exists purely to keep the fast scanner honest.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .moments import _check_distribution
 
@@ -36,8 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ShapeReport:
+class ShapeReport(NamedTuple):
     """Shape facts for one family member."""
 
     family: str

@@ -494,7 +494,12 @@ def test_emit_equals_the_generic_encoder_byte_for_byte(table, block_rows):
                 assert got[1] == ""
 
 
-def test_import_leaves_the_process_pool_unloaded():
+# Start-up cost: the process pool, and dataclasses with the inspect, ast,
+# dis and tokenize it pulls in.
+HEAVY_IMPORTS = ("concurrent", "multiprocessing", "dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def test_import_loads_neither_the_process_pool_nor_dataclasses():
     src = str(Path(qcatalan.__file__).resolve().parents[1])
     code = (
         "import sys\n"
@@ -502,7 +507,7 @@ def test_import_leaves_the_process_pool_unloaded():
         "before = set(sys.modules)\n"
         "import qcatalan.cli\n"
         "print(sorted(m for m in set(sys.modules) - before\n"
-        "             if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
+        f"             if m.split('.')[0] in {HEAVY_IMPORTS!r}))\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
