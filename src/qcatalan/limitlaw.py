@@ -279,7 +279,9 @@ class StandardizedLaw:
     P(X = k) is proportional to c_k and X* = (X - mean)/sigma.  Building it
     takes the one exact dist_summary of p and stores, for every k with
     c_k > 0, the float offset k - mean and log(c_k), so each mgf(t) is one
-    float pass over the support.
+    float pass over the support.  A palindrome of degree d has mean d/2, so
+    only its head k <= d/2 is computed: the offset of d - k is exactly
+    -(k - mean) and its log-weight is that of k, and both are mirrored.
     """
 
     def __init__(self, p: IntPoly):
@@ -293,11 +295,19 @@ class StandardizedLaw:
         self.log_mass = math.log(summary.mass)
         self.offsets = array("d")
         self.log_weights = array("d")
-        for k, c in enumerate(p.coeffs):
+        self.palindromic = p.is_palindromic()
+        d = summary.degree
+        cs = p.coeffs
+        for k in range(d // 2 + 1 if self.palindromic else d + 1):
+            c = cs[k]
             if c > 0:
                 self.offsets.append(k - self.mu)
                 self.log_weights.append(math.log(c))
-        self.palindromic = p.is_palindromic()
+        if self.palindromic:
+            # an even degree's middle coefficient is its own mirror
+            mirrored = len(self.offsets) - (d % 2 == 0 and cs[d // 2] > 0)
+            self.offsets.extend(-x for x in reversed(self.offsets[:mirrored]))
+            self.log_weights.extend(reversed(self.log_weights[:mirrored]))
 
     def mgf(self, t: float) -> float:
         """E[e^{tX*}], by log-sum-exp over the support.

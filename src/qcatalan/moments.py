@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
@@ -78,32 +79,49 @@ class DistSummary(NamedTuple):
         return math.sqrt(float(self.variance))
 
 
-def _check_distribution(p: IntPoly) -> None:
+def _check_distribution(p: IntPoly) -> bool:
+    """Raise ValueError unless p is nonzero with nonnegative coefficients,
+    and return whether p is palindromic.  A palindrome's head
+    c_0..c_{d//2} holds every coefficient, so only the head is read."""
     if p.is_zero():
         raise ValueError("zero polynomial carries no distribution")
-    if min(p.coeffs) < 0:
+    cs = p.coeffs
+    palindromic = p.is_palindromic()
+    if min(itertools.islice(cs, len(cs) // 2 + 1) if palindromic else cs) < 0:
         raise ValueError("negative coefficient; not a distribution")
+    return palindromic
 
 
 def dist_summary(p: IntPoly) -> DistSummary:
     """Mass, mean, and variance of the coefficient distribution of p.
 
-    mass = sum c_k, mean = sum k c_k / mass, and the variance comes from the
-    second raw moment.  All exact; sigma on the returned summary is the only
-    float.
+    mass = sum c_k, mean = sum k c_k / mass, and the variance is the second
+    central moment.  A palindrome of degree d is read by its head: the mean
+    is d/2, and pairing k with d - k gives the variance
+    sum_{k<d/2} (d - 2k)^2 c_k / (2 mass), summed at C speed.  Other input
+    is read in full, through the second raw moment.  All exact; sigma on
+    the returned summary is the only float.
     """
-    _check_distribution(p)
+    palindromic = _check_distribution(p)
+    cs, d = p.coeffs, p.degree
+    if palindromic:
+        gaps = range(d, 0, -2)  # d - 2k for every k < d/2
+        half = len(gaps)
+        mass = 2 * sum(itertools.islice(cs, half)) + (cs[half] if d % 2 == 0 else 0)
+        s2 = sum(map(operator.mul, map(operator.mul, gaps, gaps), cs))
+        variance = Fraction(s2, 2 * mass)
+        return DistSummary(mass=mass, mean=Fraction(d, 2), variance=variance, degree=d)
     mass = 0
     s1 = 0
     s2 = 0
-    for k, c in enumerate(p.coeffs):
+    for k, c in enumerate(cs):
         mass += c
         kc = k * c
         s1 += kc
         s2 += k * kc
     mean = Fraction(s1, mass)
     variance = Fraction(s2, mass) - mean * mean
-    return DistSummary(mass=mass, mean=mean, variance=variance, degree=p.degree)
+    return DistSummary(mass=mass, mean=mean, variance=variance, degree=d)
 
 
 def central_moment(p: IntPoly, r: int) -> Fraction:

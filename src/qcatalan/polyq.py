@@ -12,10 +12,13 @@ Every family member and every quotient prod(1 - q^a_i) / prod(1 - q^b_i)
 comes from one construction kernel, in four parts:
 
   * Ledger.  (1 - q^x) is the product of the cyclotomic Phi_d over d | x,
-    so after common exponents cancel, the quotient is a polynomial exactly
-    when #{i : d | a_i} >= #{j : d | b_j} for every d dividing some b_j.
-    These counts come from trial division up to sqrt(x), and a
-    non-polynomial raises NotPolynomial before any coefficient list exists.
+    so the quotient is a polynomial exactly when its surplus
+    #{i : d | a_i} - #{j : d | b_j} is >= 0 for every d.  The counts come
+    from trial division up to sqrt(x); the surplus does not change when
+    common exponents cancel and adds over a product, so a sweep step adds
+    the counts of the step's own factors to the previous member's surplus
+    instead of recounting the member.  A non-polynomial raises
+    NotPolynomial before any coefficient list exists.
   * Pairs.  A denominator factor (1 - q^d) whose double 2d is a numerator
     exponent leaves the quotient (1 - q^2d) / (1 - q^d) = 1 + q^d, a
     single shifted addition instead of two passes.  This is Euler's
@@ -29,8 +32,9 @@ comes from one construction kernel, in four parts:
     so only h = D // 2 + 1 coefficients are built: O(len(a) * D) work
     instead of the O(D^2) of naive convolution.
   * Mirror.  The upper half is the lower half reversed.  The coefficient
-    sum must then equal prod(a) / prod(b), an explicit check that stands
-    in for the per-pass remainder checks the truncation drops.
+    sum, twice the head's sum less the middle coefficient, must then equal
+    prod(a) / prod(b), an explicit check that stands in for the per-pass
+    remainder checks the truncation drops.
 
 The kernel refuses numerator exponents summing past SUM_LIMIT with
 QuotientTooLarge, a ValueError (the command line exits 2), before it
@@ -165,10 +169,13 @@ class IntPoly(_Frozen):
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = list(map(operator.index, coeffs))
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs = tuple(map(operator.index, coeffs))
+        if cs and cs[-1] == 0:
+            end = len(cs) - 1
+            while end and cs[end - 1] == 0:
+                end -= 1
+            cs = cs[:end]
+        object.__setattr__(self, "coeffs", cs)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -192,7 +199,11 @@ class IntPoly(_Frozen):
         return acc
 
     def is_palindromic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs == self.coeffs[::-1]
+        """Whether c_k = c_{d-k} for every k; compares in place, without a
+        reversed copy of the coefficients."""
+        cs = self.coeffs
+        head = itertools.islice(cs, len(cs) // 2)
+        return bool(cs) and all(map(operator.eq, head, reversed(cs)))
 
     def __repr__(self) -> str:
         return f"IntPoly({_poly_str(self.coeffs)})"
@@ -332,30 +343,32 @@ def _check_size(a: Iterable[int]) -> list[int]:
 def _cancel_common(a: Iterable[int], b: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Drop exponents appearing in both multisets; those factors cancel."""
     ca, cb = Counter(a), Counter(b)
-    for x in ca.keys() & cb.keys():
-        common = min(ca[x], cb[x])
-        ca[x] -= common
-        cb[x] -= common
-    return tuple(sorted(ca.elements())), tuple(sorted(cb.elements()))
+    return tuple(sorted((ca - cb).elements())), tuple(sorted((cb - ca).elements()))
 
 
-def _divisor_counts(xs: Iterable[int]) -> Counter[int]:
-    """For every d, how many x in xs it divides, by trial division up to sqrt(x)."""
+def _divisors(xs: Iterable[int]) -> list[int]:
+    """Every divisor of every x in xs, with repeats, by trial division up to
+    sqrt(x)."""
     divisors: list[int] = []
     for x in xs:
         small = [d for d in range(1, math.isqrt(x) + 1) if x % d == 0]
         divisors += small
         divisors += [x // d for d in small if d * d != x]
-    return Counter(divisors)
+    return divisors
 
 
-def _is_polynomial(a: Sequence[int], b: Sequence[int]) -> bool:
-    """The cyclotomic ledger.  (1 - q^x) is the product of Phi_d over d | x,
-    so the quotient is a polynomial exactly when every Phi_d occurs at least
-    as often upstairs: #{i : d | a_i} >= #{j : d | b_j} for every d that
-    divides some b_j."""
-    have = _divisor_counts(a)
-    return all(have[d] >= need for d, need in _divisor_counts(b).items())
+def _surplus(a: Iterable[int], b: Iterable[int]) -> Counter[int]:
+    """The cyclotomic ledger of prod(1 - q^a_i) / prod(1 - q^b_j).
+
+    (1 - q^x) is the product of Phi_d over d | x, so the quotient holds
+    Phi_d to the power #{i : d | a_i} - #{j : d | b_j}, the surplus at d,
+    and it is a polynomial exactly when no surplus is negative.  Common
+    entries of a and b cancel out of the surplus, and the surplus of a
+    product is the sum of its factors' surpluses.
+    """
+    surplus = Counter(_divisors(a))
+    surplus.subtract(_divisors(b))
+    return surplus
 
 
 def _pair_doubles(
@@ -382,14 +395,15 @@ def _pair_doubles(
 def _quotient_coeffs(
     a: Iterable[int],
     b: Iterable[int],
-    prev: tuple[list[int], Sequence[int], Sequence[int]] | None = None,
-) -> list[int]:
-    """Coefficients of prod(1 - q^a_i) / prod(1 - q^b_i), or NotPolynomial.
+    prev: tuple[list[int], Sequence[int], Sequence[int], Counter[int]] | None = None,
+) -> tuple[list[int], Counter[int]]:
+    """Coefficients of prod(1 - q^a_i) / prod(1 - q^b_i) and its ledger
+    surplus (see _surplus), or NotPolynomial.
 
     Every check runs before any coefficient list exists: the size limit,
     the lengths and entries, the degree D = sum(a) - sum(b) >= 0, and the
-    ledger on the lists with common entries cancelled.  The quotient is
-    then palindromic of degree D, so only its head modulo q^h,
+    ledger.  The quotient is then palindromic of degree D, so only its
+    head modulo q^h,
     h = D // 2 + 1, is built; the tail is the head mirrored.  The passes
     come from _pair_doubles: first a multiplication by (1 + q^d) for every
     pair, ascending, then by every remaining (1 - q^a_i), then a division
@@ -398,27 +412,41 @@ def _quotient_coeffs(
     times the factors not yet divided out), so each pass stops at
     min(its degree + 1, h); every division pass runs at h.
 
-    prev = (c, pa, pb) offers c, the full coefficient list of the known
-    quotient Q(pa, pb) = prod(1 - q^pa_i) / prod(1 - q^pb_i), as a start;
-    c is not modified.  Q(a, b) is also Q(pa, pb) * Q(a + pb, b + pa), and
-    that plan, cancelled and paired like the other, runs from c instead of
-    from 1 when it takes strictly fewer passes.  The result must have
-    coefficient sum prod(a) / prod(b), its value at q = 1; anything else
-    raises ArithmeticError, since it means a construction error.
+    Without prev the ledger counts the divisors of the cancelled lists and
+    passes when no surplus is negative.  prev = (c, pa, pb, surplus)
+    offers c, the full coefficient list of the known quotient
+    Q(pa, pb) = prod(1 - q^pa_i) / prod(1 - q^pb_i), and its surplus; c
+    and surplus are not modified.  Q(a, b) is also
+    Q(pa, pb) * Q(a + pb, b + pa), so the ledger adds the surplus of the
+    cancelled step lists to the given one and passes when no divisor of
+    the step goes negative; the step plan, paired like the other, runs
+    from c instead of from 1 when it takes strictly fewer passes.  The
+    result must have coefficient sum prod(a) / prod(b), its value at
+    q = 1; anything else raises ArithmeticError, since it means a
+    construction error.
     """
     num, den = _check_exponents(_check_size(a), b)
     degree = sum(num) - sum(den)
     if degree < 0:
         raise NotPolynomial(f"quotient of a={num} by b={den} has negative degree {degree}")
     a, b = _cancel_common(num, den)
-    if not _is_polynomial(a, b):
+    if prev is None:
+        surplus = _surplus(a, b)
+        polynomial = min(surplus.values(), default=0) >= 0
+    else:
+        step = _cancel_common((*a, *prev[2]), (*b, *prev[1]))
+        change = _surplus(*step)
+        surplus = prev[3].copy()
+        surplus.update(change)
+        polynomial = all(surplus[d] >= 0 for d in change)
+    if not polynomial:
         raise NotPolynomial(f"quotient of a={num} by b={den} is not a polynomial")
     h = degree // 2 + 1
     c, plan = [1], _pair_doubles(a, b)
     if prev is not None:
-        step = _pair_doubles(*_cancel_common((*a, *prev[2]), (*b, *prev[1])))
-        if sum(map(len, step)) < sum(map(len, plan)):
-            c, plan = prev[0], step
+        step_plan = _pair_doubles(*step)
+        if sum(map(len, step_plan)) < sum(map(len, plan)):
+            c, plan = prev[0], step_plan
     pairs, ups, downs = plan
     deg = len(c) - 1
     c = c[:h]
@@ -431,23 +459,26 @@ def _quotient_coeffs(
     for d in downs:
         deg -= d
         c = _div_one_minus_qpow(c, d, min(deg + 1, h))
-    # coefficient degree - i equals coefficient i
-    c.extend(itertools.islice(reversed(c), 2 * h - degree - 1, None))
-    if deg != degree or sum(c) * math.prod(b) != math.prod(a):
+    # 1 when the degree is even: the middle coefficient is not mirrored
+    middle = 2 * h - degree - 1
+    if deg != degree or (2 * sum(c) - middle * c[-1]) * math.prod(b) != math.prod(a):
         raise ArithmeticError(
             f"quotient of a={a} by b={b} does not sum to prod(a)/prod(b); "
             "construction is broken"
         )
-    return c
+    # coefficient degree - i equals coefficient i
+    c.extend(itertools.islice(reversed(c), middle, None))
+    return c, surplus
 
 
 def _require_nonnegative(c: list[int], what: str) -> list[int]:
-    """Return c, or raise ArithmeticError if a coefficient is negative.
+    """Return the palindromic list c, or raise ArithmeticError if a
+    coefficient is negative; the head c_0..c_{len(c) // 2} decides.
 
     Every finished q-Catalan-type member has nonnegative coefficients, so a
     negative one means the construction itself went wrong.
     """
-    if c and min(c) < 0:
+    if c and min(itertools.islice(c, len(c) // 2 + 1)) < 0:
         raise ArithmeticError(f"{what} has a negative coefficient; construction is broken")
     return c
 
@@ -485,7 +516,7 @@ def _member(name: str, n: int, m: int | None, label: str) -> IntPoly:
         raise ValueError(f"need n >= 1, got {n}")
     if n == 1:
         return IntPoly([1])
-    c = _quotient_coeffs(*FAMILIES[name].exponents(n, m))
+    c, _ = _quotient_coeffs(*FAMILIES[name].exponents(n, m))
     return IntPoly(_require_nonnegative(c, label))
 
 
@@ -607,8 +638,10 @@ def iter_family(
 
     The member at n_from comes from the family's builder; each later
     member is one kernel call on the registry lists a(n+1), b(n+1) with
-    prev = (member(n), a(n), b(n)), the lists of n = 1 being empty.  The
-    kernel then picks the cheaper of the rebuild and the step
+    prev = (member(n), a(n), b(n), surplus(n)), the lists of n = 1 being
+    empty.  The ledger surplus is counted once, for n_from, and carried:
+    each step adds only the divisor counts of its own factors u and d
+    below.  The kernel then picks the cheaper of the rebuild and the step
 
         member(n+1) = member(n) * prod(1 - q^u) / prod(1 - q^d),
         u = a(n+1) + b(n),  d = b(n+1) + a(n),  common entries cancelled,
@@ -617,8 +650,9 @@ def iter_family(
     ((1 - q^(n+1))(1 - q^(n+2))) = C_n (1 - q^(2n+1))(1 + q^(n+1)) /
     (1 - q^(n+2)): 3 linear passes over half the coefficients against
     about 3n/2 for a rebuild.  m-Catalan with m >= n, roughly, rebuilds.
-    Either way each member is checked like a from-scratch build.  Only
-    the current member is held.
+    Either way each member passes the ledger, the mass check and the
+    nonnegativity check on its head, as a from-scratch build does.  Only
+    the current member and its surplus are held.
     Bad arguments, and an n_to whose member exceeds the kernel's size
     limit, raise here, before any member is built.
     """
@@ -634,9 +668,10 @@ def _sweep(fam: Family, n_from: int, n_to: int, m: int | None) -> Iterator[IntPo
     yield p
     c = list(p.coeffs)
     pa, pb = map(tuple, fam.exponents(n_from, m)) if n_from > 1 else ((), ())
+    surplus = _surplus(pa, pb)
     for n in range(n_from + 1, n_to + 1):
         a, b = map(tuple, fam.exponents(n, m))
-        c = _quotient_coeffs(a, b, prev=(c, pa, pb))
+        c, surplus = _quotient_coeffs(a, b, prev=(c, pa, pb, surplus))
         yield IntPoly(_require_nonnegative(c, f"{fam.name} member n={n}"))
         pa, pb = a, b
 
@@ -649,7 +684,7 @@ def quotient_poly(spec: "QuotientSpec") -> IntPoly:
     QuotientTooLarge (a ValueError) when the numerator exponents sum past
     SUM_LIMIT.
     """
-    return IntPoly(_quotient_coeffs(spec.a, spec.b))
+    return IntPoly(_quotient_coeffs(spec.a, spec.b)[0])
 
 
 def major_index_histogram(n: int) -> IntPoly:

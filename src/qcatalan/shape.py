@@ -13,6 +13,11 @@ the interior, hence two trimmed notions:
 min_logconcave_t finds the smallest working t by locating every violating
 index once; min_logconcave_t_bruteforce re-derives it straight from the
 definition and exists purely to keep the fast scanner honest.
+
+Every family member is palindromic, c_k = c_{d-k}, and then both scans
+read only the head c_0..c_{d//2}: a log-concavity violation at k mirrors
+to one at d - k, and a strict fall in the head mirrors to a strict rise
+in the tail.  Input that is not palindromic is scanned in full.
 """
 
 from __future__ import annotations
@@ -57,23 +62,39 @@ def interior_unimodal(p: IntPoly) -> tuple[bool, int | None]:
     """
     if p.is_zero() or p.degree < 2:
         raise ValueError("interior unimodality needs degree >= 2")
-    cs = p.coeffs
-    falling = False
-    for k in range(2, len(cs) - 1):
+    return _interior_unimodal(p.coeffs, p.is_palindromic())
+
+
+def _interior_unimodal(cs: tuple[int, ...], palindromic: bool) -> tuple[bool, int | None]:
+    """interior_unimodal on coefficients cs of degree d >= 2.
+
+    A palindrome is scanned up to its middle, k <= d//2, where a rise after
+    a fall is the first violation.  If the head falls and never rises again,
+    its last strict fall at j mirrors to the first rise of the tail,
+    d - j + 1, and no rise comes before it.
+    """
+    d = len(cs) - 1
+    fell = 0  # index of the last strict fall so far
+    for k in range(2, d // 2 + 1 if palindromic else d):
         if cs[k] > cs[k - 1]:
-            if falling:
+            if fell:
                 return False, k
         elif cs[k] < cs[k - 1]:
-            falling = True
+            fell = k
+    if fell and palindromic:
+        return False, d - fell + 1
     return True, None
 
 
-def _lc_violations(p: IntPoly) -> list[int]:
-    """All k in [1, d-1] with c_k^2 < c_{k-1} c_{k+1}."""
-    cs = p.coeffs
-    return [
-        k for k in range(1, len(cs) - 1) if cs[k] * cs[k] < cs[k - 1] * cs[k + 1]
-    ]
+def _lc_violations(cs: tuple[int, ...], palindromic: bool) -> list[int]:
+    """The k in [1, d-1] with c_k^2 < c_{k-1} c_{k+1}, ascending.
+
+    Of a palindrome only the head k <= d/2 is scanned: a violation at k
+    mirrors to d - k, so the largest head violation is the trim depth the
+    whole list needs and the smallest is its first violation.
+    """
+    stop = (len(cs) - 1) // 2 + 1 if palindromic else len(cs) - 1
+    return [k for k in range(1, stop) if cs[k] * cs[k] < cs[k - 1] * cs[k + 1]]
 
 
 def min_logconcave_t(p: IntPoly) -> int | None:
@@ -86,13 +107,13 @@ def min_logconcave_t(p: IntPoly) -> int | None:
     t = floor((d - 2)/2), past which the trimmed range is empty; None means
     no candidate works.
     """
-    _check_distribution(p)
+    palindromic = _check_distribution(p)
     d = p.degree
     if d < 4:
         warnings.warn(f"degree {d} leaves little to trim; result is near-vacuous")
-    if not p.is_palindromic():
+    if not palindromic:
         warnings.warn("input is not palindromic; trimming both ends is asymmetric here")
-    return _trim_depth(_lc_violations(p), d)
+    return _trim_depth(_lc_violations(p.coeffs, palindromic), d)
 
 
 def _trim_depth(violations: list[int], d: int) -> int | None:
@@ -124,13 +145,13 @@ def shape_report(p: IntPoly, family: str, n: int) -> ShapeReport:
     Degree 0 and 1 inputs have an empty interior and are reported as
     vacuously unimodal rather than rejected, so family scans can start low.
     """
-    _check_distribution(p)
-    d = p.degree
+    palindromic = _check_distribution(p)
+    cs, d = p.coeffs, p.degree
     if d >= 2:
-        uni, uni_viol = interior_unimodal(p)
+        uni, uni_viol = _interior_unimodal(cs, palindromic)
     else:
         uni, uni_viol = True, None
-    viols = _lc_violations(p)
+    viols = _lc_violations(cs, palindromic)
     return ShapeReport(
         family=family,
         n=n,

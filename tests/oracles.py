@@ -13,7 +13,9 @@ pass per factor, `is_polynomial_by_division` by long division of the full
 products.
 
 `interior_unimodal` tests every candidate peak, the definition the scanner
-in `shape` shortcuts with one pass.
+in `shape` shortcuts with one pass.  `dist_summary` and `lc_violations`
+read every coefficient, as the library did before it read a palindrome by
+its head c_0..c_{d//2}.
 
 `emit` is the table writer as it was before `cli._emit` encoded its rows
 cell by cell: the generic `json` encoder on the whole envelope, and one
@@ -35,7 +37,7 @@ from typing import Any, Sequence, TextIO
 from qcatalan.cli import SCHEMA_VERSION
 from qcatalan.exactnum import BernoulliTable
 from qcatalan.limitlaw import TailReport
-from qcatalan.moments import QuotientSpec, dist_summary, general_moments_closed, preset
+from qcatalan.moments import DistSummary, QuotientSpec, general_moments_closed, preset
 from qcatalan.polyq import IntPoly, NonzeroRemainder, poly_div_exact, poly_mul
 
 
@@ -90,10 +92,39 @@ def tail_series(n: int, t: float, K: int, table: BernoulliTable) -> TailReport:
     )
 
 
+def dist_summary(coeffs: Sequence[int]) -> DistSummary:
+    """Mass, mean and variance of the coefficient law from the raw power
+    sums over every coefficient; ValueError for an empty list or a negative
+    coefficient."""
+    if not coeffs:
+        raise ValueError("zero polynomial carries no distribution")
+    if min(coeffs) < 0:
+        raise ValueError("negative coefficient; not a distribution")
+    mass = 0
+    s1 = 0
+    s2 = 0
+    for k, c in enumerate(coeffs):
+        mass += c
+        kc = k * c
+        s1 += kc
+        s2 += k * kc
+    mean = Fraction(s1, mass)
+    variance = Fraction(s2, mass) - mean * mean
+    return DistSummary(mass=mass, mean=mean, variance=variance, degree=len(coeffs) - 1)
+
+
+def lc_violations(coeffs: Sequence[int]) -> list[int]:
+    """Every k in [1, d-1] with c_k^2 < c_{k-1} c_{k+1}, ascending."""
+    return [
+        k for k in range(1, len(coeffs) - 1)
+        if coeffs[k] * coeffs[k] < coeffs[k - 1] * coeffs[k + 1]
+    ]
+
+
 def exact_standardized_mgf(p: IntPoly, t: float) -> float:
     """E[e^{tX*}] by log-sum-exp, one dist_summary and one log per
     coefficient on every call."""
-    summary = dist_summary(p)
+    summary = dist_summary(p.coeffs)
     mu = float(summary.mean)
     sigma = summary.sigma
     pairs = [(k, c) for k, c in enumerate(p.coeffs) if c > 0]
@@ -108,7 +139,7 @@ def _normal_cdf(z: float) -> float:
 
 
 def ks_distance_to_normal(p: IntPoly) -> float:
-    summary = dist_summary(p)
+    summary = dist_summary(p.coeffs)
     mu = float(summary.mean)
     sigma = summary.sigma
     mass = summary.mass

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
@@ -45,6 +46,8 @@ def catalan_number(n):
 
 def test_trailing_zeros_trimmed():
     assert IntPoly([1, 2, 0, 0]).coeffs == (1, 2)
+    assert IntPoly(iter([1, 0, 2, 0, 0])).coeffs == (1, 0, 2)
+    assert IntPoly([0, 3]).coeffs == (0, 3)
     assert IntPoly([0, 0, 0]).coeffs == ()
     assert IntPoly([]).is_zero()
 
@@ -292,7 +295,7 @@ def exponent_lists(draw):
 def test_kernel_agrees_with_long_division_and_the_full_build(lists):
     a, b = lists
     verdict = oracles.is_polynomial_by_division(a, b)
-    assert polyq._is_polynomial(*polyq._cancel_common(a, b)) == verdict
+    assert (min(polyq._surplus(a, b).values(), default=0) >= 0) == verdict
     spec = SimpleNamespace(a=a, b=b)
     if not verdict:
         with pytest.raises(NotPolynomial):
@@ -390,21 +393,27 @@ def test_kernel_from_prev_equals_the_build_from_one(prev, other, product):
     pa, pb = prev
     a, b = (pa + other[0], pb + other[1]) if product else other
     c = list(quotient_poly(SimpleNamespace(a=pa, b=pb)).coeffs)
-    kept = c[:]
-    assert polyq._quotient_coeffs(a, b, prev=(c, pa, pb)) == polyq._quotient_coeffs(a, b)
-    assert c == kept
+    surplus = polyq._surplus(pa, pb)
+    kept = c[:], surplus.copy()
+    stepped, carried = polyq._quotient_coeffs(a, b, prev=(c, pa, pb, surplus))
+    built, counted = polyq._quotient_coeffs(a, b)
+    assert stepped == built
+    assert +carried == +counted and -carried == -counted
+    assert (c, surplus) == kept
 
 
 def test_kernel_runs_from_prev_only_when_it_saves_passes(monkeypatch):
     counts = count_passes(monkeypatch)
     # from 1 + q to [4]: the step (1 - q^4)/(1 - q^2) is one pair pass, the
     # rebuild (1 - q^4)/(1 - q) two passes, so the kernel steps
-    assert polyq._quotient_coeffs((4,), (1,), prev=([1, 1], (2,), (1,))) == [1] * 4
+    prev = ([1, 1], (2,), (1,), polyq._surplus((2,), (1,)))
+    assert polyq._quotient_coeffs((4,), (1,), prev=prev)[0] == [1] * 4
     assert counts == {"_mul_one_plus_qpow": 1}
     # rebuilding (1 - q^2)(1 - q^12)/((1 - q)(1 - q^6)) is two pair passes,
     # as many as the unpaired step (1 - q^2)/(1 - q^6), so it builds from 1
     counts.clear()
-    c = polyq._quotient_coeffs((2, 12), (1, 6), prev=([1] * 12, (12,), (1,)))
+    prev = ([1] * 12, (12,), (1,), polyq._surplus((12,), (1,)))
+    c, _ = polyq._quotient_coeffs((2, 12), (1, 6), prev=prev)
     assert c == [1, 1, 0, 0, 0, 0, 1, 1]
     assert counts == {"_mul_one_plus_qpow": 2}
 
@@ -437,7 +446,7 @@ def test_negative_degree_is_rejected_before_the_ledger(monkeypatch):
     def no_ledger(*args):
         raise AssertionError("the ledger ran")
 
-    monkeypatch.setattr(polyq, "_is_polynomial", no_ledger)
+    monkeypatch.setattr(polyq, "_surplus", no_ledger)
     with pytest.raises(NotPolynomial, match="negative degree"):
         quotient_poly(SimpleNamespace(a=(2, 9), b=(3, 9)))
 
@@ -558,3 +567,56 @@ def test_require_nonnegative():
     assert _require_nonnegative([], "x") == []
     with pytest.raises(ArithmeticError, match="q_catalan\\(7\\) has a negative coefficient"):
         _require_nonnegative([1, -1, 1], "q_catalan(7)")
+
+
+@pytest.mark.parametrize(
+    "name, m, n_to",
+    [("catalan", None, 150), ("catalan2", None, 120)] + [("mcatalan", m, 40) for m in range(2, 13)],
+)
+def test_carried_surplus_equals_the_count_from_scratch(name, m, n_to, monkeypatch):
+    kernel = polyq._quotient_coeffs
+    seen = []
+
+    def spy(a, b, prev=None):
+        a, b = tuple(a), tuple(b)  # a family member's exponent lists are lazy
+        c, surplus = kernel(a, b, prev)
+        seen.append((a, b, prev is not None, surplus))
+        return c, surplus
+
+    monkeypatch.setattr(polyq, "_quotient_coeffs", spy)
+    for _ in iter_family(name, 2, n_to, m):
+        pass
+    assert [stepped for _, _, stepped, _ in seen] == [False] + [True] * (n_to - 2)
+    for a, b, _, surplus in seen:
+        counted = polyq._surplus(a, b)
+        assert +surplus == +counted and -surplus == -counted
+        assert not -surplus
+
+
+@settings(max_examples=200, deadline=None)
+@given(prev=polynomial_lists(), other=exponent_lists(), product=st.booleans())
+def test_the_step_from_prev_rejects_exactly_the_non_polynomials(prev, other, product):
+    # the target is a spoiled quotient, or prev times one; the step carries
+    # prev's surplus and counts only the step's factors
+    pa, pb = prev
+    a, b = (pa + other[0], pb + other[1]) if product else other
+    c = list(quotient_poly(SimpleNamespace(a=pa, b=pb)).coeffs)
+    carried = (c, pa, pb, polyq._surplus(pa, pb))
+    if oracles.is_polynomial_by_division(a, b):
+        assert polyq._quotient_coeffs(a, b, prev=carried)[0] == oracles.sequential_quotient(a, b)
+    else:
+        with pytest.raises(NotPolynomial):
+            polyq._quotient_coeffs(a, b, prev=carried)
+
+
+def test_a_large_reject_allocates_under_a_megabyte():
+    # 3 divides no numerator exponent.  A ledger indexed by value up to
+    # 2^22 would allocate tens of megabytes before refusing this.
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotPolynomial):
+            polyq._quotient_coeffs((4194304,), (3,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
