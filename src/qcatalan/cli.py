@@ -210,12 +210,11 @@ def _cmd_moments(args: argparse.Namespace, out: TextIO) -> int:
     _check_m(args.family, args.m)
     rows = []
     members = iter_family(args.family, args.n_from, args.n_to, args.m)
+    exponents = FAMILIES[args.family].exponents
     for n, p in zip(range(args.n_from, args.n_to + 1), members):
         s = dist_summary(p)
-        if n == 1:  # every family is the constant 1, which has no exponent lists
-            c_mean, c_var = Fraction(0), Fraction(0)
-        else:
-            c_mean, c_var = general_moments_closed(preset(args.family, n, args.m))
+        # sums and power sums, hence the closed forms, ignore cancellation
+        c_mean, c_var = general_moments_closed(QuotientSpec(*exponents(n, args.m)))
         rows.append(
             {
                 "n": n,
@@ -395,6 +394,8 @@ def _general_spec(args: argparse.Namespace) -> tuple[QuotientSpec, int, GecoPara
         return spec, n, params
     if args.a is None or args.b is None:
         raise UsageError("give --a and --b together, or use --preset")
+    if args.n is not None or args.m is not None:
+        raise UsageError("--n and --m only apply with --preset")
     spec = QuotientSpec(
         a=_parse_int_list(args.a, "--a"), b=_parse_int_list(args.b, "--b")
     )

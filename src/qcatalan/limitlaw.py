@@ -52,8 +52,6 @@ __all__ = [
     "condition_ratios",
     "geco_bound_check",
     "series_coefficients",
-    "series_terms",
-    "split_tail",
     "log_mgf_truncated",
     "exact_standardized_mgf",
     "tail_series",

@@ -195,8 +195,9 @@ def preset(name: str, n: int, m: int | None = None) -> QuotientSpec:
               and quotient_poly of it equals q_catalan_second(n)
     mcatalan: a = ((m-1)n+2 .. (m-1)n+n), b = (2 .. n), requires m >= 2
 
-    The lists come from polyq.FAMILIES.  All presets need n >= 2 (at n = 1
-    every family is the constant 1 and the factor lists would be empty).
+    The lists come from polyq.FAMILIES.  All presets need n >= 2: at n = 1
+    the registry lists are empty, and the constant 1 they give has zero
+    variance, which the ratio and series diagnostics divide by.
     Lists with more than polyq.SUM_LIMIT entries raise QuotientTooLarge (a
     ValueError) before any is built; the closed forms reach well past the
     construction kernel's limit (mcatalan m = 5, n = 1000 is legal).

@@ -511,11 +511,9 @@ def gaussian_binomial(n: int, k: int) -> IntPoly:
 
 
 def _member(name: str, n: int, m: int | None, label: str) -> IntPoly:
-    """Member n of a registry family through the kernel; n = 1 is 1."""
+    """Member n of a registry family through the kernel, n = 1 included."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if n == 1:
-        return IntPoly([1])
     c, _ = _quotient_coeffs(*FAMILIES[name].exponents(n, m))
     return IntPoly(_require_nonnegative(c, label))
 
@@ -565,11 +563,11 @@ class Family(NamedTuple):
 
     build(n, m) is the from-scratch constructor; iter_family calls it for
     the first member of a sweep only, and takes every later member from
-    the kernel on exponents.  exponents(n, m) gives, for n >= 2, fresh
-    lazy iterables over multisets a and b with member(n) = prod(1 - q^a_i)
-    / prod(1 - q^b_i), before common entries are cancelled; being lazy,
-    they let a size check refuse a huge n without building its lists.  At
-    n = 1 every family is the constant 1 and has no exponent lists.
+    the kernel on exponents.  exponents(n, m) gives, for n >= 1, fresh
+    lazy iterables over equally long multisets a and b with member(n) =
+    prod(1 - q^a_i) / prod(1 - q^b_i), before common entries are
+    cancelled; being lazy, they let a size check refuse a huge n without
+    building its lists.  Both are empty at n = 1, where member(1) = 1.
     takes_m marks the families parameterized by m >= 2.
     """
 
@@ -581,8 +579,13 @@ class Family(NamedTuple):
     def check_size(self, n: int, m: int | None = None) -> None:
         """Raise QuotientTooLarge if member n is past the construction
         kernel's size limit, without building its exponent lists."""
-        if n > 1:
-            _check_size(self.exponents(n, m)[0])
+        _check_size(self.exponents(n, m)[0])
+
+
+def _catalan2_exponents(n: int, m: int | None) -> tuple[Iterable[int], range]:
+    # [2]/[2n] [2n choose n-1]_q with (1 - q^2n) cancelled; at n = 1 the
+    # factor (1 - q^2) cancels it instead, and both lists are empty.
+    return itertools.chain((2,) if n > 1 else (), range(n + 2, 2 * n)), range(1, n)
 
 
 def _mcatalan_exponents(n: int, m: int) -> tuple[range, range]:
@@ -605,7 +608,7 @@ FAMILIES: dict[str, Family] = {
             "catalan2",
             False,
             lambda n, m: q_catalan_second(n),
-            lambda n, m: (itertools.chain((2,), range(n + 2, 2 * n)), range(1, n)),
+            _catalan2_exponents,
         ),
         Family(
             "mcatalan",
@@ -638,7 +641,7 @@ def iter_family(
 
     The member at n_from comes from the family's builder; each later
     member is one kernel call on the registry lists a(n+1), b(n+1) with
-    prev = (member(n), a(n), b(n), surplus(n)), the lists of n = 1 being
+    prev = (member(n), a(n), b(n), surplus(n)); at n = 1 both lists are
     empty.  The ledger surplus is counted once, for n_from, and carried:
     each step adds only the divisor counts of its own factors u and d
     below.  The kernel then picks the cheaper of the rebuild and the step
@@ -667,7 +670,7 @@ def _sweep(fam: Family, n_from: int, n_to: int, m: int | None) -> Iterator[IntPo
     p = fam.build(n_from, m)
     yield p
     c = list(p.coeffs)
-    pa, pb = map(tuple, fam.exponents(n_from, m)) if n_from > 1 else ((), ())
+    pa, pb = map(tuple, fam.exponents(n_from, m))
     surplus = _surplus(pa, pb)
     for n in range(n_from + 1, n_to + 1):
         a, b = map(tuple, fam.exponents(n, m))

@@ -1,5 +1,6 @@
 """End-to-end tests of the qcat command line interface via main()."""
 
+import argparse
 import io
 import json
 import math
@@ -328,6 +329,8 @@ def test_general_non_polynomial_is_domain_error(capsys):
          "--alpha", "inf", "--beta", "-0.1", "--gamma", "-0.1", "--format", "json"),
         ("general", "--a", "5,6", "--b", "2,3",
          "--alpha", "18.0", "--beta=-inf", "--gamma", "-0.333"),
+        ("general", "--a", "5,6", "--b", "2,3", "--n", "7"),  # --n needs --preset
+        ("general", "--a", "5,6", "--b", "2,3", "--m", "3"),  # so does --m
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
@@ -414,6 +417,63 @@ def test_abbreviated_options_exit_2(argv, capsys):
     # so --bet is refused whether or not its value has an exponent
     assert run_cli(*argv) == (2, "")
     assert "error:" in capsys.readouterr().err
+
+
+def _parser_flags() -> dict[str, list[str]]:
+    """Each subcommand's long options, read from the parser itself."""
+    (sub,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: [flag for action in sp._actions for flag in action.option_strings
+               if flag.startswith("--") and flag != "--help"]
+        for name, sp in sub.choices.items()
+    }
+
+
+PARSER_FLAGS = _parser_flags()
+# every option of every parser, and two abbreviations the parsers refuse
+ANY_FLAG = sorted({flag for flags in PARSER_FLAGS.values() for flag in flags} | {"--fam", "--bet"})
+JUNK = st.sampled_from(["nan", "inf", "-1e-3", "", ","])
+NAMES = st.sampled_from(list(polyq.FAMILIES))
+SMALL = st.integers(0, 25).map(str)
+EXPONENTS = st.lists(st.integers(1, 12), min_size=1, max_size=3).map(lambda xs: ",".join(map(str, xs)))
+REALS = st.floats(-30, 30).map(repr)
+VALUES = {
+    "--family": NAMES,
+    "--preset": NAMES,
+    "--n": SMALL,
+    "--m": SMALL,
+    "--n-from": SMALL,
+    "--n-to": SMALL,
+    "--K": st.integers(0, 40).map(str),
+    "--grid-step": st.sampled_from(["0.25", "0.5", "1", "2", "3"]),
+    "--a": EXPONENTS,
+    "--b": EXPONENTS,
+    "--alpha": REALS,
+    "--beta": REALS,
+    "--gamma": REALS,
+    "--format": st.sampled_from(["csv", "json"]),
+}
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand with each of its own options three times in four, in
+    any order, perhaps one more option from anywhere, and each option's
+    value from its pool or, one time in sixteen, a junk value."""
+    command = draw(st.sampled_from(sorted(PARSER_FLAGS)))
+    flags = [flag for flag in PARSER_FLAGS[command] if draw(st.integers(0, 3)) < 3]
+    flags = draw(st.permutations(flags)) + draw(st.lists(st.sampled_from(ANY_FLAG), max_size=1))
+    argv = [command]
+    for flag in flags:
+        junk = draw(st.integers(0, 15)) == 15
+        argv += [flag, draw(JUNK if junk else VALUES.get(flag, JUNK))]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=argvs())
+def test_every_argv_exits_0_2_or_3_without_raising(argv):
+    assert main(argv, out=io.StringIO()) in (0, 2, 3)
 
 
 @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])

@@ -561,6 +561,18 @@ def test_get_family_ignores_m_where_it_does_not_apply():
     assert get_family("mcatalan", 3).build(4, 3) == q_catalan_general(4, 3)
 
 
+@pytest.mark.parametrize(
+    "name, m", [("catalan", None), ("catalan2", None)] + [("mcatalan", m) for m in range(2, 13)]
+)
+def test_member_one_is_the_empty_product_of_its_registry_lists(name, m):
+    fam = get_family(name, m)
+    a, b = map(tuple, fam.exponents(1, m))
+    assert len(a) == len(b)
+    assert quotient_poly(QuotientSpec(a, b)) == IntPoly([1])
+    fam.check_size(1, m)
+    assert fam.build(1, m) == IntPoly([1])
+
+
 def test_require_nonnegative():
     c = [1, 0, 2]
     assert _require_nonnegative(c, "x") is c
