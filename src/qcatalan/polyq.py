@@ -17,8 +17,9 @@ comes from one construction kernel, in four parts:
     from trial division up to sqrt(x); the surplus does not change when
     common exponents cancel and adds over a product, so a sweep step adds
     the counts of the step's own factors to the previous member's surplus
-    instead of recounting the member.  A non-polynomial raises
-    NotPolynomial before any coefficient list exists.
+    instead of recounting the member; a build from scratch is a step from
+    the empty product 1.  A non-polynomial raises NotPolynomial before any
+    coefficient list exists.
   * Pairs.  A denominator factor (1 - q^d) whose double 2d is a numerator
     exponent leaves the quotient (1 - q^2d) / (1 - q^d) = 1 + q^d, a
     single shifted addition instead of two passes.  This is Euler's
@@ -293,18 +294,6 @@ def _div_exact(c: list[int], k: int) -> list[int]:
     del out[n - k:]
     return out
 
-def _mul_qint(c: list[int], m: int) -> list[int]:
-    """Multiply by [m] = (1 - q^m)/(1 - q)."""
-    if m == 1:
-        return c
-    return _div_exact(_mul_one_minus_qpow(c, m, len(c) + m), 1)
-
-def _div_qint(c: list[int], m: int) -> list[int]:
-    """Divide by [m]; exact or NonzeroRemainder."""
-    if m == 1:
-        return c
-    return _div_exact(_mul_one_minus_qpow(c, 1, len(c) + 1), m)
-
 
 # -- the construction kernel -----------------------------------------------------
 
@@ -392,61 +381,54 @@ def _pair_doubles(
     return pairs, sorted(left.elements()), rest
 
 
-def _quotient_coeffs(
-    a: Iterable[int],
-    b: Iterable[int],
-    prev: tuple[list[int], Sequence[int], Sequence[int], Counter[int]] | None = None,
-) -> tuple[list[int], Counter[int]]:
-    """Coefficients of prod(1 - q^a_i) / prod(1 - q^b_i) and its ledger
-    surplus (see _surplus), or NotPolynomial.
+# A kernel record (c, a, b, surplus): the full coefficient list of
+# Q(a, b) = prod(1 - q^a_i) / prod(1 - q^b_i), a and b with common entries
+# cancelled, and its ledger surplus (see _surplus).
+_Record = tuple[list[int], tuple[int, ...], tuple[int, ...], Counter[int]]
+# The empty product 1; never modified.
+_ONE: _Record = ([1], (), (), Counter())
 
-    Every check runs before any coefficient list exists: the size limit,
-    the lengths and entries, the degree D = sum(a) - sum(b) >= 0, and the
-    ledger.  The quotient is then palindromic of degree D, so only its
-    head modulo q^h,
-    h = D // 2 + 1, is built; the tail is the head mirrored.  The passes
-    come from _pair_doubles: first a multiplication by (1 + q^d) for every
-    pair, ascending, then by every remaining (1 - q^a_i), then a division
-    by every remaining (1 - q^b_j), largest first.  Once the ledger has
-    passed, every partial quotient is a polynomial (the final quotient
+
+def _quotient_coeffs(a: Iterable[int], b: Iterable[int], prev: _Record = _ONE) -> _Record:
+    """The kernel record of Q(a, b), or NotPolynomial.
+
+    prev is the record of a known quotient Q(pa, pb), by default _ONE, so a
+    build from scratch is a step from 1; prev is not modified.  Every check
+    runs before any coefficient list exists: the size limit, the lengths
+    and entries, the degree D = sum(a) - sum(b) >= 0, and the ledger.
+    Q(a, b) is Q(pa, pb) * Q(a + pb, b + pa), so the ledger adds the
+    surplus of the cancelled step lists to prev's and passes when no
+    divisor the step touches goes negative.  The quotient is then
+    palindromic of degree D, so only its head modulo q^h, h = D // 2 + 1,
+    is built; the tail is the head mirrored.  The passes come from
+    _pair_doubles, for the step from prev's coefficients if it takes
+    strictly fewer than the rebuild from 1 (the two agree when prev is
+    _ONE), else for the rebuild: first a multiplication by (1 + q^d) for
+    every pair, ascending, then by every remaining (1 - q^u), then a
+    division by every remaining (1 - q^d), largest first.  Once the ledger
+    has passed, every partial quotient is a polynomial (the final quotient
     times the factors not yet divided out), so each pass stops at
-    min(its degree + 1, h); every division pass runs at h.
-
-    Without prev the ledger counts the divisors of the cancelled lists and
-    passes when no surplus is negative.  prev = (c, pa, pb, surplus)
-    offers c, the full coefficient list of the known quotient
-    Q(pa, pb) = prod(1 - q^pa_i) / prod(1 - q^pb_i), and its surplus; c
-    and surplus are not modified.  Q(a, b) is also
-    Q(pa, pb) * Q(a + pb, b + pa), so the ledger adds the surplus of the
-    cancelled step lists to the given one and passes when no divisor of
-    the step goes negative; the step plan, paired like the other, runs
-    from c instead of from 1 when it takes strictly fewer passes.  The
-    result must have coefficient sum prod(a) / prod(b), its value at
-    q = 1; anything else raises ArithmeticError, since it means a
-    construction error.
+    min(its degree + 1, h); every division pass runs at h.  The result
+    must have coefficient sum prod(a) / prod(b), its value at q = 1;
+    anything else raises ArithmeticError, since it means a construction
+    error.
     """
     num, den = _check_exponents(_check_size(a), b)
     degree = sum(num) - sum(den)
     if degree < 0:
         raise NotPolynomial(f"quotient of a={num} by b={den} has negative degree {degree}")
+    c, pa, pb, surplus = prev
     a, b = _cancel_common(num, den)
-    if prev is None:
-        surplus = _surplus(a, b)
-        polynomial = min(surplus.values(), default=0) >= 0
-    else:
-        step = _cancel_common((*a, *prev[2]), (*b, *prev[1]))
-        change = _surplus(*step)
-        surplus = prev[3].copy()
-        surplus.update(change)
-        polynomial = all(surplus[d] >= 0 for d in change)
-    if not polynomial:
+    step = _cancel_common((*a, *pb), (*b, *pa))
+    change = _surplus(*step)
+    surplus = surplus.copy()
+    surplus.update(change)
+    if any(surplus[d] < 0 for d in change):
         raise NotPolynomial(f"quotient of a={num} by b={den} is not a polynomial")
     h = degree // 2 + 1
-    c, plan = [1], _pair_doubles(a, b)
-    if prev is not None:
-        step_plan = _pair_doubles(*step)
-        if sum(map(len, step_plan)) < sum(map(len, plan)):
-            c, plan = prev[0], step_plan
+    plan, rebuild = _pair_doubles(*step), _pair_doubles(a, b)
+    if sum(map(len, rebuild)) <= sum(map(len, plan)):
+        c, plan = [1], rebuild
     pairs, ups, downs = plan
     deg = len(c) - 1
     c = c[:h]
@@ -468,7 +450,7 @@ def _quotient_coeffs(
         )
     # coefficient degree - i equals coefficient i
     c.extend(itertools.islice(reversed(c), middle, None))
-    return c, surplus
+    return c, a, b, surplus
 
 
 def _require_nonnegative(c: list[int], what: str) -> list[int]:
@@ -495,18 +477,18 @@ def qint(k: int) -> IntPoly:
 def gaussian_binomial(n: int, k: int) -> IntPoly:
     """Gaussian binomial [n choose k]_q.
 
-    Built by interleaved multiply-by-[n-k+i] / divide-by-[i] passes for
-    i = 1..k; each partial product is itself a Gaussian binomial, so every
-    division is exact.  Result is palindromic of degree k(n-k) with
-    nonnegative coefficients summing to binomial(n, k).  Independent of the
-    construction kernel, so it serves as an oracle for it.
+    Built by interleaved multiply-by-(1 - q^(n-k+i)) / divide-by-(1 - q^i)
+    passes for i = 1..k at full length; each partial product is the
+    Gaussian binomial [n-k+i choose i], so every division is exact.  Result
+    is palindromic of degree k(n-k) with nonnegative coefficients summing
+    to binomial(n, k).  Independent of the construction kernel, so it
+    serves as an oracle for it.
     """
     if n < 0 or k < 0 or k > n:
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
     c = [1]
     for i in range(1, k + 1):
-        c = _mul_qint(c, n - k + i)
-        c = _div_qint(c, i)
+        c = _div_exact(_mul_one_minus_qpow(c, n - k + i, len(c) + n - k + i), i)
     return IntPoly(c)
 
 
@@ -514,7 +496,7 @@ def _member(name: str, n: int, m: int | None, label: str) -> IntPoly:
     """Member n of a registry family through the kernel, n = 1 included."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    c, _ = _quotient_coeffs(*FAMILIES[name].exponents(n, m))
+    c = _quotient_coeffs(*FAMILIES[name].exponents(n, m))[0]
     return IntPoly(_require_nonnegative(c, label))
 
 
@@ -533,7 +515,9 @@ def q_catalan_via_binomial(n: int) -> IntPoly:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    c = _div_qint(list(gaussian_binomial(2 * n, n).coeffs), n + 1)
+    # [n+1] = (1 - q^(n+1)) / (1 - q)
+    c = list(gaussian_binomial(2 * n, n).coeffs)
+    c = _div_exact(_mul_one_minus_qpow(c, 1, len(c) + 1), n + 1)
     return IntPoly(_require_nonnegative(c, f"q_catalan_via_binomial({n})"))
 
 
@@ -641,10 +625,10 @@ def iter_family(
 
     The member at n_from comes from the family's builder; each later
     member is one kernel call on the registry lists a(n+1), b(n+1) with
-    prev = (member(n), a(n), b(n), surplus(n)); at n = 1 both lists are
-    empty.  The ledger surplus is counted once, for n_from, and carried:
-    each step adds only the divisor counts of its own factors u and d
-    below.  The kernel then picks the cheaper of the rebuild and the step
+    prev the record the kernel returned for member n, so the ledger
+    surplus is counted once, for n_from, and carried: each step adds only
+    the divisor counts of its own factors u and d below.  The kernel then
+    picks the cheaper of the rebuild and the step
 
         member(n+1) = member(n) * prod(1 - q^u) / prod(1 - q^d),
         u = a(n+1) + b(n),  d = b(n+1) + a(n),  common entries cancelled,
@@ -655,7 +639,7 @@ def iter_family(
     about 3n/2 for a rebuild.  m-Catalan with m >= n, roughly, rebuilds.
     Either way each member passes the ledger, the mass check and the
     nonnegativity check on its head, as a from-scratch build does.  Only
-    the current member and its surplus are held.
+    the current record is held.
     Bad arguments, and an n_to whose member exceeds the kernel's size
     limit, raise here, before any member is built.
     """
@@ -669,14 +653,11 @@ def iter_family(
 def _sweep(fam: Family, n_from: int, n_to: int, m: int | None) -> Iterator[IntPoly]:
     p = fam.build(n_from, m)
     yield p
-    c = list(p.coeffs)
-    pa, pb = map(tuple, fam.exponents(n_from, m))
-    surplus = _surplus(pa, pb)
+    a, b = _cancel_common(*fam.exponents(n_from, m))
+    record = (list(p.coeffs), a, b, _surplus(a, b))
     for n in range(n_from + 1, n_to + 1):
-        a, b = map(tuple, fam.exponents(n, m))
-        c, surplus = _quotient_coeffs(a, b, prev=(c, pa, pb, surplus))
-        yield IntPoly(_require_nonnegative(c, f"{fam.name} member n={n}"))
-        pa, pb = a, b
+        record = _quotient_coeffs(*fam.exponents(n, m), record)
+        yield IntPoly(_require_nonnegative(record[0], f"{fam.name} member n={n}"))
 
 
 def quotient_poly(spec: "QuotientSpec") -> IntPoly:

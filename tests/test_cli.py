@@ -371,7 +371,9 @@ def test_oversized_quotient_exits_2_before_building(argv, monkeypatch, capsys):
 
 
 def test_broken_construction_exits_3(monkeypatch, capsys):
-    monkeypatch.setattr(polyq, "_quotient_coeffs", lambda a, b, prev=None: ([1, -1, 1], Counter()))
+    monkeypatch.setattr(
+        polyq, "_quotient_coeffs", lambda a, b, prev=polyq._ONE: ([1, -1, 1], (), (), Counter())
+    )
     rc, out = run_cli("coeffs", "--family", "catalan", "--n", "3")
     assert rc == 3 and out == ""
     assert "q_catalan(3) has a negative coefficient" in capsys.readouterr().err

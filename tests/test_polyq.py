@@ -1,5 +1,6 @@
 """Polynomial arithmetic and q-object constructors."""
 
+import copy
 import math
 import random
 import tracemalloc
@@ -392,14 +393,13 @@ def test_kernel_from_prev_equals_the_build_from_one(prev, other, product):
     # kernel can reach from prev in the other quotient's passes
     pa, pb = prev
     a, b = (pa + other[0], pb + other[1]) if product else other
-    c = list(quotient_poly(SimpleNamespace(a=pa, b=pb)).coeffs)
-    surplus = polyq._surplus(pa, pb)
-    kept = c[:], surplus.copy()
-    stepped, carried = polyq._quotient_coeffs(a, b, prev=(c, pa, pb, surplus))
-    built, counted = polyq._quotient_coeffs(a, b)
-    assert stepped == built
-    assert +carried == +counted and -carried == -counted
-    assert (c, surplus) == kept
+    record = polyq._quotient_coeffs(pa, pb)
+    kept = copy.deepcopy(record)
+    stepped = polyq._quotient_coeffs(a, b, record)
+    built = polyq._quotient_coeffs(a, b)
+    assert stepped[:3] == built[:3]
+    assert +stepped[3] == +built[3] and -stepped[3] == -built[3]
+    assert record == kept and record[3].keys() == kept[3].keys()
 
 
 def test_kernel_runs_from_prev_only_when_it_saves_passes(monkeypatch):
@@ -413,7 +413,7 @@ def test_kernel_runs_from_prev_only_when_it_saves_passes(monkeypatch):
     # as many as the unpaired step (1 - q^2)/(1 - q^6), so it builds from 1
     counts.clear()
     prev = ([1] * 12, (12,), (1,), polyq._surplus((12,), (1,)))
-    c, _ = polyq._quotient_coeffs((2, 12), (1, 6), prev=prev)
+    c = polyq._quotient_coeffs((2, 12), (1, 6), prev=prev)[0]
     assert c == [1, 1, 0, 0, 0, 0, 1, 1]
     assert counts == {"_mul_one_plus_qpow": 2}
 
@@ -519,23 +519,52 @@ def test_registry_names_match_oracles():
     assert [name for name, f in FAMILIES.items() if f.takes_m] == ["mcatalan"]
 
 
+def sequential_member(name, n, m):
+    """Member n of a family by full-length passes on its registry lists,
+    independent of the kernel."""
+    return IntPoly(oracles.sequential_quotient(*FAMILIES[name].exponents(n, m)))
+
+
+@st.composite
+def sweep_ranges(draw):
+    # mcatalan with m up to 100 and n up to 12 rebuilds most members; the
+    # other families step from n = 2 on
+    name = draw(st.sampled_from(sorted(FAMILIES)))
+    top = 12 if FAMILIES[name].takes_m else 40
+    n_from, n_to = sorted(draw(st.tuples(st.integers(1, top), st.integers(1, top))))
+    return name, draw(st.integers(2, 100)), n_from, n_to
+
+
 @settings(max_examples=40, deadline=None)
-@given(
-    name=st.sampled_from(sorted(ORACLES)),
-    m=st.integers(2, 6),
-    bounds=st.tuples(st.integers(1, 40), st.integers(1, 40)).map(sorted),
-)
-def test_iter_family_matches_from_scratch_builders(name, m, bounds):
-    n_from, n_to = bounds
+@given(sweep=sweep_ranges())
+def test_iter_family_matches_from_scratch_builders(sweep):
+    name, m, n_from, n_to = sweep
     members = list(iter_family(name, n_from, n_to, m))
-    assert members == [ORACLES[name](n, m) for n in range(n_from, n_to + 1)]
+    assert members == [sequential_member(name, n, m) for n in range(n_from, n_to + 1)]
 
 
-def test_iter_family_steps_past_the_rebuild_crossover():
-    # m = 7 rebuilds while a step needs more passes than a rebuild (small n)
-    # and steps afterwards; both kinds of member must match the oracle
-    members = list(iter_family("mcatalan", 1, 20, 7))
-    assert members == [q_catalan_general(n, 7) for n in range(1, 21)]
+def test_iter_family_steps_past_the_rebuild_crossover(monkeypatch):
+    # m = 7 rebuilds while a step needs as many passes as a rebuild or more
+    # (n < 9) and steps afterwards; m = 100 rebuilds throughout.  A rebuild
+    # hands its first pass the list [1], a step the member before's head,
+    # and both kinds of member must match the oracle.
+    handed = []
+    for name in PASSES:
+        def record(c, k, size, _pass=getattr(polyq, name)):
+            handed.append(len(c))
+            return _pass(c, k, size)
+
+        monkeypatch.setattr(polyq, name, record)
+    for m, n_to, first_step in ((7, 20, 9), (100, 12, 13)):
+        members = iter_family("mcatalan", 1, n_to, m)
+        assert next(members) == sequential_member("mcatalan", 1, m)
+        stepped = []
+        for n in range(2, n_to + 1):
+            handed.clear()
+            assert next(members) == sequential_member("mcatalan", n, m)
+            if handed[0] > 1:
+                stepped.append(n)
+        assert stepped == list(range(first_step, n_to + 1))
 
 
 def test_iter_family_yields_lazily():
@@ -589,11 +618,11 @@ def test_carried_surplus_equals_the_count_from_scratch(name, m, n_to, monkeypatc
     kernel = polyq._quotient_coeffs
     seen = []
 
-    def spy(a, b, prev=None):
+    def spy(a, b, prev=polyq._ONE):
         a, b = tuple(a), tuple(b)  # a family member's exponent lists are lazy
-        c, surplus = kernel(a, b, prev)
-        seen.append((a, b, prev is not None, surplus))
-        return c, surplus
+        record = kernel(a, b, prev)
+        seen.append((a, b, prev is not polyq._ONE, record[3]))
+        return record
 
     monkeypatch.setattr(polyq, "_quotient_coeffs", spy)
     for _ in iter_family(name, 2, n_to, m):
@@ -612,13 +641,12 @@ def test_the_step_from_prev_rejects_exactly_the_non_polynomials(prev, other, pro
     # prev's surplus and counts only the step's factors
     pa, pb = prev
     a, b = (pa + other[0], pb + other[1]) if product else other
-    c = list(quotient_poly(SimpleNamespace(a=pa, b=pb)).coeffs)
-    carried = (c, pa, pb, polyq._surplus(pa, pb))
+    carried = polyq._quotient_coeffs(pa, pb)
     if oracles.is_polynomial_by_division(a, b):
-        assert polyq._quotient_coeffs(a, b, prev=carried)[0] == oracles.sequential_quotient(a, b)
+        assert polyq._quotient_coeffs(a, b, carried)[0] == oracles.sequential_quotient(a, b)
     else:
         with pytest.raises(NotPolynomial):
-            polyq._quotient_coeffs(a, b, prev=carried)
+            polyq._quotient_coeffs(a, b, carried)
 
 
 def test_a_large_reject_allocates_under_a_megabyte():
