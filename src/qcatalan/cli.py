@@ -6,10 +6,17 @@ deterministic: identical invocations produce byte-identical bytes.  Numbers
 are exact where the library is exact (integers in full, rationals as "p/q"
 strings); floats are printed to 12 significant digits.  Integers beyond
 2^53 are JSON-encoded as decimal strings so consumers that parse JSON
-numbers as doubles cannot silently lose digits.  Each cell is encoded by
-its exact type (None, bool, int, float, str or Fraction), and the JSON
-params take the same encoders as the rows.  Options are spelled in full:
-an abbreviation such as --bet for --beta is a usage error.
+numbers as doubles cannot silently lose digits.  Rows are typed by kind
+(coeff, moment, ratio, ks, mgf, density, a moments row, a shape row): a
+kind fixes each cell's column and type (bool, int, float, str or
+Fraction), and each row shape, a kind plus which of its cells are null,
+has one template per format.  Coefficient rows stream from the
+coefficient list as they are written, so peak memory is the list plus one
+block of encoded rows.  Every other row, and the widest coefficient, is
+computed and encoded before the first write, so an error leaves stdout
+empty by that order.  The JSON params take the same cell encoders as the
+rows.  Options are spelled in full: an abbreviation such as --bet for
+--beta is a usage error.
 
 Exit codes: 0 success, 1 the reader closed stdout before the output ended
 (`qcat ... | head -1`; nothing is written to stderr), 2 usage or validation
@@ -29,7 +36,7 @@ import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Any, Callable, Iterator, NamedTuple, Sequence, TextIO
 
 from .exactnum import bernoulli_table
 from .limitlaw import (
@@ -96,10 +103,10 @@ def _bool_text(v: bool) -> str:
     return "true" if v else "false"
 
 
-# Cell encoders by exact type, at C speed where one exists: the types the
-# commands write, each as json.dumps would write its JSON value (integers
-# past 2^53 and Fractions as strings, floats at 12 significant digits).
-# None is written before the lookup, as null or an empty CSV cell.
+# Cell encoders by type, at C speed where one exists: the types the commands
+# write, each as json.dumps would write its JSON value (integers past 2^53
+# and Fractions as strings, floats at 12 significant digits).  A null is
+# fixed text of its row shape's template: null, or an empty CSV cell.
 _JSON_CELLS: dict[type, Callable[[Any], str]] = {
     bool: _bool_text,
     int: _json_int,
@@ -116,78 +123,126 @@ _CSV_CELLS: dict[type, Callable[[Any], str]] = {
 }
 
 
-def _row_blocks(rows: Iterable[dict[str, Any]]) -> Iterator[list[dict[str, Any]]]:
-    it = iter(rows)
-    while block := list(itertools.islice(it, BLOCK_ROWS)):
-        yield block
+class RowKind(NamedTuple):
+    """One kind of table row.
+
+    `name` is the text of the row's "kind" cell, None in a table without
+    that column.  `cells` are the (column, type) pairs of its other cells in
+    column order, and a row is the tuple of their values, None for a null.
+    An indexed kind has two int cells, k and a coefficient: its rows are the
+    coefficients alone and k is the row's position, so a coefficient list
+    is its own rows.
+    """
+
+    name: str | None
+    cells: tuple[tuple[str, type], ...]
+    indexed: bool = False
 
 
-def _json_blocks(columns: Sequence[str], rows: Iterable[dict[str, Any]]) -> list[str]:
-    """The rows as json.dumps(indent=2) lays them out inside the envelope's
-    "rows" array, joined in blocks of BLOCK_ROWS rows; joined by commas,
-    the blocks give the array's contents."""
-    # Each cell is its column's '\n      "col": ' prefix and the value.
-    keys = [
-        ("," if i else "") + "\n      " + encode_basestring_ascii(col) + ": "
-        for i, col in enumerate(columns)
-    ]
-    nulls = [key + "null" for key in keys]
-    close = "\n    }" if columns else "}"
-    cells = _JSON_CELLS.__getitem__
-    return [
-        ",".join([
-            "\n    {"
-            + "".join([
-                null if v is None else key + cells(type(v))(v)
-                for key, null, v in zip(keys, nulls, map(row.get, columns))
-            ])
-            + close
-            for row in block
-        ])
-        for block in _row_blocks(rows)
-    ]
+def _template(columns: Sequence[str], kind: RowKind, nulls: Sequence[bool], fmt: str) -> str:
+    """The %-format text of one row shape: a row of `kind` whose cells
+    flagged in `nulls` are None.  Each other cell of the kind is a %s slot;
+    the "kind" cell and every null are fixed text."""
+    json = fmt == "json"
+    slots = {col for (col, _), null in zip(kind.cells, nulls) if not null}
+    texts = []
+    for col in columns:
+        if col in slots:
+            texts.append("%s")
+        elif col == "kind" and kind.name is not None:
+            name = encode_basestring_ascii(kind.name) if json else kind.name
+            texts.append(name.replace("%", "%%"))
+        else:
+            texts.append("null" if json else "")
+    if not json:
+        return ",".join(texts) + "\n"
+    body = ",".join([
+        "\n      " + encode_basestring_ascii(col).replace("%", "%%") + ": " + text
+        for col, text in zip(columns, texts)
+    ])
+    return "\n    {" + body + ("\n    }" if columns else "}")
+
+
+def _blocks(columns: Sequence[str], kind: RowKind, rows: Sequence[Any], fmt: str) -> Iterator[str]:
+    """The rows encoded from their shapes' templates and joined, BLOCK_ROWS
+    rows to a block: by commas in JSON (the "rows" array's separator), end
+    to end in CSV."""
+    cells = _JSON_CELLS if fmt == "json" else _CSV_CELLS
+    encoders = [cells[t] for _, t in kind.cells]
+    join = ",".join if fmt == "json" else "".join
+    if kind.indexed:  # row k is (k, rows[k]); no row object is built
+        index, value = encoders
+        text = _template(columns, kind, (False, False), fmt)
+        for start in range(0, len(rows), BLOCK_ROWS):
+            block = rows[start : start + BLOCK_ROWS]
+            ks = range(start, start + len(block))
+            yield join([text % (index(k), value(v)) for k, v in zip(ks, block)])
+        return
+    templates: dict[tuple[bool, ...], str] = {}
+    for start in range(0, len(rows), BLOCK_ROWS):
+        texts = []
+        for row in rows[start : start + BLOCK_ROWS]:
+            nulls = tuple([v is None for v in row])
+            text = templates.get(nulls)
+            if text is None:
+                text = templates[nulls] = _template(columns, kind, nulls, fmt)
+            texts.append(text % tuple([f(v) for f, v in zip(encoders, row) if v is not None]))
+        yield join(texts)
 
 
 def _emit(
     command: str,
     params: dict[str, Any],
     columns: Sequence[str],
-    rows: Sequence[dict[str, Any]],
+    parts: Sequence[tuple[RowKind, Sequence[Any]]],
     fmt: str,
     out: TextIO,
 ) -> None:
     """Write the table as CSV, or as the JSON envelope in the bytes of
-    json.dumps(envelope, indent=2) + "\n".  JSON is encoded whole before its
-    first write, so a value it cannot encode leaves `out` empty; CSV is
-    written as it is encoded, BLOCK_ROWS rows at a time."""
-    if fmt == "json":
+    json.dumps(envelope, indent=2) + "\n".
+
+    `parts` holds (kind, rows) pairs in output order.  Rows are typed by
+    kind and encoded from one template per row shape, BLOCK_ROWS rows at a
+    time.  A coefficient part (an indexed kind) streams straight from its
+    list, each block written as it is encoded, so peak memory is the list
+    plus one block.  The commands compute every other row before calling
+    here, and those few rows are encoded, with the params, before the first
+    write.  So is each stream's widest cell: an int cell fails only past the
+    interpreter's limit on int digits, and then the widest fails.  A cell
+    that cannot be encoded (that, or a non-finite float in JSON) therefore
+    leaves `out` empty by the order of the work, not by buffering.
+    """
+    json = fmt == "json"
+    blocks = [
+        _blocks(columns, kind, rows, fmt) if kind.indexed
+        else list(_blocks(columns, kind, rows, fmt))
+        for kind, rows in parts
+    ]
+    for kind, rows in parts:
+        if kind.indexed and rows:  # the widest cell fails first, if any does
+            (_JSON_CELLS if json else _CSV_CELLS)[int](max(max(rows), -min(rows)))
+    if json:
         fields = ",".join([
             "\n    " + encode_basestring_ascii(k) + ": "
             + ("null" if v is None else _JSON_CELLS[type(v)](v))
             for k, v in params.items()
         ])
-        blocks = _json_blocks(columns, rows)
         out.write(
             '{\n  "command": ' + encode_basestring_ascii(command)
             + ',\n  "params": ' + ("{" + fields + "\n  }" if fields else "{}")
             + ',\n  "rows": ['
         )
-        for i, block in enumerate(blocks):
-            out.write("," + block if i else block)
-        out.write("\n  ]" if blocks else "]")
+        sep = ""
+        for block in itertools.chain.from_iterable(blocks):
+            out.write(sep)
+            out.write(block)
+            sep = ","
+        out.write("\n  ]" if sep else "]")
         out.write(f',\n  "schema_version": {encode_basestring_ascii(SCHEMA_VERSION)}\n}}\n')
     else:
         out.write(",".join(columns) + "\n")
-        cells = _CSV_CELLS.__getitem__
-        for block in _row_blocks(rows):
-            out.write("".join([
-                ",".join([
-                    "" if v is None else cells(type(v))(v)
-                    for v in map(row.get, columns)
-                ])
-                + "\n"
-                for row in block
-            ]))
+        for block in itertools.chain.from_iterable(blocks):
+            out.write(block)
 
 
 def _check_m(family: str, m: int | None) -> None:
@@ -197,13 +252,26 @@ def _check_m(family: str, m: int | None) -> None:
         raise UsageError(f"--m only applies to the {takers} family, not {family!r}")
 
 
+def _columns(kind: RowKind) -> list[str]:
+    """The columns of a table of one kind."""
+    return [col for col, _ in kind.cells]
+
+
+_COEFFS = RowKind(None, (("k", int), ("coeff", int)), indexed=True)
+
+
 def _cmd_coeffs(args: argparse.Namespace, out: TextIO) -> int:
     _check_m(args.family, args.m)
     p = get_family(args.family, args.m).build(args.n, args.m)
-    rows = [{"k": k, "coeff": c} for k, c in enumerate(p.coeffs)]
     params = {"family": args.family, "n": args.n, "m": args.m}
-    _emit("coeffs", params, ["k", "coeff"], rows, args.format, out)
+    _emit("coeffs", params, _columns(_COEFFS), [(_COEFFS, p.coeffs)], args.format, out)
     return EXIT_OK
+
+
+_MOMENTS = RowKind(None, (
+    ("n", int), ("degree", int), ("mass", int), ("mean", Fraction), ("variance", Fraction),
+    ("closed_mean", Fraction), ("closed_variance", Fraction), ("match", bool),
+))
 
 
 def _cmd_moments(args: argparse.Namespace, out: TextIO) -> int:
@@ -215,29 +283,15 @@ def _cmd_moments(args: argparse.Namespace, out: TextIO) -> int:
         s = dist_summary(p)
         # sums and power sums, hence the closed forms, ignore cancellation
         c_mean, c_var = general_moments_closed(QuotientSpec(*exponents(n, args.m)))
-        rows.append(
-            {
-                "n": n,
-                "degree": s.degree,
-                "mass": s.mass,
-                "mean": s.mean,
-                "variance": s.variance,
-                "closed_mean": c_mean,
-                "closed_variance": c_var,
-                "match": s.mean == c_mean and s.variance == c_var,
-            }
-        )
+        match = s.mean == c_mean and s.variance == c_var
+        rows.append((n, s.degree, s.mass, s.mean, s.variance, c_mean, c_var, match))
     params = {
         "family": args.family,
         "n_from": args.n_from,
         "n_to": args.n_to,
         "m": args.m,
     }
-    columns = [
-        "n", "degree", "mass", "mean", "variance",
-        "closed_mean", "closed_variance", "match",
-    ]
-    _emit("moments", params, columns, rows, args.format, out)
+    _emit("moments", params, _columns(_MOMENTS), [(_MOMENTS, rows)], args.format, out)
     return EXIT_OK
 
 
@@ -276,6 +330,21 @@ def _check_mgf_work(n: int, grid: Sequence[float]) -> None:
         )
 
 
+_KS = RowKind("ks", (("ks", float),))
+_MGF = RowKind("mgf", tuple((col, float) for col in (
+    "t", "mgf_exact", "mgf_normal", "mgf_truncated", "mgf_residual",
+    "series_k1", "series_tail", "tail_delta",
+)))
+_DENSITY = RowKind("density", (
+    ("k", int), ("z", float), ("density", float), ("normal_density", float),
+))
+_NORMALITY_COLUMNS = [
+    "kind", "t", "ks", "mgf_exact", "mgf_normal", "mgf_truncated",
+    "mgf_residual", "series_k1", "series_tail", "tail_delta",
+    "k", "z", "density", "normal_density",
+]
+
+
 def _cmd_normality(args: argparse.Namespace, out: TextIO) -> int:
     if args.n < 2:
         raise UsageError(f"normality needs --n >= 2, got {args.n}")
@@ -291,72 +360,44 @@ def _cmd_normality(args: argparse.Namespace, out: TextIO) -> int:
     mean, variance = general_moments_closed(spec)
     c_mean, c_root = float(mean), math.sqrt(float(variance))
     coeffs = series_coefficients(spec, args.K + 10, bernoulli_table(args.K + 10))
-    rows: list[dict[str, Any]] = [{"kind": "ks", "ks": law.ks()}]
+    mgf_rows = []
     for t, exact in zip(grid, law.mgf_grid(grid)):
         terms = series_terms(coeffs, t)
         drift = mu * t / sigma
         trunc = math.exp(c_mean * t / c_root + math.fsum(terms[: args.K]) - drift)
         tail, delta = split_tail(terms, args.K)
-        rows.append(
-            {
-                "kind": "mgf",
-                "t": t,
-                "mgf_exact": exact,
-                "mgf_normal": math.exp(t * t / 2.0),
-                "mgf_truncated": trunc,
-                "mgf_residual": abs(exact - trunc),
-                "series_k1": terms[0],
-                "series_tail": tail,
-                "tail_delta": delta,
-            }
-        )
+        normal = math.exp(t * t / 2.0)
+        mgf_rows.append((t, exact, normal, trunc, abs(exact - trunc), terms[0], tail, delta))
+    density_rows = []
     for k, c in enumerate(p.coeffs):
         z = (k - mu) / sigma
-        rows.append(
-            {
-                "kind": "density",
-                "t": None,
-                "k": k,
-                "z": z,
-                "density": sigma * c / mass,
-                "normal_density": math.exp(-z * z / 2.0) / math.sqrt(2.0 * math.pi),
-            }
-        )
+        normal = math.exp(-z * z / 2.0) / math.sqrt(2.0 * math.pi)
+        density_rows.append((k, z, sigma * c / mass, normal))
     params = {"n": args.n, "K": args.K, "grid_step": args.grid_step}
-    columns = [
-        "kind", "t", "ks", "mgf_exact", "mgf_normal", "mgf_truncated",
-        "mgf_residual", "series_k1", "series_tail", "tail_delta",
-        "k", "z", "density", "normal_density",
-    ]
-    _emit("normality", params, columns, rows, args.format, out)
+    parts = [(_KS, [(law.ks(),)]), (_MGF, mgf_rows), (_DENSITY, density_rows)]
+    _emit("normality", params, _NORMALITY_COLUMNS, parts, args.format, out)
     return EXIT_OK
+
+
+# A shape report without its family, whose first field it is.
+_SHAPE = RowKind(None, (
+    ("n", int), ("degree", int), ("interior_unimodal", bool),
+    ("first_unimodality_violation", int), ("min_logconcave_t", int),
+    ("first_lc_violation_at_t0", int),
+))
 
 
 def _cmd_shape(args: argparse.Namespace, out: TextIO) -> int:
     _check_m(args.family, args.m)
     reports = scan_family(args.family, args.n_from, args.n_to, m=args.m)
-    rows = [
-        {
-            "n": r.n,
-            "degree": r.degree,
-            "interior_unimodal": r.interior_unimodal,
-            "first_unimodality_violation": r.first_unimodality_violation,
-            "min_logconcave_t": r.min_logconcave_t,
-            "first_lc_violation_at_t0": r.first_lc_violation_at_t0,
-        }
-        for r in reports
-    ]
+    rows = [r[1:] for r in reports]
     params = {
         "family": args.family,
         "n_from": args.n_from,
         "n_to": args.n_to,
         "m": args.m,
     }
-    columns = [
-        "n", "degree", "interior_unimodal", "first_unimodality_violation",
-        "min_logconcave_t", "first_lc_violation_at_t0",
-    ]
-    _emit("shape", params, columns, rows, args.format, out)
+    _emit("shape", params, _columns(_SHAPE), [(_SHAPE, rows)], args.format, out)
     return EXIT_OK
 
 
@@ -406,36 +447,36 @@ def _general_spec(args: argparse.Namespace) -> tuple[QuotientSpec, int, GecoPara
     return spec, n, params
 
 
+_COEFF = RowKind("coeff", (("k", int), ("coeff", int)), indexed=True)
+_MOMENT = RowKind("moment", (
+    ("mass", int), ("mean", Fraction), ("variance", Fraction),
+    ("closed_mean", Fraction), ("closed_variance", Fraction), ("match", bool),
+))
+_RATIO = RowKind("ratio", (("k", int), ("ratio", float), ("bound", float), ("ok", bool)))
+_GENERAL_COLUMNS = [
+    "kind", "k", "coeff", "mass", "mean", "variance", "closed_mean",
+    "closed_variance", "match", "ratio", "bound", "ok",
+]
+
+
 def _cmd_general(args: argparse.Namespace, out: TextIO) -> int:
     _check_K(args.K)
     spec, n, geco = _general_spec(args)
     p = quotient_poly(spec)
     c_mean, c_var = general_moments_closed(spec)
-    rows: list[dict[str, Any]] = [
-        {"kind": "coeff", "k": k, "coeff": c} for k, c in enumerate(p.coeffs)
-    ]
-    moment_row: dict[str, Any] = {
-        "kind": "moment",
-        "closed_mean": c_mean,
-        "closed_variance": c_var,
-    }
+    moment: tuple[Any, ...] = (None, None, None, c_mean, c_var, None)
     if min(p.coeffs, default=0) >= 0:
         s = dist_summary(p)
-        moment_row.update(
-            mass=s.mass,
-            mean=s.mean,
-            variance=s.variance,
-            match=s.mean == c_mean and s.variance == c_var,
-        )
-    rows.append(moment_row)
+        match = s.mean == c_mean and s.variance == c_var
+        moment = (s.mass, s.mean, s.variance, c_mean, c_var, match)
+    ratios = []
     if c_var > 0:  # S_1 = 12 var > 0, so the ratios S_k / S_1^k are defined
         for k, ratio in enumerate(condition_ratios(spec, args.K), 2):
-            row: dict[str, Any] = {"kind": "ratio", "k": k, "ratio": ratio}
-            if geco is not None:
+            if geco is None:
+                ratios.append((k, ratio, None, None))
+            else:
                 bound = geco.bound(n, k)
-                row["bound"] = bound
-                row["ok"] = ratio < bound
-            rows.append(row)
+                ratios.append((k, ratio, bound, ratio < bound))
     params = {
         "preset": args.preset,
         "n": args.n,
@@ -447,11 +488,8 @@ def _cmd_general(args: argparse.Namespace, out: TextIO) -> int:
         "beta": None if geco is None else geco.beta,
         "gamma": None if geco is None else geco.gamma,
     }
-    columns = [
-        "kind", "k", "coeff", "mass", "mean", "variance", "closed_mean",
-        "closed_variance", "match", "ratio", "bound", "ok",
-    ]
-    _emit("general", params, columns, rows, args.format, out)
+    parts = [(_COEFF, p.coeffs), (_MOMENT, [moment]), (_RATIO, ratios)]
+    _emit("general", params, _GENERAL_COLUMNS, parts, args.format, out)
     return EXIT_OK
 
 

@@ -17,9 +17,12 @@ in `shape` shortcuts with one pass.  `dist_summary` and `lc_violations`
 read every coefficient, as the library did before it read a palindrome by
 its head c_0..c_{d//2}.
 
-`emit` is the table writer as it was before `cli._emit` encoded its rows
-cell by cell: the generic `json` encoder on the whole envelope, and one
-CSV line per row, with cell encoders of its own.
+`emit` is the generic table writer that `cli._emit`'s row kinds replace:
+one dict per row, every cell looked up by column and encoded by its value,
+the generic `json` encoder on the whole envelope, and one CSV line per
+row, with cell encoders of its own.  `cli._emit` writes typed rows from
+one template per row shape and streams coefficient rows; tests compare
+the two byte for byte.
 
 Nothing here imports a private name of `qcatalan`, so an oracle never
 shares a helper with the code it checks: `power_sum` is the naive S_k,

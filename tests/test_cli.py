@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -478,20 +479,41 @@ def test_every_argv_exits_0_2_or_3_without_raising(argv):
     assert main(argv, out=io.StringIO()) in (0, 2, 3)
 
 
+_V = cli.RowKind(None, (("v", float),))
+_KC = cli.RowKind(None, (("k", int), ("coeff", int)), indexed=True)
+
+
 @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
 def test_emit_json_non_finite_writes_nothing(bad):
-    # OverflowError maps to exit 3; the envelope is checked before any write
-    out = io.StringIO()
-    with pytest.raises(OverflowError):
-        cli._emit("x", {"a": 1}, ["v"], [{"v": 1.0}, {"v": bad}], "json", out)
-    assert out.getvalue() == ""
+    # OverflowError maps to exit 3; every part but a coefficient stream is
+    # encoded before any write, even behind blocks of streamed coefficients
+    for columns, parts in (
+        (["v"], [(_V, [(1.0,), (bad,)])]),
+        (["k", "coeff", "v"], [(_KC, list(range(3 * cli.BLOCK_ROWS))), (_V, [(1.0,), (bad,)])]),
+    ):
+        out = io.StringIO()
+        with pytest.raises(OverflowError):
+            cli._emit("x", {"a": 1}, columns, parts, "json", out)
+        assert out.getvalue() == ""
+
+
+def _dict_rows(parts):
+    """Typed parts as the generic writer takes them: one dict per row."""
+    rows = []
+    for kind, part in parts:
+        names = [col for col, _ in kind.cells]
+        head = {} if kind.name is None else {"kind": kind.name}
+        for i, row in enumerate(part):
+            rows.append({**head, **dict(zip(names, (i, row) if kind.indexed else row))})
+    return rows
 
 
 def test_emit_json_in_blocks_matches_one_shot(monkeypatch):
-    rows = [{"k": k, "v": k / 7, "big": 3 ** k} for k in range(60)]
+    kind = cli.RowKind(None, (("k", int), ("v", float), ("big", int)))
+    parts = [(kind, [(k, k / 7, 3 ** k) for k in range(60)])]
     params = {"n": 5, "s": "x"}
     expected = io.StringIO()
-    cli._emit("x", params, ["k", "v", "big"], rows, "json", expected)
+    cli._emit("x", params, ["k", "v", "big"], parts, "json", expected)
     envelope = json.loads(expected.getvalue())
     assert expected.getvalue() == json.dumps(envelope, indent=2) + "\n"
     monkeypatch.setattr(cli, "BLOCK_ROWS", 3)
@@ -505,24 +527,33 @@ def test_emit_json_in_blocks_matches_one_shot(monkeypatch):
     for fmt in ("json", "csv"):
         writes.clear()
         out, one_shot = Recorder(), io.StringIO()
-        cli._emit("x", params, ["k", "v", "big"], rows, fmt, out)
-        oracles.emit("x", params, ["k", "v", "big"], rows, fmt, one_shot)
+        cli._emit("x", params, ["k", "v", "big"], parts, fmt, out)
+        oracles.emit("x", params, ["k", "v", "big"], _dict_rows(parts), fmt, one_shot)
         assert out.getvalue() == one_shot.getvalue()
         assert len(writes) >= 60 // 3  # one write per block of 3 rows at least
 
 
-_CELLS = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(-(2 ** 53) - 3, -(2 ** 53) + 3),
-    st.integers(2 ** 53 - 3, 2 ** 53 + 3),
-    st.integers(-(2 ** 300), 2 ** 300),
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from([-0.0, 0.0, 1e16, 1e-7, 123456789012345.0, 2.0 ** 53, 1 / 3]),
-    st.fractions(max_denominator=10 ** 30),
-    st.text(),
-    st.sampled_from(['"', "\\", "\n\t\x00\x1f", "caf\u00e9 \u2603 \U0001f600", "a,b"]),
-)
+# Cell values by type; _CELLS, their union with None, also fills the params.
+_TYPED = {
+    bool: st.booleans(),
+    int: st.one_of(
+        st.integers(-(2 ** 53) - 3, -(2 ** 53) + 3),
+        st.integers(2 ** 53 - 3, 2 ** 53 + 3),
+        st.integers(-(2 ** 300), 2 ** 300),
+    ),
+    float: st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([-0.0, 0.0, 1e16, 1e-7, 123456789012345.0, 2.0 ** 53, 1 / 3]),
+    ),
+    Fraction: st.fractions(max_denominator=10 ** 30),
+    str: st.one_of(
+        st.text(),
+        st.sampled_from(['"', "\\", "\n\t\x00\x1f", "caf\u00e9 \u2603 \U0001f600", "a,b", "%s"]),
+    ),
+}
+_CELLS = st.one_of(st.none(), *_TYPED.values())
+# Names with the characters a %-format template must escape.
+_NAMES = st.text(max_size=4) | st.sampled_from(["kind", "%", "%s", "a%%b"])
 
 
 def _outcome(emit, table, fmt):
@@ -535,26 +566,182 @@ def _outcome(emit, table, fmt):
 
 
 @st.composite
-def _tables(draw):
-    columns = draw(st.lists(st.text(max_size=4), unique=True, max_size=5))
-    keys = st.sampled_from(columns) | st.text(max_size=2) if columns else st.text(max_size=2)
-    rows = draw(st.lists(st.dictionaries(keys, _CELLS, max_size=6), max_size=12))
-    params = draw(st.dictionaries(st.text(max_size=4), _CELLS, max_size=3))
-    if rows and columns and draw(st.booleans()):  # one value JSON cannot hold
+def _kinds(draw, columns):
+    """A row kind on the columns: a name, cells of one type each in column
+    order, and, with two int cells, maybe indexed."""
+    name = draw(st.none() | _NAMES)
+    usable = [col for col in columns if name is None or col != "kind"]
+    chosen = set(draw(st.lists(st.sampled_from(usable), unique=True))) if usable else set()
+    types = st.sampled_from(list(_TYPED))
+    cells = tuple((col, draw(types)) for col in usable if col in chosen)
+    indexed = [t for _, t in cells] == [int, int] and draw(st.booleans())
+    return cli.RowKind(name, cells, indexed)
+
+
+# The tables the commands write: their columns and row kinds, in order.
+_COMMAND_TABLES = [
+    (cli._columns(cli._COEFFS), [cli._COEFFS]),
+    (cli._columns(cli._MOMENTS), [cli._MOMENTS]),
+    (cli._columns(cli._SHAPE), [cli._SHAPE]),
+    (cli._NORMALITY_COLUMNS, [cli._KS, cli._MGF, cli._DENSITY]),
+    (cli._GENERAL_COLUMNS, [cli._COEFF, cli._MOMENT, cli._RATIO]),
+]
+
+
+@st.composite
+def _tables(draw, block_rows):
+    """A table of typed parts: either a command's own columns and kinds, or
+    drawn ones.  A row's cells are each None or of their type, so every null
+    pattern of a kind is drawn (a shape row with a null violation, a moment
+    row with or without its distribution cells, a ratio row with or without
+    bound and ok); a coefficient stream is 0, block_rows - 1, block_rows or
+    block_rows + 1 rows long, or up to 12."""
+    if draw(st.booleans()):
+        columns, kinds = draw(st.sampled_from(_COMMAND_TABLES))
+        kinds = [kind for kind in kinds if draw(st.booleans())]
+    else:
+        columns = draw(st.lists(_NAMES, unique=True, max_size=5))
+        kinds = draw(st.lists(_kinds(columns), max_size=3))
+    sizes = st.sampled_from([0, block_rows - 1, block_rows, block_rows + 1]) | st.integers(0, 12)
+    parts = []
+    for kind in kinds:
+        if kind.indexed:
+            size = draw(sizes)
+            rows = draw(st.lists(_TYPED[int], min_size=size, max_size=size))
+        else:
+            cells = [st.none() | _TYPED[t] for _, t in kind.cells]
+            rows = draw(st.lists(st.tuples(*cells), max_size=12))
+        parts.append((kind, rows))
+    floats = [
+        (i, j, c)
+        for i, (kind, rows) in enumerate(parts)
+        for j in range(len(rows))
+        for c, (_, t) in enumerate(kind.cells)
+        if t is float
+    ]
+    if floats and draw(st.booleans()):  # one value JSON cannot hold
+        i, j, c = draw(st.sampled_from(floats))
         bad = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
-        draw(st.sampled_from(rows))[draw(st.sampled_from(columns))] = bad
-    return draw(st.text(max_size=6)), params, columns, rows
+        rows = parts[i][1]
+        rows[j] = rows[j][:c] + (bad,) + rows[j][c + 1 :]
+    params = draw(st.dictionaries(st.text(max_size=4), _CELLS, max_size=3))
+    return draw(st.text(max_size=6)), params, columns, parts
 
 
 @settings(max_examples=300, deadline=None)
-@given(table=_tables(), block_rows=st.integers(1, 5))
-def test_emit_equals_the_generic_encoder_byte_for_byte(table, block_rows):
+@given(data=st.data(), block_rows=st.integers(1, 5))
+def test_emit_equals_the_generic_encoder_byte_for_byte(data, block_rows):
+    command, params, columns, parts = data.draw(_tables(block_rows))
     with mock.patch.object(cli, "BLOCK_ROWS", block_rows):
         for fmt in ("json", "csv"):
-            got = _outcome(cli._emit, table, fmt)
-            assert got == _outcome(oracles.emit, table, fmt)
+            got = _outcome(cli._emit, (command, params, columns, parts), fmt)
+            generic = (command, params, columns, _dict_rows(parts))
+            assert got == _outcome(oracles.emit, generic, fmt)
             if got[0] is not None and fmt == "json":
                 assert got[1] == ""
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3, 4, 5])
+def test_emit_pins_the_null_shapes_at_the_block_edges(block_rows):
+    # each command kind with every null pattern its rows take, behind a
+    # coefficient stream that ends just before, on and just past a block
+    n_a, n_b, one = Fraction(7, 2), Fraction(35, 12), Fraction(1)
+    shapes = [(5, 20, True, None, 1, None), (6, 30, False, 4, None, 3), (7, 42, True, None, None, None)]
+    mgfs = [(0.5, 1.1, 1.2, 1.3, 0.01, 0.125, 1e-3, 1e-9), (1.0, 1.6, 1.7, 1.8, 0.2, 0.5, 0.03, None)]
+    tables = [
+        (cli._columns(cli._SHAPE), [(cli._SHAPE, shapes)]),
+        (cli._columns(cli._MOMENTS), [(cli._MOMENTS, [(2, 2, 2, one, one, one, one, True)])]),
+        (cli._NORMALITY_COLUMNS, [
+            (cli._KS, [(0.125,)]),
+            (cli._MGF, mgfs),
+            (cli._DENSITY, [(0, -2.5, 0.01, 0.02), (1, 0.0, 0.4, 0.39)]),
+        ]),
+    ]
+    for size in (0, block_rows - 1, block_rows, block_rows + 1):
+        coeffs = list(range(2 ** 53 - 2, 2 ** 53 - 2 + size))
+        tables += [
+            (cli._columns(cli._COEFFS), [(cli._COEFFS, coeffs)]),
+            (cli._GENERAL_COLUMNS, [
+                (cli._COEFF, coeffs),
+                (cli._MOMENT, [(8, n_a, n_b, n_a, n_b, True), (None, None, None, n_a, n_b, None)]),
+                (cli._RATIO, [(2, 0.25, None, None), (3, 0.125, 2.0, True), (4, 0.5, 0.1, False)]),
+            ]),
+        ]
+    with mock.patch.object(cli, "BLOCK_ROWS", block_rows):
+        for columns, parts in tables:
+            for fmt in ("json", "csv"):
+                got, generic = io.StringIO(), io.StringIO()
+                cli._emit("x", {"n": 3}, columns, parts, fmt, got)
+                oracles.emit("x", {"n": 3}, columns, _dict_rows(parts), fmt, generic)
+                assert got.getvalue() == generic.getvalue()
+
+
+class _CharCount:
+    """A stdout that keeps nothing but the number of characters written."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_general_holds_the_coefficient_list_and_one_block(fmt):
+    # rows stream from the coefficient list, BLOCK_ROWS at a time, so the
+    # peak is the list plus one encoded block, not every row and its text
+    coeffs = q_catalan(120).coeffs
+    size = sys.getsizeof(coeffs) + sum(map(sys.getsizeof, coeffs))
+    sink = _CharCount()
+    tracemalloc.start()
+    try:
+        rc = main(["general", "--preset", "catalan", "--n", "120", "--format", fmt], out=sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0 and sink.chars > len(coeffs) * 20
+    assert peak < 3 * size
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_failing_row_after_a_block_of_coefficients_writes_nothing(fmt, capsys):
+    # the ratio rows' envelope bound overflows; the coefficient rows ahead
+    # of them span more than a block, and none of them is written
+    assert q_catalan(40).degree + 1 == 1561 > cli.BLOCK_ROWS
+    rc, out = run_cli(
+        "general", "--preset", "catalan", "--n", "40", "--K", "400", "--alpha", "1e300",
+        "--beta", "-0.0001", "--gamma", "-0.1", "--format", fmt,
+    )
+    assert (rc, out) == (3, "")
+    assert "envelope bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # (1 + q)^2127: the mass 2^2127 has 641 digits, no coefficient over 639
+        ("2," * 2126 + "2", "1," * 2126 + "1"),
+        # (1 - q + q^2)^1360, signed, so no mass: its widest coefficient has
+        # 648 digits, and the coefficient rows come first
+        ("6,1," * 1359 + "6,1", "2,3," * 1359 + "2,3"),
+    ],
+    ids=["mass", "coefficient"],
+)
+def test_an_int_past_the_digit_limit_writes_nothing(a, b, fmt, capsys):
+    # under a 640-digit limit on int to str conversion, the cell past it is
+    # encoded before the first write
+    assert len(str(2 ** 2127)) == 641 and len(str(math.comb(2127, 1063))) == 639
+    argv = ["general", "--a", a, "--b", b, "--format", fmt]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        rc, out = run_cli(*argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (rc, out) == (2, "")
+    assert "Exceeds the limit (640 digits)" in capsys.readouterr().err
 
 
 # Start-up cost: the process pool, and dataclasses with the inspect, ast,
@@ -598,19 +785,32 @@ def test_K_past_its_limit_exits_2_before_building(argv, monkeypatch, capsys):
     assert f"need 2 <= --K <= {cli.K_MAX}" in capsys.readouterr().err
 
 
-def test_closed_pipe_exits_1_without_a_traceback():
+def _close_after_first_line(argv, first):
+    """Run qcat, close its stdout after the first line, and return its exit
+    code and stderr."""
     src = str(Path(qcatalan.__file__).resolve().parents[1])
-    # about 600 kB of rows, far past what the pipe buffers
     with subprocess.Popen(
-        [sys.executable, "-m", "qcatalan.cli", "coeffs", "--family", "catalan", "--n", "150"],
+        [sys.executable, "-m", "qcatalan.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env={**os.environ, "PYTHONPATH": src},
     ) as proc:
-        assert proc.stdout.readline() == b"k,coeff\n"
+        assert proc.stdout.readline() == first
         proc.stdout.close()
-        assert proc.wait(timeout=60) == 1
-        assert proc.stderr.read() == b""
+        return proc.wait(timeout=60), proc.stderr.read()
+
+
+def test_closed_pipe_exits_1_without_a_traceback():
+    # about 600 kB of rows, far past what the pipe buffers
+    argv = ["coeffs", "--family", "catalan", "--n", "150"]
+    assert _close_after_first_line(argv, b"k,coeff\n") == (1, b"")
+
+
+def test_closed_pipe_on_streamed_json_exits_1_without_a_traceback():
+    # about 6 MB of JSON rows: the closed pipe fails a write inside the
+    # writer's block loop, not the final flush
+    argv = ["general", "--preset", "catalan", "--n", "150", "--format", "json"]
+    assert _close_after_first_line(argv, b"{\n") == (1, b"")
 
 
 def test_K_limit_is_legal_and_documented(capsys):

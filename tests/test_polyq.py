@@ -660,3 +660,56 @@ def test_a_large_reject_allocates_under_a_megabyte():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+def alternating_sum_closed(a, b):
+    """Q(-1) for Q = prod(1 - q^a_i) / prod(1 - q^b_i), from the exponents.
+
+    At q = -1 a factor 1 - q^x is 2 for odd x; for even x it is
+    (1 - q^2)(1 + q^2 + ... + q^(x-2)), a simple zero times x/2.  So a
+    polynomial Q, whose zeros at -1 cannot be outnumbered by its poles, has
+    Q(-1) = 0 when a holds more even exponents than b, and otherwise, with
+    a and b equally long as a QuotientSpec holds them, the factors of 2
+    cancel and Q(-1) = prod_{even a}(x/2) / prod_{even b}(x/2).
+    """
+    even_a = [x for x in a if x % 2 == 0]
+    even_b = [x for x in b if x % 2 == 0]
+    assert len(a) == len(b) and len(even_a) >= len(even_b)
+    if len(even_a) > len(even_b):
+        return Fraction(0)
+    value = Fraction(1)
+    for x in even_a:
+        value *= Fraction(x, 2)
+    for x in even_b:
+        value /= Fraction(x, 2)
+    return value
+
+
+def alternating_sum(coeffs):
+    """sum (-1)^k c_k, the polynomial at q = -1."""
+    return sum(coeffs[0::2]) - sum(coeffs[1::2])
+
+
+@pytest.mark.parametrize(
+    "name, m", [("catalan", None), ("catalan2", None), ("mcatalan", 3), ("mcatalan", 7)]
+)
+def test_every_family_member_takes_its_closed_value_at_q_minus_1(name, m):
+    # q = -1 weighs the coefficients by sign, so it sees a corruption that
+    # keeps the mass Q(1), such as +1 at k and -1 at k + 5
+    exponents = FAMILIES[name].exponents
+    for n, p in zip(range(1, 60), iter_family(name, 1, 59, m)):
+        a, b = map(tuple, exponents(n, m))
+        assert Fraction(alternating_sum(p.coeffs)) == alternating_sum_closed(a, b), (name, m, n)
+    broken = list(p.coeffs)
+    broken[3] += 1
+    broken[8] -= 1
+    assert sum(broken) == sum(p.coeffs)
+    assert Fraction(alternating_sum(broken)) != alternating_sum_closed(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lists=polynomial_lists())
+def test_a_polynomial_quotient_takes_its_closed_value_at_q_minus_1(lists):
+    a, b = lists
+    p = quotient_poly(QuotientSpec(a=a, b=b))
+    assert Fraction(alternating_sum(p.coeffs)) == alternating_sum_closed(a, b)
