@@ -21,8 +21,9 @@ rows.  Options are spelled in full: an abbreviation such as --bet for
 Exit codes: 0 success, 1 the reader closed stdout before the output ended
 (`qcat ... | head -1`; nothing is written to stderr), 2 usage or validation
 error (including a quotient whose numerator exponents sum past
-polyq.SUM_LIMIT, --K past K_MAX, and a `normality` grid whose mgf work
-passes MGF_WORK_MAX), 3 domain error: any ArithmeticError, such as a
+polyq.SUM_LIMIT, --K past K_MAX, a `normality` grid whose mgf work
+passes MGF_WORK_MAX, and an integer to write past the interpreter's limit
+on int-to-text digits, PYTHONINTMAXSTRDIGITS), 3 domain error: any ArithmeticError, such as a
 quotient that is not a polynomial, a value that left float range, or a
 construction that failed its own checks.
 """
@@ -65,8 +66,8 @@ GRID_MAX_POINTS = 4001
 K_MAX = 500
 # Largest mgf work `normality` accepts: distinct |t| on the grid times the
 # n(n - 1) + 1 support points of q_catalan(n), one float term each, about
-# 0.53 us apiece (2^25 is about 18 s).  --n 100 --grid-step 0.001 (19.8M)
-# stays legal.
+# 0.2 us apiece with its share of the sort (2^25 is about 7 s).  --n 100
+# --grid-step 0.001 (19.8M) stays legal and takes 3-4 s.
 MGF_WORK_MAX = 2 ** 25
 # The float options.  argparse reads a negative number written with an
 # exponent (-1e-3) as an unknown flag, so main joins each of these options
@@ -103,10 +104,11 @@ def _bool_text(v: bool) -> str:
     return "true" if v else "false"
 
 
-# Cell encoders by type, at C speed where one exists: the types the commands
-# write, each as json.dumps would write its JSON value (integers past 2^53
-# and Fractions as strings, floats at 12 significant digits).  A null is
-# fixed text of its row shape's template: null, or an empty CSV cell.
+# JSON cell encoders by type, at C speed where one exists: the types the
+# commands write, each as json.dumps would write its JSON value (integers
+# past 2^53 and Fractions as strings, floats at 12 significant digits).  A
+# JSON template writes each encoded cell with %s.  A null is fixed text of
+# its row shape's template: null, or an empty CSV cell.
 _JSON_CELLS: dict[type, Callable[[Any], str]] = {
     bool: _bool_text,
     int: _json_int,
@@ -114,13 +116,11 @@ _JSON_CELLS: dict[type, Callable[[Any], str]] = {
     str: encode_basestring_ascii,
     Fraction: lambda v: encode_basestring_ascii(str(v)),
 }
-_CSV_CELLS: dict[type, Callable[[Any], str]] = {
-    bool: _bool_text,
-    int: int.__repr__,
-    float: _fmt_float,
-    str: str,
-    Fraction: Fraction.__str__,
-}
+# A CSV template writes each cell type by its own %-conversion: %d gives the
+# digits of int.__repr__, %.12g the text of _fmt_float, and %s that of str
+# and Fraction.__str__.  Only a bool goes through an encoder first.
+_CSV_SLOTS: dict[type, str] = {bool: "%s", int: "%d", float: "%.12g", str: "%s", Fraction: "%s"}
+_CSV_CELLS: dict[type, Callable[[Any], str]] = {bool: _bool_text}
 
 
 class RowKind(NamedTuple):
@@ -139,16 +139,16 @@ class RowKind(NamedTuple):
     indexed: bool = False
 
 
-def _template(columns: Sequence[str], kind: RowKind, nulls: Sequence[bool], fmt: str) -> str:
-    """The %-format text of one row shape: a row of `kind` whose cells
-    flagged in `nulls` are None.  Each other cell of the kind is a %s slot;
-    the "kind" cell and every null are fixed text."""
+def _template(columns: Sequence[str], kind: RowKind, slots: Sequence[str | None], fmt: str) -> str:
+    """The %-format text of one row shape: a row of `kind` whose cells are
+    written by `slots`, one %-conversion per cell and None for a null.  The
+    "kind" cell and every null are fixed text."""
     json = fmt == "json"
-    slots = {col for (col, _), null in zip(kind.cells, nulls) if not null}
+    by_column = {col: slot for (col, _), slot in zip(kind.cells, slots) if slot is not None}
     texts = []
     for col in columns:
-        if col in slots:
-            texts.append("%s")
+        if col in by_column:
+            texts.append(by_column[col])
         elif col == "kind" and kind.name is not None:
             name = encode_basestring_ascii(kind.name) if json else kind.name
             texts.append(name.replace("%", "%%"))
@@ -163,30 +163,52 @@ def _template(columns: Sequence[str], kind: RowKind, nulls: Sequence[bool], fmt:
     return "\n    {" + body + ("\n    }" if columns else "}")
 
 
+def _int_cell(fmt: str) -> Callable[[int], str]:
+    """The encoder of a coefficient cell: %s of int.__repr__ in CSV, which
+    is faster than %d on big ints."""
+    return _json_int if fmt == "json" else int.__repr__
+
+
 def _blocks(columns: Sequence[str], kind: RowKind, rows: Sequence[Any], fmt: str) -> Iterator[str]:
     """The rows encoded from their shapes' templates and joined, BLOCK_ROWS
     rows to a block: by commas in JSON (the "rows" array's separator), end
-    to end in CSV."""
-    cells = _JSON_CELLS if fmt == "json" else _CSV_CELLS
-    encoders = [cells[t] for _, t in kind.cells]
-    join = ",".join if fmt == "json" else "".join
+    to end in CSV.
+
+    A block with no null cell is one pass of its template over the block,
+    after each column that needs an encoder has gone through it once; a
+    block with a null encodes row by row, one template per null pattern."""
+    json = fmt == "json"
+    join = ",".join if json else "".join
     if kind.indexed:  # row k is (k, rows[k]); no row object is built
-        index, value = encoders
-        text = _template(columns, kind, (False, False), fmt)
+        encode = _int_cell(fmt)
+        text = _template(columns, kind, ("%s", "%s"), fmt)
         for start in range(0, len(rows), BLOCK_ROWS):
             block = rows[start : start + BLOCK_ROWS]
             ks = range(start, start + len(block))
-            yield join([text % (index(k), value(v)) for k, v in zip(ks, block)])
+            yield join([text % (encode(k), encode(v)) for k, v in zip(ks, block)])
         return
+    slots = ["%s" if json else _CSV_SLOTS[t] for _, t in kind.cells]
+    encoders = [(_JSON_CELLS if json else _CSV_CELLS).get(t) for _, t in kind.cells]
+    plain = _template(columns, kind, slots, fmt)
     templates: dict[tuple[bool, ...], str] = {}
     for start in range(0, len(rows), BLOCK_ROWS):
+        block = rows[start : start + BLOCK_ROWS]
+        if None not in itertools.chain.from_iterable(block):
+            if any(encoders):
+                cells = zip(encoders, zip(*block))
+                block = zip(*[col if f is None else map(f, col) for f, col in cells])
+            yield join(map(plain.__mod__, block))
+            continue
         texts = []
-        for row in rows[start : start + BLOCK_ROWS]:
+        for row in block:
             nulls = tuple([v is None for v in row])
             text = templates.get(nulls)
             if text is None:
-                text = templates[nulls] = _template(columns, kind, nulls, fmt)
-            texts.append(text % tuple([f(v) for f, v in zip(encoders, row) if v is not None]))
+                shape = [None if null else slot for slot, null in zip(slots, nulls)]
+                text = templates[nulls] = _template(columns, kind, shape, fmt)
+            texts.append(text % tuple([
+                v if f is None else f(v) for f, v in zip(encoders, row) if v is not None
+            ]))
         yield join(texts)
 
 
@@ -208,25 +230,36 @@ def _emit(
     plus one block.  The commands compute every other row before calling
     here, and those few rows are encoded, with the params, before the first
     write.  So is each stream's widest cell: an int cell fails only past the
-    interpreter's limit on int digits, and then the widest fails.  A cell
-    that cannot be encoded (that, or a non-finite float in JSON) therefore
-    leaves `out` empty by the order of the work, not by buffering.
+    interpreter's limit on int digits, and then the widest fails, with a
+    ValueError that names the limit.  A cell that cannot be encoded (that,
+    or a non-finite float in JSON) therefore leaves `out` empty by the order
+    of the work, not by buffering.
     """
     json = fmt == "json"
-    blocks = [
-        _blocks(columns, kind, rows, fmt) if kind.indexed
-        else list(_blocks(columns, kind, rows, fmt))
-        for kind, rows in parts
-    ]
-    for kind, rows in parts:
-        if kind.indexed and rows:  # the widest cell fails first, if any does
-            (_JSON_CELLS if json else _CSV_CELLS)[int](max(max(rows), -min(rows)))
-    if json:
+    try:
+        blocks = [
+            _blocks(columns, kind, rows, fmt) if kind.indexed
+            else list(_blocks(columns, kind, rows, fmt))
+            for kind, rows in parts
+        ]
+        for kind, rows in parts:
+            if kind.indexed and rows:  # the widest cell fails first, if any does
+                _int_cell(fmt)(max(max(rows), -min(rows)))
         fields = ",".join([
             "\n    " + encode_basestring_ascii(k) + ": "
             + ("null" if v is None else _JSON_CELLS[type(v)](v))
             for k, v in params.items()
-        ])
+        ]) if json else ""
+    except ValueError:
+        # the one ValueError a cell encoder raises: an int, or a Fraction's
+        # numerator or denominator, past the interpreter's limit on the
+        # digits it converts to text
+        raise ValueError(
+            f"an integer to write has more than {sys.get_int_max_str_digits()} digits, "
+            "the interpreter's limit on converting an integer to text; the "
+            "environment variable PYTHONINTMAXSTRDIGITS sets that limit (0 removes it)"
+        ) from None
+    if json:
         out.write(
             '{\n  "command": ' + encode_basestring_ascii(command)
             + ',\n  "params": ' + ("{" + fields + "\n  }" if fields else "{}")

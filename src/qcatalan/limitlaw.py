@@ -25,7 +25,8 @@ S_k comes from moments.power_sums and B_{2k} / (2k (2k)!) from
 exactnum.log_sinh_series_coeff, each the one place its quantity is computed.
 Everything that does not depend on t (the exact summary of the law, its
 log-weights, the series coefficients) is prepared once; a t grid then costs
-one float pass over the support and K multiplications per point.
+one float pass and one sort over the support and K multiplications per
+point.
 """
 
 from __future__ import annotations
@@ -277,9 +278,10 @@ class StandardizedLaw:
     P(X = k) is proportional to c_k and X* = (X - mean)/sigma.  Building it
     takes the one exact dist_summary of p and stores, for every k with
     c_k > 0, the float offset k - mean and log(c_k), so each mgf(t) is one
-    float pass over the support.  A palindrome of degree d has mean d/2, so
-    only its head k <= d/2 is computed: the offset of d - k is exactly
-    -(k - mean) and its log-weight is that of k, and both are mirrored.
+    float pass and one sort over the support.  A palindrome of degree d has
+    mean d/2, so only its head k <= d/2 is computed: the offset of d - k is
+    exactly -(k - mean) and its log-weight is that of k, and both are
+    mirrored.
     """
 
     def __init__(self, p: IntPoly):
@@ -312,10 +314,14 @@ class StandardizedLaw:
 
         Every exponential inside the sum is <= 1, so the only way to
         overflow is the final exp, which raises instead of returning inf.
+        The log-terms are sorted largest first, so the top is the first and
+        fsum keeps few partials alive.  fsum is correctly rounded, so the
+        order is for speed only: any order gives the same float.
         """
         sigma = self.sigma
         logs = [t * x / sigma + lc for x, lc in zip(self.offsets, self.log_weights)]
-        top = max(logs)
+        logs.sort(reverse=True)
+        top = logs[0]
         ln_e = top + math.log(math.fsum(map(math.exp, [v - top for v in logs]))) - self.log_mass
         if ln_e > 709.0:
             raise OverflowError(f"standardized MGF exceeds float range (ln = {ln_e:.1f})")

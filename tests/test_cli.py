@@ -676,6 +676,67 @@ def test_emit_pins_the_null_shapes_at_the_block_edges(block_rows):
                 assert got.getvalue() == generic.getvalue()
 
 
+# The float and int cells whose text the plain-block templates write
+# themselves in CSV (%.12g, %d) and encode a column at a time in JSON.
+_EDGE_FLOATS = [-0.0, 5e-324, 1e-05, 123.0, 1e12, 1e16, 1.7976931348623157e308]
+_EDGE_INTS = [2 ** 53 - 1, -(2 ** 53 - 1), 2 ** 53, -(2 ** 53)]
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3, 4, 5])
+def test_emit_pins_the_plain_blocks(block_rows):
+    # blocks with no null go through their template in one pass; the nulls
+    # in the mixed rows put plain and null rows into one block at some sizes
+    density = [(k, x, -x, x / 3) for k, x in zip(_EDGE_INTS * 2, _EDGE_FLOATS)]
+    cells = (("i", int), ("x", float), ("b", bool), ("s", str), ("f", Fraction))
+    mixed = cli.RowKind("mix%", cells)
+    mixed_rows = [
+        (i, x, i > 0, "a,%s", Fraction(i, 3)) for i, x in zip(_EDGE_INTS * 2, _EDGE_FLOATS)
+    ]
+    mixed_rows[2] = (None, 1.5, None, "n", None)
+    mixed_rows[5] = (7, None, True, None, Fraction(1, 2))
+    third = Fraction(1, 3)
+    moments = [(i, 3, i, Fraction(i, 7), third, third, third, i > 0) for i in _EDGE_INTS]
+    tables = [
+        (cli._NORMALITY_COLUMNS, [
+            (cli._KS, [(x,) for x in _EDGE_FLOATS]),
+            (cli._DENSITY, density),
+        ]),
+        (["kind", "i", "x", "b", "s", "f"], [(mixed, mixed_rows)]),
+        (cli._columns(cli._MOMENTS), [(cli._MOMENTS, moments)]),
+    ]
+    with mock.patch.object(cli, "BLOCK_ROWS", block_rows):
+        for columns, parts in tables:
+            for fmt in ("json", "csv"):
+                got, generic = io.StringIO(), io.StringIO()
+                cli._emit("x", {"n": 3}, columns, parts, fmt, got)
+                oracles.emit("x", {"n": 3}, columns, _dict_rows(parts), fmt, generic)
+                assert got.getvalue() == generic.getvalue()
+        for bad in (math.nan, math.inf, -math.inf):
+            parts = [(cli._DENSITY, density[:3] + [(3, 0.5, bad, 1.0)] + density[3:])]
+            got, generic = io.StringIO(), io.StringIO()
+            cli._emit("x", {"n": 3}, cli._NORMALITY_COLUMNS, parts, "csv", got)
+            oracles.emit("x", {"n": 3}, cli._NORMALITY_COLUMNS, _dict_rows(parts), "csv", generic)
+            assert got.getvalue() == generic.getvalue()
+            out = io.StringIO()
+            with pytest.raises(OverflowError):
+                cli._emit("x", {"n": 3}, cli._NORMALITY_COLUMNS, parts, "json", out)
+            assert out.getvalue() == ""
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_mgf_exits_3_in_json_and_is_written_in_csv(bad):
+    # every mgf row of `normality` is plain (no null cell)
+    def mgf_grid(law, ts):
+        return [bad] * len(ts)
+
+    with mock.patch.object(qcatalan.limitlaw.StandardizedLaw, "mgf_grid", mgf_grid):
+        assert run_cli("normality", "--n", "5", "--format", "json") == (3, "")
+        rc, text = run_cli("normality", "--n", "5")
+    assert rc == 0
+    mgf_rows = [line.split(",") for line in text.splitlines() if line.startswith("mgf,")]
+    assert len(mgf_rows) == 9 and {row[3] for row in mgf_rows} == {repr(bad)}
+
+
 class _CharCount:
     """A stdout that keeps nothing but the number of characters written."""
 
@@ -741,7 +802,9 @@ def test_an_int_past_the_digit_limit_writes_nothing(a, b, fmt, capsys):
     finally:
         sys.set_int_max_str_digits(limit)
     assert (rc, out) == (2, "")
-    assert "Exceeds the limit (640 digits)" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "more than 640 digits" in err and "PYTHONINTMAXSTRDIGITS" in err
+    assert "set_int_max_str_digits" not in err
 
 
 # Start-up cost: the process pool, and dataclasses with the inspect, ast,

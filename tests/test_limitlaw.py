@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qcatalan.exactnum import bernoulli_table
@@ -342,6 +342,48 @@ def test_standardized_law_equals_oracle_on_the_grid():
         p = q_catalan(n)
         expected = [oracles.exact_standardized_mgf(p, t) for t in T_GRID]
         assert StandardizedLaw(p).mgf_grid(T_GRID) == expected
+
+
+# coefficient weights: small ones, zeros among them, and up to 10^300
+_WEIGHTS = st.integers(0, 3) | st.integers(0, 10 ** 300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    head=st.integers(1, 200).flatmap(lambda n: st.lists(_WEIGHTS, min_size=n, max_size=n)),
+    mirror=st.sampled_from([None, 0, 1]),
+    t=st.just(0.0) | st.floats(-2.0, 2.0),
+)
+def test_mgf_is_the_correctly_rounded_sum_in_any_order(head, mirror, t):
+    # mgf sums its terms largest first, the oracle in support order; fsum is
+    # correctly rounded, so the two agree to the bit on any law, palindromic
+    # (the head mirrored, with or without a shared middle) or not
+    coeffs = head if mirror is None else head + head[::-1][mirror:]
+    assume(sum(c > 0 for c in coeffs) >= 2)
+    p = IntPoly(coeffs)
+    law = StandardizedLaw(p)
+    try:
+        expected = oracles.exact_standardized_mgf(p, t)
+    except OverflowError:
+        expected = math.inf
+    if expected >= math.exp(709.0):  # the law refuses ln E past 709
+        with pytest.raises(OverflowError):
+            law.mgf(t)
+    else:
+        assert law.mgf(t) == expected
+
+
+def test_mgf_sums_exactly_where_a_plain_sum_does_not():
+    # the sorted terms are 1, a middle term whose last bit makes 1 plus it a
+    # rounding tie, and one below 2^-107 that decides the tie: the builtin
+    # sum rounds the tie to even, compensated or not (Python 3.12 on), and
+    # misses their exact sum by an ulp, and the mgf would move with it
+    p, t = IntPoly([10 ** 42, 10 ** 41, 2]), 0.5
+    law = StandardizedLaw(p)
+    logs = sorted([t * x / law.sigma + lc for x, lc in zip(law.offsets, law.log_weights)])
+    terms = [math.exp(v - logs[-1]) for v in reversed(logs)]
+    assert sum(terms) != math.fsum(terms)
+    assert law.mgf(t) == oracles.exact_standardized_mgf(p, t)
 
 
 def test_mgf_grid_mirrors_only_palindromic_laws():
