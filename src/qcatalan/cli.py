@@ -9,8 +9,9 @@ strings); floats are printed to 12 significant digits.  Integers beyond
 numbers as doubles cannot silently lose digits.  Rows are typed by kind
 (coeff, moment, ratio, ks, mgf, density, a moments row, a shape row): a
 kind fixes each cell's column and type (bool, int, float, str or
-Fraction), and each row shape, a kind plus which of its cells are null,
-has one template per format.  Coefficient rows stream from the
+Fraction).  Every kind is written one way, a block of rows at a time taken
+as columns: the columns that hold a null fix the block's shape, and each
+shape has one template per format.  Coefficient rows stream from the
 coefficient list as they are written, so peak memory is the list plus one
 block of encoded rows.  Every other row, and the widest coefficient, is
 computed and encoded before the first write, so an error leaves stdout
@@ -107,8 +108,7 @@ def _bool_text(v: bool) -> str:
 # JSON cell encoders by type, at C speed where one exists: the types the
 # commands write, each as json.dumps would write its JSON value (integers
 # past 2^53 and Fractions as strings, floats at 12 significant digits).  A
-# JSON template writes each encoded cell with %s.  A null is fixed text of
-# its row shape's template: null, or an empty CSV cell.
+# JSON template writes each encoded cell with %s.
 _JSON_CELLS: dict[type, Callable[[Any], str]] = {
     bool: _bool_text,
     int: _json_int,
@@ -139,77 +139,66 @@ class RowKind(NamedTuple):
     indexed: bool = False
 
 
-def _template(columns: Sequence[str], kind: RowKind, slots: Sequence[str | None], fmt: str) -> str:
-    """The %-format text of one row shape: a row of `kind` whose cells are
-    written by `slots`, one %-conversion per cell and None for a null.  The
-    "kind" cell and every null are fixed text."""
+def _shape(
+    columns: Sequence[str], kind: RowKind, nulls: Sequence[bool], fmt: str
+) -> tuple[str, list[Callable[[Any], str] | None]]:
+    """The %-format template of a block of `kind` whose cell columns hold a
+    null where `nulls` says, and the encoder each of those columns goes
+    through first, None for one the template writes itself.
+
+    A column that holds a null is written with %s, by an encoder that gives
+    null (JSON) or empty text (CSV) for None and otherwise the text of its
+    type's own encoder or slot.  The "kind" cell and the columns the kind
+    lacks are fixed text."""
     json = fmt == "json"
-    by_column = {col: slot for (col, _), slot in zip(kind.cells, slots) if slot is not None}
+    null = "null" if json else ""
+    slots, encoders = {}, []
+    for (col, t), nullable in zip(kind.cells, nulls):
+        slot, encode = ("%s", _JSON_CELLS[t]) if json else (_CSV_SLOTS[t], _CSV_CELLS.get(t))
+        if nullable:
+            text = encode or slot.__mod__
+            slot, encode = "%s", lambda v, text=text: null if v is None else text(v)
+        slots[col] = slot
+        encoders.append(encode)
     texts = []
     for col in columns:
-        if col in by_column:
-            texts.append(by_column[col])
+        if col in slots:
+            texts.append(slots[col])
         elif col == "kind" and kind.name is not None:
             name = encode_basestring_ascii(kind.name) if json else kind.name
             texts.append(name.replace("%", "%%"))
         else:
-            texts.append("null" if json else "")
+            texts.append(null)
     if not json:
-        return ",".join(texts) + "\n"
+        return ",".join(texts) + "\n", encoders
     body = ",".join([
         "\n      " + encode_basestring_ascii(col).replace("%", "%%") + ": " + text
         for col, text in zip(columns, texts)
     ])
-    return "\n    {" + body + ("\n    }" if columns else "}")
-
-
-def _int_cell(fmt: str) -> Callable[[int], str]:
-    """The encoder of a coefficient cell: %s of int.__repr__ in CSV, which
-    is faster than %d on big ints."""
-    return _json_int if fmt == "json" else int.__repr__
+    return "\n    {" + body + ("\n    }" if columns else "}"), encoders
 
 
 def _blocks(columns: Sequence[str], kind: RowKind, rows: Sequence[Any], fmt: str) -> Iterator[str]:
-    """The rows encoded from their shapes' templates and joined, BLOCK_ROWS
-    rows to a block: by commas in JSON (the "rows" array's separator), end
-    to end in CSV.
+    """The rows encoded and joined, BLOCK_ROWS rows to a block: by commas in
+    JSON (the "rows" array's separator), end to end in CSV.
 
-    A block with no null cell is one pass of its template over the block,
-    after each column that needs an encoder has gone through it once; a
-    block with a null encodes row by row, one template per null pattern."""
-    json = fmt == "json"
-    join = ",".join if json else "".join
-    if kind.indexed:  # row k is (k, rows[k]); no row object is built
-        encode = _int_cell(fmt)
-        text = _template(columns, kind, ("%s", "%s"), fmt)
-        for start in range(0, len(rows), BLOCK_ROWS):
-            block = rows[start : start + BLOCK_ROWS]
-            ks = range(start, start + len(block))
-            yield join([text % (encode(k), encode(v)) for k, v in zip(ks, block)])
-        return
-    slots = ["%s" if json else _CSV_SLOTS[t] for _, t in kind.cells]
-    encoders = [(_JSON_CELLS if json else _CSV_CELLS).get(t) for _, t in kind.cells]
-    plain = _template(columns, kind, slots, fmt)
-    templates: dict[tuple[bool, ...], str] = {}
+    Each block is taken as columns, an indexed kind's k being the range of
+    the block's positions beside its coefficients.  The columns that hold a
+    null fix the block's shape, whose template and encoders are built on
+    its first use.  Each column with an encoder goes through it once, and
+    the template writes the block in one pass."""
+    join = ",".join if fmt == "json" else "".join
+    shapes: dict[tuple[bool, ...], tuple[str, list[Callable[[Any], str] | None]]] = {}
     for start in range(0, len(rows), BLOCK_ROWS):
         block = rows[start : start + BLOCK_ROWS]
-        if None not in itertools.chain.from_iterable(block):
-            if any(encoders):
-                cells = zip(encoders, zip(*block))
-                block = zip(*[col if f is None else map(f, col) for f, col in cells])
-            yield join(map(plain.__mod__, block))
-            continue
-        texts = []
-        for row in block:
-            nulls = tuple([v is None for v in row])
-            text = templates.get(nulls)
-            if text is None:
-                shape = [None if null else slot for slot, null in zip(slots, nulls)]
-                text = templates[nulls] = _template(columns, kind, shape, fmt)
-            texts.append(text % tuple([
-                v if f is None else f(v) for f, v in zip(encoders, row) if v is not None
-            ]))
-        yield join(texts)
+        cols = [range(start, start + len(block)), block] if kind.indexed else list(zip(*block))
+        nulls = tuple([None in col for col in cols])
+        if nulls not in shapes:
+            shapes[nulls] = _shape(columns, kind, nulls, fmt)
+        template, encoders = shapes[nulls]
+        cells = [col if f is None else map(f, col) for f, col in zip(encoders, cols)]
+        # a kind without cells has no column to zip: each row is ()
+        yield join(map(template.__mod__, zip(*cells) if cells else [()] * len(block)))
 
 
 def _emit(
@@ -223,9 +212,8 @@ def _emit(
     """Write the table as CSV, or as the JSON envelope in the bytes of
     json.dumps(envelope, indent=2) + "\n".
 
-    `parts` holds (kind, rows) pairs in output order.  Rows are typed by
-    kind and encoded from one template per row shape, BLOCK_ROWS rows at a
-    time.  A coefficient part (an indexed kind) streams straight from its
+    `parts` holds (kind, rows) pairs in output order, each encoded by
+    _blocks.  A coefficient part (an indexed kind) streams straight from its
     list, each block written as it is encoded, so peak memory is the list
     plus one block.  The commands compute every other row before calling
     here, and those few rows are encoded, with the params, before the first
@@ -244,7 +232,7 @@ def _emit(
         ]
         for kind, rows in parts:
             if kind.indexed and rows:  # the widest cell fails first, if any does
-                _int_cell(fmt)(max(max(rows), -min(rows)))
+                int.__repr__(max(max(rows), -min(rows)))
         fields = ",".join([
             "\n    " + encode_basestring_ascii(k) + ": "
             + ("null" if v is None else _JSON_CELLS[type(v)](v))
@@ -278,13 +266,6 @@ def _emit(
             out.write(block)
 
 
-def _check_m(family: str, m: int | None) -> None:
-    """Reject --m for a family without it; the library checks the rest."""
-    if m is not None and not FAMILIES[family].takes_m:
-        takers = "/".join(name for name, f in FAMILIES.items() if f.takes_m)
-        raise UsageError(f"--m only applies to the {takers} family, not {family!r}")
-
-
 def _columns(kind: RowKind) -> list[str]:
     """The columns of a table of one kind."""
     return [col for col, _ in kind.cells]
@@ -294,7 +275,6 @@ _COEFFS = RowKind(None, (("k", int), ("coeff", int)), indexed=True)
 
 
 def _cmd_coeffs(args: argparse.Namespace, out: TextIO) -> int:
-    _check_m(args.family, args.m)
     p = get_family(args.family, args.m).build(args.n, args.m)
     params = {"family": args.family, "n": args.n, "m": args.m}
     _emit("coeffs", params, _columns(_COEFFS), [(_COEFFS, p.coeffs)], args.format, out)
@@ -308,7 +288,6 @@ _MOMENTS = RowKind(None, (
 
 
 def _cmd_moments(args: argparse.Namespace, out: TextIO) -> int:
-    _check_m(args.family, args.m)
     rows = []
     members = iter_family(args.family, args.n_from, args.n_to, args.m)
     exponents = FAMILIES[args.family].exponents
@@ -401,11 +380,16 @@ def _cmd_normality(args: argparse.Namespace, out: TextIO) -> int:
         tail, delta = split_tail(terms, args.K)
         normal = math.exp(t * t / 2.0)
         mgf_rows.append((t, exact, normal, trunc, abs(exact - trunc), terms[0], tail, delta))
+    # c / mass with both scaled by one power of two that brings the mass
+    # into float range; the scale is 1, and the quotient sigma * c / mass,
+    # wherever the mass is already in range
+    scale = 1 << max(0, mass.bit_length() - 1023)
+    scaled_mass = mass / scale
     density_rows = []
     for k, c in enumerate(p.coeffs):
         z = (k - mu) / sigma
         normal = math.exp(-z * z / 2.0) / math.sqrt(2.0 * math.pi)
-        density_rows.append((k, z, sigma * c / mass, normal))
+        density_rows.append((k, z, sigma * (c / scale) / scaled_mass, normal))
     params = {"n": args.n, "K": args.K, "grid_step": args.grid_step}
     parts = [(_KS, [(law.ks(),)]), (_MGF, mgf_rows), (_DENSITY, density_rows)]
     _emit("normality", params, _NORMALITY_COLUMNS, parts, args.format, out)
@@ -421,7 +405,6 @@ _SHAPE = RowKind(None, (
 
 
 def _cmd_shape(args: argparse.Namespace, out: TextIO) -> int:
-    _check_m(args.family, args.m)
     reports = scan_family(args.family, args.n_from, args.n_to, m=args.m)
     rows = [r[1:] for r in reports]
     params = {
@@ -455,7 +438,6 @@ def _general_spec(args: argparse.Namespace) -> tuple[QuotientSpec, int, GecoPara
             raise UsageError("give either --preset or --a/--b, not both")
         if args.n is None:
             raise UsageError("--preset requires --n")
-        _check_m(args.preset, args.m)
         get_family(args.preset, args.m).check_size(args.n, args.m)
         spec = preset(args.preset, args.n, args.m)
         n = args.n

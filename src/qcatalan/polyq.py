@@ -552,7 +552,8 @@ class Family(NamedTuple):
     prod(1 - q^a_i) / prod(1 - q^b_i), before common entries are
     cancelled; being lazy, they let a size check refuse a huge n without
     building its lists.  Both are empty at n = 1, where member(1) = 1.
-    takes_m marks the families parameterized by m >= 2.
+    takes_m marks the families parameterized by m >= 2; get_family
+    refuses an m for any other family.
     """
 
     name: str
@@ -607,14 +608,17 @@ FAMILIES: dict[str, Family] = {
 def get_family(name: str, m: int | None = None) -> Family:
     """The registry entry for name, after checking that m suits it.
 
-    m is required (and must be >= 2) for families that take it; families
-    that do not take m ignore it.
+    m is required (and must be >= 2) for families that take it, and must
+    be None for families that do not; anything else raises ValueError.
     """
     fam = FAMILIES.get(name)
     if fam is None:
         raise ValueError(f"unknown family {name!r}; choose from {tuple(FAMILIES)}")
     if fam.takes_m and (m is None or m < 2):
         raise ValueError(f"family {name!r} needs m >= 2, got {m}")
+    if not fam.takes_m and m is not None:
+        takers = "/".join(f.name for f in FAMILIES.values() if f.takes_m)
+        raise ValueError(f"m only applies to the {takers} family, not {name!r}")
     return fam
 
 

@@ -256,10 +256,10 @@ def test_shape_runs_in_one_process(monkeypatch):
 
 
 def test_shape_rejects_m_for_plain_family():
-    rc, _ = run_cli(
+    rc, out = run_cli(
         "shape", "--family", "catalan", "--n-from", "2", "--n-to", "3", "--m", "2"
     )
-    assert rc == 2
+    assert rc == 2 and out == ""
 
 
 def test_general_explicit_lists_reproduce_catalan():
@@ -684,8 +684,10 @@ _EDGE_INTS = [2 ** 53 - 1, -(2 ** 53 - 1), 2 ** 53, -(2 ** 53)]
 
 @pytest.mark.parametrize("block_rows", [1, 2, 3, 4, 5])
 def test_emit_pins_the_plain_blocks(block_rows):
-    # blocks with no null go through their template in one pass; the nulls
-    # in the mixed rows put plain and null rows into one block at some sizes
+    # every block goes through its template in one pass; the nulls in the
+    # mixed and sparse rows put plain and null rows into one block at some
+    # sizes, and a column with a null in a block goes through its nullable
+    # encoder
     density = [(k, x, -x, x / 3) for k, x in zip(_EDGE_INTS * 2, _EDGE_FLOATS)]
     cells = (("i", int), ("x", float), ("b", bool), ("s", str), ("f", Fraction))
     mixed = cli.RowKind("mix%", cells)
@@ -696,6 +698,19 @@ def test_emit_pins_the_plain_blocks(block_rows):
     mixed_rows[5] = (7, None, True, None, Fraction(1, 2))
     third = Fraction(1, 3)
     moments = [(i, 3, i, Fraction(i, 7), third, third, third, i > 0) for i in _EDGE_INTS]
+    # columns x and i hold a null in some rows only, so a block writes them
+    # through their nullable encoders beside the plain column y; the CSV
+    # rows add nan and inf, which JSON cannot hold
+    sparse = cli.RowKind(None, (("x", float), ("i", int), ("y", float)))
+    sparse_rows = [(x, i, x) for x, i in zip([-0.0, 5e-324, 1e16] * 3, _EDGE_INTS[2:] * 5)]
+    sparse_rows[1] = (None, 2 ** 53, 5e-324)
+    sparse_rows[4] = (5e-324, None, 5e-324)
+    sparse_rows[6] = (None, None, -0.0)
+    non_finite = sparse_rows[:5] + [(math.nan, 3, math.inf), (math.inf, None, math.nan)]
+    # a kind without cells still writes a row for each ()
+    empty = [(cli.RowKind("none", ()), [(), (), ()]), (cli.RowKind(None, ()), [()])]
+    # a coefficient stream whose k runs through three block edges
+    stream = [(-1) ** k * (2 ** 53 - 1 + k % 3) for k in range(3 * block_rows + 2)]
     tables = [
         (cli._NORMALITY_COLUMNS, [
             (cli._KS, [(x,) for x in _EDGE_FLOATS]),
@@ -703,6 +718,10 @@ def test_emit_pins_the_plain_blocks(block_rows):
         ]),
         (["kind", "i", "x", "b", "s", "f"], [(mixed, mixed_rows)]),
         (cli._columns(cli._MOMENTS), [(cli._MOMENTS, moments)]),
+        (["x", "i", "y"], [(sparse, sparse_rows)]),
+        (["kind", "v"], empty + [(cli.RowKind("v", (("v", int),)), [(1,)])]),
+        ([], [(cli.RowKind(None, ()), [(), ()])]),
+        (cli._GENERAL_COLUMNS, [(cli._COEFF, stream), (cli._RATIO, [(2, 0.25, None, None)])]),
     ]
     with mock.patch.object(cli, "BLOCK_ROWS", block_rows):
         for columns, parts in tables:
@@ -711,6 +730,11 @@ def test_emit_pins_the_plain_blocks(block_rows):
                 cli._emit("x", {"n": 3}, columns, parts, fmt, got)
                 oracles.emit("x", {"n": 3}, columns, _dict_rows(parts), fmt, generic)
                 assert got.getvalue() == generic.getvalue()
+        parts = [(sparse, non_finite)]
+        got, generic = io.StringIO(), io.StringIO()
+        cli._emit("x", {"n": 3}, ["x", "i", "y"], parts, "csv", got)
+        oracles.emit("x", {"n": 3}, ["x", "i", "y"], _dict_rows(parts), "csv", generic)
+        assert got.getvalue() == generic.getvalue()
         for bad in (math.nan, math.inf, -math.inf):
             parts = [(cli._DENSITY, density[:3] + [(3, 0.5, bad, 1.0)] + density[3:])]
             got, generic = io.StringIO(), io.StringIO()
@@ -735,6 +759,20 @@ def test_a_non_finite_mgf_exits_3_in_json_and_is_written_in_csv(bad):
     assert rc == 0
     mgf_rows = [line.split(",") for line in text.splitlines() if line.startswith("mgf,")]
     assert len(mgf_rows) == 9 and {row[3] for row in mgf_rows} == {repr(bad)}
+
+
+def test_normality_writes_the_density_of_a_mass_past_float_range():
+    # sigma * c / mass would turn c and the mass, past 2^1024, into floats
+    big = 10 ** 400
+    p = polyq.IntPoly([big, 3 * big, 5 * big, 3 * big, big])
+    sigma, mass = qcatalan.limitlaw.StandardizedLaw(p).sigma, 13 * big
+    with mock.patch.object(cli, "q_catalan", lambda n: p):
+        rc, text = run_cli("normality", "--n", "3")
+    assert rc == 0
+    density = [line.split(",") for line in text.splitlines() if line.startswith("density,")]
+    assert [int(row[10]) for row in density] == [0, 1, 2, 3, 4]
+    for row, c in zip(density, p.coeffs):
+        assert float(row[12]) == pytest.approx(float(sigma * Fraction(c, mass)), rel=1e-11)
 
 
 class _CharCount:

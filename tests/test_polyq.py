@@ -532,7 +532,8 @@ def sweep_ranges(draw):
     name = draw(st.sampled_from(sorted(FAMILIES)))
     top = 12 if FAMILIES[name].takes_m else 40
     n_from, n_to = sorted(draw(st.tuples(st.integers(1, top), st.integers(1, top))))
-    return name, draw(st.integers(2, 100)), n_from, n_to
+    m = draw(st.integers(2, 100)) if FAMILIES[name].takes_m else None
+    return name, m, n_from, n_to
 
 
 @settings(max_examples=40, deadline=None)
@@ -585,8 +586,14 @@ def test_iter_family_rejects_before_building():
         iter_family("catalan", 0, 2)
 
 
-def test_get_family_ignores_m_where_it_does_not_apply():
-    assert get_family("catalan", 3) is FAMILIES["catalan"]
+def test_get_family_rejects_m_where_it_does_not_apply():
+    # the one m policy of library and CLI; iter_family raises on the call,
+    # before its lazy sweep builds anything
+    with pytest.raises(ValueError, match="m only applies to the mcatalan family"):
+        get_family("catalan", 3)
+    with pytest.raises(ValueError, match="m only applies"):
+        iter_family("catalan", 2, 3, m=3)
+    assert get_family("catalan") is FAMILIES["catalan"]
     assert get_family("mcatalan", 3).build(4, 3) == q_catalan_general(4, 3)
 
 
