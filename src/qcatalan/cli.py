@@ -85,10 +85,6 @@ class UsageError(ValueError):
     """Bad arguments detected after argparse: exit code 2."""
 
 
-def _fmt_float(x: float) -> str:
-    return f"{x:.12g}"
-
-
 def _json_int(v: int) -> str:
     if -INT_AS_STRING_LIMIT < v < INT_AS_STRING_LIMIT:
         return int.__repr__(v)
@@ -97,7 +93,7 @@ def _json_int(v: int) -> str:
 
 def _json_float(v: float) -> str:
     if math.isfinite(v):
-        return float.__repr__(float(_fmt_float(v)))
+        return float.__repr__(float(_CSV_SLOTS[float] % v))
     raise OverflowError(f"cannot write the non-finite value {v} as JSON")
 
 
@@ -107,8 +103,8 @@ def _bool_text(v: bool) -> str:
 
 # JSON cell encoders by type, at C speed where one exists: the types the
 # commands write, each as json.dumps would write its JSON value (integers
-# past 2^53 and Fractions as strings, floats at 12 significant digits).  A
-# JSON template writes each encoded cell with %s.
+# past 2^53 and Fractions as strings, floats as the value of their CSV text).
+# A JSON template writes each encoded cell with %s.
 _JSON_CELLS: dict[type, Callable[[Any], str]] = {
     bool: _bool_text,
     int: _json_int,
@@ -117,8 +113,9 @@ _JSON_CELLS: dict[type, Callable[[Any], str]] = {
     Fraction: lambda v: encode_basestring_ascii(str(v)),
 }
 # A CSV template writes each cell type by its own %-conversion: %d gives the
-# digits of int.__repr__, %.12g the text of _fmt_float, and %s that of str
-# and Fraction.__str__.  Only a bool goes through an encoder first.
+# digits of int.__repr__, %.12g a float to 12 significant digits (the one
+# place that format is written), and %s the text of str and Fraction.__str__.
+# Only a bool goes through an encoder first.
 _CSV_SLOTS: dict[type, str] = {bool: "%s", int: "%d", float: "%.12g", str: "%s", Fraction: "%s"}
 _CSV_CELLS: dict[type, Callable[[Any], str]] = {bool: _bool_text}
 
@@ -366,17 +363,19 @@ def _cmd_normality(args: argparse.Namespace, out: TextIO) -> int:
     p = q_catalan(args.n)
     law = StandardizedLaw(p)
     mu, sigma, mass = law.mu, law.sigma, law.summary.mass
-    # Closed-form drift of log_mgf_truncated, and one coefficient list that
-    # serves both the K-term truncation and the 10-term convergence check.
+    # One coefficient list serves both the K-term truncation and the 10-term
+    # convergence check.
     spec = preset("catalan", args.n)
-    mean, variance = general_moments_closed(spec)
-    c_mean, c_root = float(mean), math.sqrt(float(variance))
     coeffs = series_coefficients(spec, args.K + 10, bernoulli_table(args.K + 10))
     mgf_rows = []
     for t, exact in zip(grid, law.mgf_grid(grid)):
         terms = series_terms(coeffs, t)
+        # The law's exact mean n(n-1)/2 and variance n(n^2-1)/6 are the
+        # closed forms log_mgf_truncated takes its drift from, so this is
+        # that drift; adding it and taking it off again keeps the rounding
+        # of log_mgf_truncated's drift + series in the cell.
         drift = mu * t / sigma
-        trunc = math.exp(c_mean * t / c_root + math.fsum(terms[: args.K]) - drift)
+        trunc = math.exp(drift + math.fsum(terms[: args.K]) - drift)
         tail, delta = split_tail(terms, args.K)
         normal = math.exp(t * t / 2.0)
         mgf_rows.append((t, exact, normal, trunc, abs(exact - trunc), terms[0], tail, delta))
@@ -431,23 +430,20 @@ def _general_spec(args: argparse.Namespace) -> tuple[QuotientSpec, int, GecoPara
     """Resolve the quotient, the size n used in the envelope, and the
     envelope itself (None when no bound applies)."""
     explicit = [args.alpha, args.beta, args.gamma]
-    if any(v is not None for v in explicit) and not all(v is not None for v in explicit):
+    given = sum(v is not None for v in explicit)
+    if given not in (0, 3):
         raise UsageError("--alpha, --beta, --gamma must be given together")
+    params = GecoParams(*explicit) if given else None
     if args.preset is not None:
         if args.a is not None or args.b is not None:
             raise UsageError("give either --preset or --a/--b, not both")
         if args.n is None:
             raise UsageError("--preset requires --n")
-        get_family(args.preset, args.m).check_size(args.n, args.m)
-        spec = preset(args.preset, args.n, args.m)
-        n = args.n
-        if all(v is not None for v in explicit):
-            params = GecoParams(args.alpha, args.beta, args.gamma)
-        elif FAMILIES[args.preset].takes_m:  # the m-Catalan envelope
-            params = mcatalan_geco_params(args.m)
-        else:
-            params = catalan_geco_params()
-        return spec, n, params
+        fam = get_family(args.preset, args.m)
+        fam.check_size(args.n, args.m)
+        if params is None:  # the family's own envelope
+            params = mcatalan_geco_params(args.m) if fam.takes_m else catalan_geco_params()
+        return preset(args.preset, args.n, args.m), args.n, params
     if args.a is None or args.b is None:
         raise UsageError("give --a and --b together, or use --preset")
     if args.n is not None or args.m is not None:
@@ -455,11 +451,7 @@ def _general_spec(args: argparse.Namespace) -> tuple[QuotientSpec, int, GecoPara
     spec = QuotientSpec(
         a=_parse_int_list(args.a, "--a"), b=_parse_int_list(args.b, "--b")
     )
-    n = len(spec.a) + 1
-    params = None
-    if all(v is not None for v in explicit):
-        params = GecoParams(args.alpha, args.beta, args.gamma)
-    return spec, n, params
+    return spec, len(spec.a) + 1, params
 
 
 _COEFF = RowKind("coeff", (("k", int), ("coeff", int)), indexed=True)

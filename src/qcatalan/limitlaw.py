@@ -252,11 +252,10 @@ def tail_series(n: int, t: float, K: int, table: BernoulliTable) -> TailReport:
 
     Sums the k = 2..K terms, and when the table reaches B_{2(K+10)} also
     reports how much the sum moves with 10 more terms, so convergence of
-    the truncation is checked rather than assumed.  The distance of the
-    exact law to the normal is ks_distance_to_normal(q_catalan(n)).
+    the truncation is checked rather than assumed.  n is judged by
+    preset("catalan", n), which refuses n < 2.  The distance of the exact
+    law to the normal is ks_distance_to_normal(q_catalan(n)).
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
     if K < 2:
         raise ValueError(f"need K >= 2, got {K}")
     k_far = K + 10 if 2 * (K + 10) <= table.max_index else K
@@ -276,12 +275,9 @@ class StandardizedLaw:
     """The standardized coefficient law of p, prepared once for many t.
 
     P(X = k) is proportional to c_k and X* = (X - mean)/sigma.  Building it
-    takes the one exact dist_summary of p and stores, for every k with
-    c_k > 0, the float offset k - mean and log(c_k), so each mgf(t) is one
-    float pass and one sort over the support.  A palindrome of degree d has
-    mean d/2, so only its head k <= d/2 is computed: the offset of d - k is
-    exactly -(k - mean) and its log-weight is that of k, and both are
-    mirrored.
+    takes the one exact dist_summary of p and stores, in one pass over the
+    coefficients, the float offset k - mean and log(c_k) for every k with
+    c_k > 0, so each mgf(t) is one float pass and one sort over the support.
     """
 
     def __init__(self, p: IntPoly):
@@ -290,40 +286,37 @@ class StandardizedLaw:
             raise ValueError("variance is zero; standardization undefined")
         self.poly = p
         self.summary = summary
-        self.mu = float(summary.mean)
+        self.mu = mu = float(summary.mean)
         self.sigma = summary.sigma
         self.log_mass = math.log(summary.mass)
-        self.offsets = array("d")
-        self.log_weights = array("d")
+        self.offsets = offsets = array("d")
+        self.log_weights = log_weights = array("d")
         self.palindromic = p.is_palindromic()
-        d = summary.degree
-        cs = p.coeffs
-        for k in range(d // 2 + 1 if self.palindromic else d + 1):
-            c = cs[k]
+        for k, c in enumerate(p.coeffs):
             if c > 0:
-                self.offsets.append(k - self.mu)
-                self.log_weights.append(math.log(c))
-        if self.palindromic:
-            # an even degree's middle coefficient is its own mirror
-            mirrored = len(self.offsets) - (d % 2 == 0 and cs[d // 2] > 0)
-            self.offsets.extend(-x for x in reversed(self.offsets[:mirrored]))
-            self.log_weights.extend(reversed(self.log_weights[:mirrored]))
+                offsets.append(k - mu)
+                log_weights.append(math.log(c))
 
     def mgf(self, t: float) -> float:
         """E[e^{tX*}], by log-sum-exp over the support.
 
-        Every exponential inside the sum is <= 1, so the only way to
-        overflow is the final exp, which raises instead of returning inf.
-        The log-terms are sorted largest first, so the top is the first and
-        fsum keeps few partials alive.  fsum is correctly rounded, so the
-        order is for speed only: any order gives the same float.
+        A non-finite t raises ValueError.  Every exponential inside the sum
+        is <= 1, so the only way to overflow is the final exp, which raises
+        OverflowError instead of returning inf; so does a t large enough
+        that t x / sigma leaves float range, where the log comes out nan
+        (inf - inf).  The log-terms are sorted largest first, so the top is
+        the first and fsum keeps few partials alive.  fsum is correctly
+        rounded, so the order is for speed only: any order gives the same
+        float.
         """
+        if not math.isfinite(t):
+            raise ValueError(f"need a finite t, got {t}")
         sigma = self.sigma
         logs = [t * x / sigma + lc for x, lc in zip(self.offsets, self.log_weights)]
         logs.sort(reverse=True)
         top = logs[0]
         ln_e = top + math.log(math.fsum(map(math.exp, [v - top for v in logs]))) - self.log_mass
-        if ln_e > 709.0:
+        if not ln_e <= 709.0:
             raise OverflowError(f"standardized MGF exceeds float range (ln = {ln_e:.1f})")
         return math.exp(ln_e)
 

@@ -493,10 +493,12 @@ def gaussian_binomial(n: int, k: int) -> IntPoly:
 
 
 def _member(name: str, n: int, m: int | None, label: str) -> IntPoly:
-    """Member n of a registry family through the kernel, n = 1 included."""
+    """Member n of a registry family through the kernel, n = 1 included;
+    get_family judges m."""
+    fam = get_family(name, m)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    c = _quotient_coeffs(*FAMILIES[name].exponents(n, m))[0]
+    c = _quotient_coeffs(*fam.exponents(n, m))[0]
     return IntPoly(_require_nonnegative(c, label))
 
 
@@ -533,10 +535,8 @@ def q_catalan_general(n: int, m: int) -> IntPoly:
     """Generalized (m-)Catalan polynomial: product of [(m-1)n+i]/[i], i = 2..n.
 
     Coefficients sum to binomial(mn, n)/((m-1)n + 1); m = 2 recovers
-    q_catalan(n).
+    q_catalan(n).  m is judged by get_family, which refuses m < 2 or None.
     """
-    if m < 2:
-        raise ValueError(f"need m >= 2, got {m}")
     return _member("mcatalan", n, m, f"q_catalan_general({n}, {m})")
 
 

@@ -21,7 +21,13 @@ import oracles
 import qcatalan
 from qcatalan import cli, polyq
 from qcatalan.cli import main
-from qcatalan.limitlaw import condition_ratio, ks_distance_to_normal
+from qcatalan.exactnum import bernoulli_table
+from qcatalan.limitlaw import (
+    StandardizedLaw,
+    condition_ratio,
+    ks_distance_to_normal,
+    log_mgf_truncated,
+)
 from qcatalan.moments import preset
 from qcatalan.polyq import q_catalan
 
@@ -212,6 +218,26 @@ def test_normality_prepares_the_law_once(monkeypatch):
     assert calls == {"dist_summary": 1, "power_sums": 1}
 
 
+@pytest.mark.parametrize("n", [5, 30, 60])
+@pytest.mark.parametrize("K", [10, 30])
+def test_normality_truncated_cells_are_log_mgf_truncated_less_the_laws_drift(n, K):
+    # the command sums one coefficient list per t inline; each cell is the
+    # library's truncated log-mgf with the law's drift mu t / sigma taken off
+    rc, text = run_cli("normality", "--n", str(n), "--K", str(K), "--grid-step", "0.1")
+    assert rc == 0
+    lines = text.splitlines()
+    header = lines[0].split(",")
+    t_col, cell_col = header.index("t"), header.index("mgf_truncated")
+    mgf = [line.split(",") for line in lines[1:] if line.startswith("mgf,")]
+    assert len(mgf) == 41
+    law = StandardizedLaw(q_catalan(n))
+    spec, table = preset("catalan", n), bernoulli_table(K)
+    for row in mgf:
+        t = float(row[t_col])
+        log_mgf = log_mgf_truncated(spec, t, K, table)
+        assert row[cell_col] == "%.12g" % math.exp(log_mgf - law.mu * t / law.sigma)
+
+
 def test_normality_rejects_small_n():
     rc, _ = run_cli("normality", "--n", "1")
     assert rc == 2
@@ -332,6 +358,15 @@ def test_general_non_polynomial_is_domain_error(capsys):
          "--alpha", "18.0", "--beta=-inf", "--gamma", "-0.333"),
         ("general", "--a", "5,6", "--b", "2,3", "--n", "7"),  # --n needs --preset
         ("general", "--a", "5,6", "--b", "2,3", "--m", "3"),  # so does --m
+        # a bad envelope beside a bad preset: one of the two is reported
+        ("general", "--preset", "catalan", "--n", "1",
+         "--alpha", "-1", "--beta", "-0.1", "--gamma", "-0.1"),
+        ("general", "--preset", "mcatalan", "--n", "5",
+         "--alpha", "nan", "--beta", "-0.1", "--gamma", "-0.1"),
+        ("general", "--preset", "catalan", "--n", "5", "--m", "3",
+         "--alpha", "1", "--beta", "0.1", "--gamma", "-0.1"),
+        ("general", "--preset", "catalan",
+         "--alpha", "1", "--beta", "-0.1", "--gamma", "0.1"),
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):

@@ -219,6 +219,17 @@ def test_exact_standardized_mgf_basics():
         exact_standardized_mgf(IntPoly([3]), 1.0)
     with pytest.raises(OverflowError):
         exact_standardized_mgf(q_catalan(5), 1e6)
+    # t x / sigma past float range makes the log nan (inf - inf), which is
+    # refused like an overflow; a non-finite t is refused outright
+    law = StandardizedLaw(q_catalan(6))
+    for mgf in (law.mgf, lambda t: exact_standardized_mgf(q_catalan(6), t),
+                lambda t: law.mgf_grid([0.5, t])[1]):
+        for t in (1e308, -1e308):
+            with pytest.raises(OverflowError):
+                mgf(t)
+        for t in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite t"):
+                mgf(t)
 
 
 def test_tail_series_basics():
@@ -229,6 +240,8 @@ def test_tail_series_basics():
     assert r.tail_value < 0
     with pytest.raises(ValueError):
         tail_series(1, 1.0, 30, TABLE)
+    with pytest.raises(ValueError, match="presets need n >= 2"):  # preset's rule
+        tail_series(1, 0.5, 10, TABLE)
     with pytest.raises(ValueError):
         tail_series(10, 1.0, 1, TABLE)
 

@@ -233,6 +233,8 @@ def test_q_catalan_general():
         assert q_catalan_general(n, 2) == q_catalan(n)
     with pytest.raises(ValueError):
         q_catalan_general(3, 1)
+    with pytest.raises(ValueError, match="needs m >= 2"):  # the registry's rule
+        q_catalan_general(3, None)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
