@@ -21,11 +21,13 @@ rows.  Options are spelled in full: an abbreviation such as --bet for
 
 Exit codes: 0 success, 1 the reader closed stdout before the output ended
 (`qcat ... | head -1`; nothing is written to stderr), 2 usage or validation
-error (including a quotient whose numerator exponents sum past
-polyq.SUM_LIMIT, --K past K_MAX, a `normality` grid whose mgf work
-passes MGF_WORK_MAX, and an integer to write past the interpreter's limit
-on int-to-text digits, PYTHONINTMAXSTRDIGITS), 3 domain error: any ArithmeticError, such as a
-quotient that is not a polynomial, a value that left float range, or a
+error: argparse's refusals and any ValueError, from the argv checks here
+(--K past K_MAX, a `normality` grid past GRID_MAX_POINTS or MGF_WORK_MAX,
+an integer list that does not parse, options that do not go together),
+from the library call that judges a value (family, m, n, a quotient past
+polyq.SUM_LIMIT) or from the writer (an integer past the digit limit
+PYTHONINTMAXSTRDIGITS sets), 3 domain error: any ArithmeticError, such as
+a quotient that is not a polynomial, a value that left float range, or a
 construction that failed its own checks.
 """
 
@@ -68,7 +70,9 @@ K_MAX = 500
 # Largest mgf work `normality` accepts: distinct |t| on the grid times the
 # n(n - 1) + 1 support points of q_catalan(n), one float term each, about
 # 0.2 us apiece with its share of the sort (2^25 is about 7 s).  --n 100
-# --grid-step 0.001 (19.8M) stays legal and takes 3-4 s.
+# --grid-step 0.001 (19.8M) stays legal and takes 3-4 s.  The default grid
+# admits n <= 2591, but q_catalan(n) passes polyq.SUM_LIMIT from n = 1673
+# on, so there normality stops at 1672 (a build of minutes).
 MGF_WORK_MAX = 2 ** 25
 # The float options.  argparse reads a negative number written with an
 # exponent (-1e-3) as an unknown flag, so main joins each of these options
@@ -79,10 +83,6 @@ FLOAT_FLAGS = ("--alpha", "--beta", "--gamma", "--grid-step")
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
-
-
-class UsageError(ValueError):
-    """Bad arguments detected after argparse: exit code 2."""
 
 
 def _json_int(v: int) -> str:
@@ -268,6 +268,16 @@ def _columns(kind: RowKind) -> list[str]:
     return [col for col, _ in kind.cells]
 
 
+def _emit_range(
+    command: str, kind: RowKind, rows: Sequence[Any], args: argparse.Namespace, out: TextIO
+) -> int:
+    """Write the table of a range command (moments, shape): one row of `kind`
+    per family member n_from..n_to."""
+    params = {"family": args.family, "n_from": args.n_from, "n_to": args.n_to, "m": args.m}
+    _emit(command, params, _columns(kind), [(kind, rows)], args.format, out)
+    return EXIT_OK
+
+
 _COEFFS = RowKind(None, (("k", int), ("coeff", int)), indexed=True)
 
 
@@ -294,37 +304,26 @@ def _cmd_moments(args: argparse.Namespace, out: TextIO) -> int:
         c_mean, c_var = general_moments_closed(QuotientSpec(*exponents(n, args.m)))
         match = s.mean == c_mean and s.variance == c_var
         rows.append((n, s.degree, s.mass, s.mean, s.variance, c_mean, c_var, match))
-    params = {
-        "family": args.family,
-        "n_from": args.n_from,
-        "n_to": args.n_to,
-        "m": args.m,
-    }
-    _emit("moments", params, _columns(_MOMENTS), [(_MOMENTS, rows)], args.format, out)
-    return EXIT_OK
+    return _emit_range("moments", _MOMENTS, rows, args, out)
 
 
 def _check_K(K: int) -> None:
     if not 2 <= K <= K_MAX:
-        raise UsageError(f"need 2 <= --K <= {K_MAX}, got {K}")
-
-
-def _t_grid_half(step: float) -> int:
-    """Grid points on each side of t = 0 for --grid-step, checked against
-    GRID_MAX_POINTS before anything is allocated."""
-    if not (math.isfinite(step) and step > 0):
-        raise UsageError(f"--grid-step must be a positive finite number, got {step}")
-    half = 2.0 / step + 1e-9
-    if half >= GRID_MAX_POINTS // 2 + 1:
-        raise UsageError(
-            f"--grid-step {step} would need more than {GRID_MAX_POINTS} t points; "
-            f"use a step of at least {2.0 / (GRID_MAX_POINTS // 2)}"
-        )
-    return int(half)
+        raise ValueError(f"need 2 <= --K <= {K_MAX}, got {K}")
 
 
 def _t_grid(step: float) -> list[float]:
-    count = _t_grid_half(step)
+    """The t grid on [-2, 2] for --grid-step, its size checked against
+    GRID_MAX_POINTS before anything is allocated."""
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"--grid-step must be a positive finite number, got {step}")
+    half = 2.0 / step + 1e-9
+    if half >= GRID_MAX_POINTS // 2 + 1:
+        raise ValueError(
+            f"--grid-step {step} would need more than {GRID_MAX_POINTS} t points; "
+            f"use a step of at least {2.0 / (GRID_MAX_POINTS // 2)}"
+        )
+    count = int(half)
     return [round(i * step, 12) for i in range(-count, count + 1)]
 
 
@@ -333,7 +332,7 @@ def _check_mgf_work(n: int, grid: Sequence[float]) -> None:
     MGF_WORK_MAX terms: one per distinct |t| and support point."""
     work = (len(grid) // 2 + 1) * (n * (n - 1) + 1)
     if work > MGF_WORK_MAX:
-        raise UsageError(
+        raise ValueError(
             f"--n {n} on a grid of {len(grid)} t points needs {work} mgf terms, "
             f"more than {MGF_WORK_MAX}; use a smaller --n or a larger --grid-step"
         )
@@ -355,17 +354,15 @@ _NORMALITY_COLUMNS = [
 
 
 def _cmd_normality(args: argparse.Namespace, out: TextIO) -> int:
-    if args.n < 2:
-        raise UsageError(f"normality needs --n >= 2, got {args.n}")
     _check_K(args.K)
     grid = _t_grid(args.grid_step)
     _check_mgf_work(args.n, grid)
+    spec = preset("catalan", args.n)  # the judge of n >= 2
     p = q_catalan(args.n)
     law = StandardizedLaw(p)
     mu, sigma, mass = law.mu, law.sigma, law.summary.mass
     # One coefficient list serves both the K-term truncation and the 10-term
     # convergence check.
-    spec = preset("catalan", args.n)
     coeffs = series_coefficients(spec, args.K + 10, bernoulli_table(args.K + 10))
     mgf_rows = []
     for t, exact in zip(grid, law.mgf_grid(grid)):
@@ -405,25 +402,14 @@ _SHAPE = RowKind(None, (
 
 def _cmd_shape(args: argparse.Namespace, out: TextIO) -> int:
     reports = scan_family(args.family, args.n_from, args.n_to, m=args.m)
-    rows = [r[1:] for r in reports]
-    params = {
-        "family": args.family,
-        "n_from": args.n_from,
-        "n_to": args.n_to,
-        "m": args.m,
-    }
-    _emit("shape", params, _columns(_SHAPE), [(_SHAPE, rows)], args.format, out)
-    return EXIT_OK
+    return _emit_range("shape", _SHAPE, [r[1:] for r in reports], args, out)
 
 
 def _parse_int_list(raw: str, flag: str) -> tuple[int, ...]:
     try:
-        vals = tuple(int(part) for part in raw.split(","))
+        return tuple(int(part) for part in raw.split(","))
     except ValueError:
-        raise UsageError(f"{flag} expects comma-separated integers, got {raw!r}") from None
-    if not vals:
-        raise UsageError(f"{flag} must not be empty")
-    return vals
+        raise ValueError(f"{flag} expects comma-separated integers, got {raw!r}") from None
 
 
 def _general_spec(args: argparse.Namespace) -> tuple[QuotientSpec, int, GecoParams | None]:
@@ -432,22 +418,22 @@ def _general_spec(args: argparse.Namespace) -> tuple[QuotientSpec, int, GecoPara
     explicit = [args.alpha, args.beta, args.gamma]
     given = sum(v is not None for v in explicit)
     if given not in (0, 3):
-        raise UsageError("--alpha, --beta, --gamma must be given together")
+        raise ValueError("--alpha, --beta, --gamma must be given together")
     params = GecoParams(*explicit) if given else None
     if args.preset is not None:
         if args.a is not None or args.b is not None:
-            raise UsageError("give either --preset or --a/--b, not both")
+            raise ValueError("give either --preset or --a/--b, not both")
         if args.n is None:
-            raise UsageError("--preset requires --n")
+            raise ValueError("--preset requires --n")
         fam = get_family(args.preset, args.m)
         fam.check_size(args.n, args.m)
         if params is None:  # the family's own envelope
             params = mcatalan_geco_params(args.m) if fam.takes_m else catalan_geco_params()
         return preset(args.preset, args.n, args.m), args.n, params
     if args.a is None or args.b is None:
-        raise UsageError("give --a and --b together, or use --preset")
+        raise ValueError("give --a and --b together, or use --preset")
     if args.n is not None or args.m is not None:
-        raise UsageError("--n and --m only apply with --preset")
+        raise ValueError("--n and --m only apply with --preset")
     spec = QuotientSpec(
         a=_parse_int_list(args.a, "--a"), b=_parse_int_list(args.b, "--b")
     )
@@ -515,6 +501,15 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_format(sp: argparse.ArgumentParser) -> None:
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
+    def add_range_command(name: str, help: str, func: Callable[..., int]) -> None:
+        sp = add_command(name, help)
+        sp.add_argument("--family", choices=tuple(FAMILIES), required=True)
+        sp.add_argument("--n-from", type=int, required=True)
+        sp.add_argument("--n-to", type=int, required=True)
+        sp.add_argument("--m", type=int, default=None)
+        add_format(sp)
+        sp.set_defaults(func=func)
+
     sp = add_command("coeffs", "coefficients of one family member")
     sp.add_argument("--family", choices=tuple(FAMILIES), required=True)
     sp.add_argument("--n", type=int, required=True)
@@ -522,13 +517,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_format(sp)
     sp.set_defaults(func=_cmd_coeffs)
 
-    sp = add_command("moments", "exact vs closed-form moments over an n range")
-    sp.add_argument("--family", choices=tuple(FAMILIES), required=True)
-    sp.add_argument("--n-from", type=int, required=True)
-    sp.add_argument("--n-to", type=int, required=True)
-    sp.add_argument("--m", type=int, default=None)
-    add_format(sp)
-    sp.set_defaults(func=_cmd_moments)
+    add_range_command("moments", "exact vs closed-form moments over an n range", _cmd_moments)
 
     sp = add_command("normality", "normal-limit diagnostics for q-Catalan at one n")
     sp.add_argument("--n", type=int, required=True)
@@ -543,13 +532,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_format(sp)
     sp.set_defaults(func=_cmd_normality)
 
-    sp = add_command("shape", "unimodality / log-concavity scan over an n range")
-    sp.add_argument("--family", choices=tuple(FAMILIES), required=True)
-    sp.add_argument("--n-from", type=int, required=True)
-    sp.add_argument("--n-to", type=int, required=True)
-    sp.add_argument("--m", type=int, default=None)
-    add_format(sp)
-    sp.set_defaults(func=_cmd_shape)
+    add_range_command("shape", "unimodality / log-concavity scan over an n range", _cmd_shape)
 
     sp = add_command("general", "arbitrary quotient of binomial products")
     sp.add_argument("--a", default=None, help="comma-separated numerator exponents")
@@ -592,7 +575,7 @@ def main(argv: Sequence[str] | None = None, out: TextIO | None = None) -> int:
     except ArithmeticError as exc:
         print(f"qcat: error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"qcat: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

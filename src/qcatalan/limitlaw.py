@@ -38,7 +38,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .exactnum import BernoulliTable, log_sinh_series_coeff
 from .moments import QuotientSpec, dist_summary, general_moments_closed, power_sums, preset
-from .polyq import IntPoly, _Frozen
+from .polyq import IntPoly, _Frozen, get_family
 
 __all__ = [
     "GecoParams",
@@ -99,8 +99,7 @@ def catalan_geco_params() -> GecoParams:
 
 def mcatalan_geco_params(m: int) -> GecoParams:
     """Envelope certified for the m-Catalan family: alpha = 8 sqrt(2m)."""
-    if m < 2:
-        raise ValueError(f"need m >= 2, got {m}")
+    get_family("mcatalan", m)  # the registry's m rule
     return GecoParams(alpha=8.0 * math.sqrt(2.0 * m), beta=-1 / 6, gamma=-1 / 3)
 
 

@@ -142,12 +142,12 @@ def test_normality_density_rows_track_normal_curve():
 
 @pytest.mark.parametrize("step", [float("nan"), float("inf"), -0.5, 0.0, 1e-12, 5e-324])
 def test_grid_step_rejected_before_allocation(step):
-    with pytest.raises(cli.UsageError, match="--grid-step"):
-        cli._t_grid_half(step)
+    with pytest.raises(ValueError, match="--grid-step"):
+        cli._t_grid(step)
 
 
 def test_grid_step_cap_and_default_grids():
-    assert cli._t_grid_half(2.0 / (cli.GRID_MAX_POINTS // 2)) == cli.GRID_MAX_POINTS // 2
+    assert len(cli._t_grid(2.0 / (cli.GRID_MAX_POINTS // 2))) == cli.GRID_MAX_POINTS
     assert cli._t_grid(0.5) == [-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0]
     grid = cli._t_grid(0.1)
     assert len(grid) == 41 and grid[0] == -2.0 and grid[20] == 0.0 and grid[-1] == 2.0
@@ -181,7 +181,10 @@ def test_normality_mgf_work_limit_is_legal_and_documented(capsys):
     cli._check_mgf_work(100, finest)  # 2001 * 9901, about 19.8M terms
     cli._check_mgf_work(129, finest)  # 2001 * 16513, the largest n there
     cli._check_mgf_work(2591, cli._t_grid(0.5))  # 5 * 6710691
-    with pytest.raises(cli.UsageError):
+    # the kernel stops normality first on that grid: n = 1672 is its largest
+    # member within SUM_LIMIT ((n - 1)(3n + 2)/2 <= 2^22), checked unbuilt
+    polyq.FAMILIES["catalan"].check_size(1672)
+    with pytest.raises(ValueError):
         cli._check_mgf_work(2592, cli._t_grid(0.5))
     assert run_cli("normality", "--help")[0] == 0
     assert str(cli.MGF_WORK_MAX) in " ".join(capsys.readouterr().out.split())
@@ -393,6 +396,7 @@ def test_general_envelope_overflow_names_the_bound(capsys):
         ("general", "--preset", "catalan", "--n", "1700"),
         ("coeffs", "--family", "catalan", "--n", "1700"),
         ("moments", "--family", "catalan", "--n-from", "2", "--n-to", "1700"),
+        ("normality", "--n", "1673"),  # the kernel stops it, not MGF_WORK_MAX
     ],
 )
 def test_oversized_quotient_exits_2_before_building(argv, monkeypatch, capsys):
@@ -404,6 +408,12 @@ def test_oversized_quotient_exits_2_before_building(argv, monkeypatch, capsys):
     rc, out = run_cli(*argv)
     assert rc == 2 and out == ""
     assert f"sum to more than {polyq.SUM_LIMIT}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("a, b", [("", "1"), (",", "1"), ("1,,2", "1,2,3")])
+def test_general_integer_lists_must_parse(a, b, capsys):
+    assert run_cli("general", "--a", a, "--b", b) == (2, "")
+    assert "--a expects comma-separated integers" in capsys.readouterr().err
 
 
 def test_broken_construction_exits_3(monkeypatch, capsys):

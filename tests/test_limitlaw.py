@@ -31,7 +31,14 @@ from qcatalan.moments import (
     power_sums,
     preset,
 )
-from qcatalan.polyq import IntPoly, q_catalan, quotient_poly
+from qcatalan.polyq import (
+    IntPoly,
+    get_family,
+    iter_family,
+    q_catalan,
+    q_catalan_general,
+    quotient_poly,
+)
 
 import oracles
 
@@ -65,6 +72,17 @@ def test_geco_presets():
     assert abs(p.bound(10, 2) - 10 ** (-1 / 3) * (p.alpha * 10 ** (-1 / 6)) ** 4) < 1e-9
     with pytest.raises(ValueError):
         mcatalan_geco_params(1)
+    # m has one judge, the registry, whichever entry point takes it
+    for m in (None, 1):
+        for call in (
+            lambda: get_family("mcatalan", m),
+            lambda: q_catalan_general(3, m),
+            lambda: preset("mcatalan", 3, m),
+            lambda: iter_family("mcatalan", 2, 3, m),
+            lambda: mcatalan_geco_params(m),
+        ):
+            with pytest.raises(ValueError, match="needs m >= 2"):
+                call()
 
 
 def test_power_sum_diff():
