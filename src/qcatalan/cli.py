@@ -42,7 +42,6 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Iterator, NamedTuple, Sequence, TextIO
 
-from .exactnum import bernoulli_table
 from .limitlaw import (
     GecoParams,
     StandardizedLaw,
@@ -363,7 +362,7 @@ def _cmd_normality(args: argparse.Namespace, out: TextIO) -> int:
     mu, sigma, mass = law.mu, law.sigma, law.summary.mass
     # One coefficient list serves both the K-term truncation and the 10-term
     # convergence check.
-    coeffs = series_coefficients(spec, args.K + 10, bernoulli_table(args.K + 10))
+    coeffs = series_coefficients(spec, args.K + 10)
     mgf_rows = []
     for t, exact in zip(grid, law.mgf_grid(grid)):
         terms = series_terms(coeffs, t)

@@ -15,8 +15,8 @@ finite-n correction, and the functions here measure it three ways:
     an explicit envelope alpha, beta, gamma with
     ratio < n^gamma (alpha n^beta)^{2k}.
   * series_coefficients / log_mgf_truncated / tail_series: the expansion
-    itself, exact rationals until a single final float conversion per
-    coefficient.
+    itself, from one Bernoulli table per call, exact rationals until a
+    single final float conversion per coefficient.
   * StandardizedLaw (and its one-shot wrappers exact_standardized_mgf /
     ks_distance_to_normal): direct comparison of the finite-n law against
     the standard normal, no series involved.
@@ -36,7 +36,7 @@ from array import array
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .exactnum import BernoulliTable, log_sinh_series_coeff
+from .exactnum import bernoulli_table, log_sinh_series_coeff
 from .moments import QuotientSpec, dist_summary, general_moments_closed, power_sums, preset
 from .polyq import IntPoly, _Frozen, get_family
 
@@ -127,9 +127,8 @@ class TailReport(NamedTuple):
 
     tail_value sums the k = 2..K terms; leading_term is the k = 1 term
     (t^2/2 up to float rounding); truncation_delta is how much the tail
-    moves when K grows by 10, or None when the Bernoulli table cannot reach
-    that far.  A tail_value far above truncation_delta is a real
-    finite-n effect, not a truncation artifact.
+    moves when K grows by 10.  A tail_value far above truncation_delta is
+    a real finite-n effect, not a truncation artifact.
     """
 
     n: int
@@ -137,7 +136,7 @@ class TailReport(NamedTuple):
     K: int
     tail_value: float
     leading_term: float
-    truncation_delta: float | None
+    truncation_delta: float
 
 
 def power_sum_diff(spec: QuotientSpec, k: int) -> int:
@@ -197,21 +196,20 @@ def geco_bound_check(
     return GecoReport(params=params, checked=checked, violations=tuple(violations))
 
 
-def series_coefficients(spec: QuotientSpec, K: int, table: BernoulliTable) -> list[float]:
+def series_coefficients(spec: QuotientSpec, K: int) -> list[float]:
     """Float values of the t^{2k} coefficients B_{2k} S_k / (2k (2k)! var^k),
     k = 1..K, with var = S_1/12.
 
-    One power-sum sweep gives S_1..S_K; each coefficient is an exact
-    rational until its one float conversion, so a list built once serves
-    every t (see series_terms).  Requires the table to hold B_2..B_{2K}.
+    One power-sum sweep gives S_1..S_K and one bernoulli_table(K) gives
+    B_2..B_{2K}; each coefficient is an exact rational until its one float
+    conversion, so a list built once serves every t (see series_terms).
     """
     if K < 1:
         raise ValueError(f"need K >= 1, got {K}")
-    if 2 * K > table.max_index:
-        raise ValueError(f"table holds B_0..B_{table.max_index}, need B_{2 * K}")
     sums = power_sums(spec, K)
     if sums[1] <= 0:
         raise ValueError(f"S_1 = {sums[1]} <= 0; standardization undefined")
+    table = bernoulli_table(K)
     var = Fraction(sums[1], 12)
     return [
         float(log_sinh_series_coeff(k, table) * sums[k] / var ** k)
@@ -219,46 +217,48 @@ def series_coefficients(spec: QuotientSpec, K: int, table: BernoulliTable) -> li
     ]
 
 
+def _check_t(t: float) -> None:
+    if not math.isfinite(t):
+        raise ValueError(f"need a finite t, got {t}")
+
+
 def series_terms(coeffs: Sequence[float], t: float) -> list[float]:
-    """The k = 1..len(coeffs) expansion terms c_k t^{2k} at t."""
+    """The k = 1..len(coeffs) expansion terms c_k t^{2k} at a finite t."""
+    _check_t(t)
     return [c * t ** (2 * k) for k, c in enumerate(coeffs, 1)]
 
 
-def split_tail(terms: Sequence[float], K: int) -> tuple[float, float | None]:
-    """The k = 2..K tail sum of the terms, and how far the terms past K move
-    it (None when there are none)."""
+def split_tail(terms: Sequence[float], K: int) -> tuple[float, float]:
+    """The k = 2..K tail sum of the terms, and how far the terms past K move it."""
     tail = math.fsum(terms[1:K])
-    delta = abs(math.fsum(terms[1:]) - tail) if len(terms) > K else None
-    return tail, delta
+    return tail, abs(math.fsum(terms[1:]) - tail)
 
 
-def log_mgf_truncated(spec: QuotientSpec, t: float, K: int, table: BernoulliTable) -> float:
+def log_mgf_truncated(spec: QuotientSpec, t: float, K: int) -> float:
     """Degree-2K truncation of ln E[e^{(t/sigma) X}]: the drift mu t/sigma
     plus the even series whose k = 1 term is exactly t^2/2.
 
     Subtracting the same drift mu t/sigma standardizes it, giving the
     series alone; everything past its k = 1 term is the finite-n
-    correction.  Requires the table to hold B_2..B_{2K}.
+    correction.  A non-finite t raises ValueError.
     """
-    terms = series_terms(series_coefficients(spec, K, table), t)
+    terms = series_terms(series_coefficients(spec, K), t)
     mean, variance = general_moments_closed(spec)
     drift = float(mean) * t / math.sqrt(float(variance))
     return drift + math.fsum(terms)
 
 
-def tail_series(n: int, t: float, K: int, table: BernoulliTable) -> TailReport:
+def tail_series(n: int, t: float, K: int) -> TailReport:
     """Tail (k >= 2) of the expansion for the q-Catalan family at size n.
 
-    Sums the k = 2..K terms, and when the table reaches B_{2(K+10)} also
-    reports how much the sum moves with 10 more terms, so convergence of
-    the truncation is checked rather than assumed.  n is judged by
+    Sums the k = 2..K terms and reports how much 10 more terms move the
+    sum, so the truncation is checked rather than assumed.  n is judged by
     preset("catalan", n), which refuses n < 2.  The distance of the exact
     law to the normal is ks_distance_to_normal(q_catalan(n)).
     """
     if K < 2:
         raise ValueError(f"need K >= 2, got {K}")
-    k_far = K + 10 if 2 * (K + 10) <= table.max_index else K
-    terms = series_terms(series_coefficients(preset("catalan", n), k_far, table), t)
+    terms = series_terms(series_coefficients(preset("catalan", n), K + 10), t)
     tail, delta = split_tail(terms, K)
     return TailReport(
         n=n,
@@ -308,8 +308,7 @@ class StandardizedLaw:
         rounded, so the order is for speed only: any order gives the same
         float.
         """
-        if not math.isfinite(t):
-            raise ValueError(f"need a finite t, got {t}")
+        _check_t(t)
         sigma = self.sigma
         logs = [t * x / sigma + lc for x, lc in zip(self.offsets, self.log_weights)]
         logs.sort(reverse=True)

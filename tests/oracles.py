@@ -79,19 +79,13 @@ def log_mgf_truncated(spec: QuotientSpec, t: float, K: int, table: BernoulliTabl
 
 
 def tail_series(n: int, t: float, K: int, table: BernoulliTable) -> TailReport:
-    spec = preset("catalan", n)
-    k_far = K + 10
-    if 2 * k_far <= table.max_index:
-        terms = log_mgf_terms(spec, t, k_far, table)
-        tail = math.fsum(terms[1:K])
-        delta = abs(math.fsum(terms[1:]) - tail)
-    else:
-        terms = log_mgf_terms(spec, t, K, table)
-        tail = math.fsum(terms[1:])
-        delta = None
+    """The K-term tail and its move over 10 more terms; the table must
+    hold B_0..B_{2(K+10)}."""
+    terms = log_mgf_terms(preset("catalan", n), t, K + 10, table)
+    tail = math.fsum(terms[1:K])
     return TailReport(
         n=n, t=t, K=K, tail_value=tail, leading_term=terms[0],
-        truncation_delta=delta,
+        truncation_delta=abs(math.fsum(terms[1:]) - tail),
     )
 
 

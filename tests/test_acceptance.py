@@ -24,7 +24,6 @@ import statistics
 import time
 from functools import lru_cache
 
-from qcatalan.exactnum import bernoulli_table
 from qcatalan.limitlaw import (
     catalan_geco_params,
     exact_standardized_mgf,
@@ -109,13 +108,12 @@ def test_criterion_05_mgf_agreement(criterion_log):
     grid = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
     p = catalan_poly(n)
     spec = preset("catalan", n)
-    table = bernoulli_table(K)
     s = dist_summary(p)
     drift_unit = float(s.mean) / s.sigma
     gap_series, gap_normal = [], []
     for t in grid:
         exact = exact_standardized_mgf(p, t)
-        trunc = math.exp(log_mgf_truncated(spec, t, K, table) - drift_unit * t)
+        trunc = math.exp(log_mgf_truncated(spec, t, K) - drift_unit * t)
         gap_series.append(abs(exact - trunc))
         gap_normal.append(abs(exact - math.exp(t * t / 2.0)))
     max_a = max(gap_series)
@@ -135,8 +133,7 @@ def test_criterion_05_mgf_agreement(criterion_log):
     gaps = list(exact_gaps.values())
     ok_falls = all(x > y for x, y in zip(gaps, gaps[1:]))
     n_far = 1000
-    far_table = bernoulli_table(K + 10)
-    far = [tail_series(n_far, t, K, far_table) for t in grid]
+    far = [tail_series(n_far, t, K) for t in grid]
     gap_far = max(abs(math.exp(r.leading_term + r.tail_value) - math.exp(r.t * r.t / 2.0)) for r in far)
     delta_far = max(r.truncation_delta for r in far)
     ok_b = ok_falls and gap_far < 1e-2 and delta_far < 1e-8
@@ -160,9 +157,8 @@ def test_criterion_05_mgf_agreement(criterion_log):
 
 
 def test_criterion_06_tail_decay(criterion_log):
-    table = bernoulli_table(40)
     ns = (10, 20, 40, 80, 160)
-    tails = [abs(tail_series(n, 2.0, 30, table).tail_value) for n in ns]
+    tails = [abs(tail_series(n, 2.0, 30).tail_value) for n in ns]
     decreasing = all(a > b for a, b in zip(tails, tails[1:]))
     slope, _ = statistics.linear_regression(
         [math.log(n) for n in ns], [math.log(v) for v in tails]

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -21,7 +22,6 @@ import oracles
 import qcatalan
 from qcatalan import cli, polyq
 from qcatalan.cli import main
-from qcatalan.exactnum import bernoulli_table
 from qcatalan.limitlaw import (
     StandardizedLaw,
     condition_ratio,
@@ -234,10 +234,10 @@ def test_normality_truncated_cells_are_log_mgf_truncated_less_the_laws_drift(n, 
     mgf = [line.split(",") for line in lines[1:] if line.startswith("mgf,")]
     assert len(mgf) == 41
     law = StandardizedLaw(q_catalan(n))
-    spec, table = preset("catalan", n), bernoulli_table(K)
+    spec = preset("catalan", n)
     for row in mgf:
         t = float(row[t_col])
-        log_mgf = log_mgf_truncated(spec, t, K, table)
+        log_mgf = log_mgf_truncated(spec, t, K)
         assert row[cell_col] == "%.12g" % math.exp(log_mgf - law.mu * t / law.sigma)
 
 
@@ -1008,3 +1008,15 @@ def test_missing_required_flag_exits_2(capsys):
     rc, _ = run_cli("coeffs", "--family", "catalan")
     assert rc == 2
     capsys.readouterr()
+
+
+def test_readme_command_examples_run():
+    # each `qcat ...` line of the README's command-line block, in-process
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+                if line.startswith("qcat ")]
+    assert commands
+    for argv in commands:
+        rc, text = run_cli(*argv)
+        assert rc == 0 and text, argv

@@ -42,7 +42,8 @@ from qcatalan.polyq import (
 
 import oracles
 
-TABLE = bernoulli_table(40)
+# the oracles' table: B_0..B_90, past the largest K + 10 below
+TABLE = bernoulli_table(45)
 
 
 def drift(spec, t):
@@ -195,15 +196,17 @@ def test_geco_bound_check_rejects_bad_k_range():
 
 def test_log_mgf_truncated_basics():
     spec = preset("catalan", 12)
-    assert log_mgf_truncated(spec, 0.0, 10, TABLE) == 0.0
+    assert log_mgf_truncated(spec, 0.0, 10) == 0.0
     # k = 1 alone is the pure gaussian term
     t = 1.3
-    std = log_mgf_truncated(spec, t, 1, TABLE) - drift(spec, t)
+    std = log_mgf_truncated(spec, t, 1) - drift(spec, t)
     assert abs(std - t * t / 2) < 1e-12
+    # the series builds its own table, so any K reaches its B_2K
+    assert log_mgf_truncated(spec, 1.0, 41) == oracles.log_mgf_truncated(
+        spec, 1.0, 41, bernoulli_table(41)
+    )
     with pytest.raises(ValueError):
-        log_mgf_truncated(spec, 1.0, 41, TABLE)
-    with pytest.raises(ValueError):
-        log_mgf_truncated(QuotientSpec(a=(3,), b=(3,)), 1.0, 5, TABLE)
+        log_mgf_truncated(QuotientSpec(a=(3,), b=(3,)), 1.0, 5)
 
 
 def test_log_mgf_matches_exact_mgf():
@@ -211,7 +214,7 @@ def test_log_mgf_matches_exact_mgf():
     spec = preset("catalan", 30)
     p = q_catalan(30)
     for t in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0):
-        trunc = math.exp(log_mgf_truncated(spec, t, 20, TABLE) - drift(spec, t))
+        trunc = math.exp(log_mgf_truncated(spec, t, 20) - drift(spec, t))
         assert abs(exact_standardized_mgf(p, t) - trunc) < 1e-8
 
 
@@ -237,11 +240,15 @@ def test_exact_standardized_mgf_basics():
         exact_standardized_mgf(IntPoly([3]), 1.0)
     with pytest.raises(OverflowError):
         exact_standardized_mgf(q_catalan(5), 1e6)
-    # t x / sigma past float range makes the log nan (inf - inf), which is
-    # refused like an overflow; a non-finite t is refused outright
+    # t x / sigma past float range makes the log nan (inf - inf), and t^2
+    # past it overflows the series, both refused like an overflow; a
+    # non-finite t is refused outright, by the exact side and the series
     law = StandardizedLaw(q_catalan(6))
+    spec = preset("catalan", 6)
+    coeffs = series_coefficients(spec, 10)
     for mgf in (law.mgf, lambda t: exact_standardized_mgf(q_catalan(6), t),
-                lambda t: law.mgf_grid([0.5, t])[1]):
+                lambda t: law.mgf_grid([0.5, t])[1], lambda t: series_terms(coeffs, t),
+                lambda t: log_mgf_truncated(spec, t, 10), lambda t: tail_series(6, t, 10)):
         for t in (1e308, -1e308):
             with pytest.raises(OverflowError):
                 mgf(t)
@@ -251,27 +258,27 @@ def test_exact_standardized_mgf_basics():
 
 
 def test_tail_series_basics():
-    r = tail_series(10, 0.0, 30, TABLE)
+    r = tail_series(10, 0.0, 30)
     assert r.tail_value == 0.0 and r.leading_term == 0.0
-    r = tail_series(10, 2.0, 30, TABLE)
+    r = tail_series(10, 2.0, 30)
     assert r.leading_term == 2.0
     assert r.tail_value < 0
     with pytest.raises(ValueError):
-        tail_series(1, 1.0, 30, TABLE)
+        tail_series(1, 1.0, 30)
     with pytest.raises(ValueError, match="presets need n >= 2"):  # preset's rule
-        tail_series(1, 0.5, 10, TABLE)
+        tail_series(1, 0.5, 10)
     with pytest.raises(ValueError):
-        tail_series(10, 1.0, 1, TABLE)
+        tail_series(10, 1.0, 1)
 
 
 def test_tail_series_truncation_converged():
-    r = tail_series(20, 2.0, 30, bernoulli_table(40))
+    r = tail_series(20, 2.0, 30)
     assert r.truncation_delta is not None
     assert r.truncation_delta < 1e-15
 
 
 def test_tail_decay_ratios_below_one():
-    vals = [abs(tail_series(n, 2.0, 30, TABLE).tail_value) for n in (10, 20, 40, 80)]
+    vals = [abs(tail_series(n, 2.0, 30).tail_value) for n in (10, 20, 40, 80)]
     assert all(b / a < 1 for a, b in zip(vals, vals[1:]))
 
 
@@ -353,17 +360,15 @@ def test_prepared_routes_equal_per_call_oracles(n, K, ts):
     p = q_catalan(n)
     spec = preset("catalan", n)
     law = StandardizedLaw(p)
-    coeffs = series_coefficients(spec, K + 10, TABLE)
+    coeffs = series_coefficients(spec, K + 10)
     assert law.ks() == oracles.ks_distance_to_normal(p)
     assert law.mgf_grid(ts) == [oracles.exact_standardized_mgf(p, t) for t in ts]
     for t in ts:
         assert law.mgf(t) == oracles.exact_standardized_mgf(p, t)
         assert series_terms(coeffs, t) == oracles.log_mgf_terms(spec, t, K + 10, TABLE)
-        assert log_mgf_truncated(spec, t, K, TABLE) == oracles.log_mgf_truncated(
-            spec, t, K, TABLE
-        )
-        assert tail_series(n, t, K, TABLE) == oracles.tail_series(n, t, K, TABLE)
-        assert tail_series(n, t, 35, TABLE) == oracles.tail_series(n, t, 35, TABLE)
+        assert log_mgf_truncated(spec, t, K) == oracles.log_mgf_truncated(spec, t, K, TABLE)
+        assert tail_series(n, t, K) == oracles.tail_series(n, t, K, TABLE)
+        assert tail_series(n, t, 35) == oracles.tail_series(n, t, 35, TABLE)
 
 
 def test_standardized_law_equals_oracle_on_the_grid():

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from qcatalan import moments
-from qcatalan.exactnum import bernoulli_table
 from qcatalan.limitlaw import catalan_geco_params, geco_bound_check, tail_series
 from qcatalan.moments import (
     QuotientSpec,
@@ -157,7 +156,7 @@ def test_preset_refuses_huge_lists_before_building(monkeypatch):
         with pytest.raises(QuotientTooLarge, match=f"more than {SUM_LIMIT} exponents"):
             preset(*args)
     with pytest.raises(QuotientTooLarge):
-        tail_series(10 ** 8, 1.0, 4, bernoulli_table(8))
+        tail_series(10 ** 8, 1.0, 4)
     with pytest.raises(QuotientTooLarge):
         geco_bound_check(
             lambda n: preset("catalan", n), catalan_geco_params(), [2], [10 ** 8]

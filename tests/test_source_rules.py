@@ -3,12 +3,13 @@
 The library has no assert statements (python -O strips them, so every check
 the output depends on must be explicit), imports nothing that starts
 processes or threads, nor dataclasses (it loads inspect, ast, dis and
-tokenize at start-up), and imports only the standard library.  The command
-line and the test oracles use no private qcatalan name, so they depend only
-on the public surface.
+tokenize at start-up), imports only the standard library, and imports no
+name it does not use.  The command line and the test oracles use no private
+qcatalan name, so they depend only on the public surface.
 """
 
 import ast
+import functools
 import sys
 from pathlib import Path
 
@@ -20,6 +21,16 @@ PUBLIC_ONLY = [ROOT / "src" / "qcatalan" / "cli.py", ROOT / "tests" / "oracles.p
 BANNED = {"concurrent", "dataclasses", "multiprocessing", "subprocess", "threading"}
 
 
+def each_node(check):
+    """A rule on the source from a check on each node of its syntax tree."""
+    @functools.wraps(check)
+    def rule(source: str) -> list[tuple[int, str]]:
+        tree = ast.parse(source)
+        return [(node.lineno, what) for node in ast.walk(tree) if (what := check(node))]
+    return rule
+
+
+@each_node
 def offends(node: ast.AST) -> str | None:
     if isinstance(node, ast.Assert):
         return "assert"
@@ -37,6 +48,7 @@ def offends(node: ast.AST) -> str | None:
     return f"non-stdlib import {', '.join(outside)}" if outside else None
 
 
+@each_node
 def private_import(node: ast.AST) -> str | None:
     # a relative import inside the package, or an import from qcatalan
     if not isinstance(node, ast.ImportFrom):
@@ -47,14 +59,48 @@ def private_import(node: ast.AST) -> str | None:
     return f"private import {', '.join(hit)}" if hit else None
 
 
-def findings(path: Path, check) -> list[str]:
-    tree = ast.parse(path.read_text(), str(path))
-    return [f"{path.name}:{node.lineno}: {what}" for node in ast.walk(tree) if (what := check(node))]
+def names_read(tree: ast.AST) -> set[str]:
+    """The names the tree reads, those in its string annotations included."""
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            for part in ast.walk(annotation) if annotation else ():
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    names |= names_read(ast.parse(part.value, mode="eval"))
+    return names
+
+
+def unused_import(source: str) -> list[tuple[int, str]]:
+    """Each name an import binds that the module never reads.  `# noqa:
+    F401` on the line marks a deliberate re-export, and a star import binds
+    no name to check."""
+    tree = ast.parse(source)
+    used, lines = names_read(tree), source.splitlines()
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound not in used | {"*"} and "# noqa: F401" not in lines[alias.lineno - 1]:
+                out.append((alias.lineno, f"unused import {bound}"))
+    return out
+
+
+def findings(path: Path, rule) -> list[str]:
+    return [f"{path.name}:{line}: {what}" for line, what in rule(path.read_text())]
 
 
 @pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.name)
 def test_library_has_no_assert_and_only_allowed_stdlib_imports(path):
     assert findings(path, offends) == []
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.name)
+def test_library_imports_no_name_it_does_not_use(path):
+    assert findings(path, unused_import) == []
 
 
 @pytest.mark.parametrize("path", PUBLIC_ONLY, ids=lambda p: p.name)
@@ -63,7 +109,7 @@ def test_cli_and_oracles_import_no_private_name(path):
 
 
 @pytest.mark.parametrize(
-    "source, check, what",
+    "source, rule, what",
     [
         ("assert x", offends, "assert"),
         ("import dataclasses", offends, "import dataclasses"),
@@ -71,12 +117,13 @@ def test_cli_and_oracles_import_no_private_name(path):
         ("import numpy", offends, "non-stdlib import numpy"),
         ("from .polyq import _Frozen", private_import, "private import _Frozen"),
         ("from qcatalan.limitlaw import _helper", private_import, "private import _helper"),
+        ("from .exactnum import bernoulli_table", unused_import, "unused import bernoulli_table"),
     ],
 )
-def test_the_rules_catch_what_they_name(source, check, what, tmp_path):
+def test_the_rules_catch_what_they_name(source, rule, what, tmp_path):
     path = tmp_path / "probe.py"
     path.write_text(source + "\n")
-    assert findings(path, check) == [f"probe.py:1: {what}"]
+    assert findings(path, rule) == [f"probe.py:1: {what}"]
 
 
 def test_the_rules_pass_clean_source(tmp_path):
