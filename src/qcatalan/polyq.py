@@ -11,14 +11,16 @@ of its defining expression at q = 1.
 Every family member and every quotient prod(1 - q^a_i) / prod(1 - q^b_i)
 comes from one construction kernel, in four parts:
 
-  * Ledger.  (1 - q^x) is the product of the cyclotomic Phi_d over d | x,
-    so the quotient is a polynomial exactly when its surplus
-    #{i : d | a_i} - #{j : d | b_j} is >= 0 for every d.  The counts come
-    from trial division up to sqrt(x); the surplus does not change when
-    common exponents cancel and adds over a product, so a sweep step adds
-    the counts of the step's own factors to the previous member's surplus
-    instead of recounting the member; a build from scratch is a step from
-    the empty product 1.  A non-polynomial raises NotPolynomial before any
+  * Ledger.  The kernel holds the exponents as one signed multiset e,
+    e[x] = #{i : a_i = x} - #{j : b_j = x}, so factors common to a and b
+    cancel as e is counted.  (1 - q^x) is the product of the cyclotomic
+    Phi_d over d | x, so the quotient is a polynomial exactly when its
+    surplus, the sum of e[x] over the x that d divides, is >= 0 for every
+    d.  The divisors come from trial division up to sqrt(x), and the
+    surplus adds over a product, so a sweep step counts only the step
+    e - e_prev and adds that to the previous member's surplus instead of
+    recounting the member; a build from scratch is a step from the empty
+    product 1.  A non-polynomial raises NotPolynomial before any
     coefficient list exists.
   * Pairs.  A denominator factor (1 - q^d) whose double 2d is a numerator
     exponent leaves the quotient (1 - q^2d) / (1 - q^d) = 1 + q^d, a
@@ -100,25 +102,27 @@ class QuotientTooLarge(ValueError):
     """The numerator exponents sum past SUM_LIMIT; nothing was built."""
 
 
-def _poly_str(coeffs: Sequence[int], max_terms: int = 8) -> str:
-    if not coeffs:
-        return "0"
+# Past this many nonzero terms an IntPoly repr shows half of them, "...", the last.
+_REPR_TERMS = 8
+
+
+def _poly_str(coeffs: Sequence[int]) -> str:
+    """The trimmed coefficient list as a sum of terms, as IntPoly's repr
+    shows it.  Only the coefficients it shows are turned into text."""
+    shown = list(itertools.islice((k for k, c in enumerate(coeffs) if c), _REPR_TERMS + 1))
+    if len(shown) > _REPR_TERMS:
+        shown[_REPR_TERMS // 2:] = [None, len(coeffs) - 1]
     parts = []
-    for k, c in enumerate(coeffs):
-        if c == 0:
+    for k in shown:
+        if k is None:
+            parts.append("...")
             continue
-        if k == 0:
-            parts.append(str(c))
-        else:
-            mag = "" if abs(c) == 1 else f"{abs(c)}*"
-            sign = "-" if c < 0 else ""
-            var = "q" if k == 1 else f"q^{k}"
-            parts.append(f"{sign}{mag}{var}" if not parts else f"{'-' if c < 0 else '+'} {mag}{var}")
-    if len(parts) > max_terms:
-        head = " ".join(parts[: max_terms // 2])
-        tail = parts[-1].lstrip("+- ")
-        return f"{head} ... + {tail}"
-    return " ".join(parts)
+        c = coeffs[k]
+        mag = "" if abs(c) == 1 else f"{abs(c)}*"
+        term = str(abs(c)) if k == 0 else mag + ("q" if k == 1 else f"q^{k}")
+        sign = ("- " if c < 0 else "+ ") if parts else ("-" if c < 0 else "")
+        parts.append(sign + term)
+    return " ".join(parts) or "0"
 
 
 class _Frozen:
@@ -346,32 +350,31 @@ def _divisors(xs: Iterable[int]) -> list[int]:
     return divisors
 
 
-def _surplus(a: Iterable[int], b: Iterable[int]) -> Counter[int]:
-    """The cyclotomic ledger of prod(1 - q^a_i) / prod(1 - q^b_j).
+def _surplus(e: Counter[int]) -> Counter[int]:
+    """The cyclotomic ledger of the quotient whose signed exponent multiset
+    is e (see _quotient_coeffs).
 
     (1 - q^x) is the product of Phi_d over d | x, so the quotient holds
-    Phi_d to the power #{i : d | a_i} - #{j : d | b_j}, the surplus at d,
-    and it is a polynomial exactly when no surplus is negative.  Common
-    entries of a and b cancel out of the surplus, and the surplus of a
+    Phi_d to the power sum(e[x] for x with d | x), the surplus at d, and it
+    is a polynomial exactly when no surplus is negative.  The surplus of a
     product is the sum of its factors' surpluses.
     """
-    surplus = Counter(_divisors(a))
-    surplus.subtract(_divisors(b))
+    surplus = Counter(_divisors((+e).elements()))
+    surplus.subtract(_divisors((-e).elements()))
     return surplus
 
 
-def _pair_doubles(
-    ups: Sequence[int], downs: Sequence[int]
-) -> tuple[list[int], list[int], list[int]]:
-    """The passes of prod(1 - q^u) / prod(1 - q^d) for ups and downs sorted
-    ascending, as (pairs, ups, downs): every down d whose double 2d is
-    still among the ups becomes the pair 1 + q^d and takes that up along.
-    With common entries cancelled, an up 2d can pair only with the down d.
-    pairs and the remaining ups come ascending, the remaining downs largest
-    first, the order the kernel runs them in."""
-    left = Counter(ups)
+def _pair_doubles(e: Counter[int]) -> tuple[list[int], list[int], list[int]]:
+    """The passes of the quotient whose signed exponent multiset is e, as
+    (pairs, ups, downs): the ups are the exponents x with e[x] > 0, the
+    downs those with e[x] < 0, each -e[x] times, and every down d whose
+    double 2d is still among the ups becomes the pair 1 + q^d and takes
+    that up along, largest down first.  pairs and the remaining ups come
+    ascending, the remaining downs largest first, the order the kernel runs
+    them in."""
+    left = +e
     pairs, rest = [], []
-    for d in reversed(downs):
+    for d in sorted((-e).elements(), reverse=True):
         if left[2 * d]:
             left[2 * d] -= 1
             pairs.append(d)
@@ -381,52 +384,56 @@ def _pair_doubles(
     return pairs, sorted(left.elements()), rest
 
 
-# A kernel record (c, a, b, surplus): the full coefficient list of
-# Q(a, b) = prod(1 - q^a_i) / prod(1 - q^b_i), a and b with common entries
-# cancelled, and its ledger surplus (see _surplus).
-_Record = tuple[list[int], tuple[int, ...], tuple[int, ...], Counter[int]]
+# A kernel record (c, e, surplus): the full coefficient list of
+# Q(a, b) = prod(1 - q^a_i) / prod(1 - q^b_i), its signed exponent multiset
+# e, e[x] = #{i : a_i = x} - #{j : b_j = x}, and its ledger surplus (see
+# _surplus).
+_Record = tuple[list[int], Counter[int], Counter[int]]
 # The empty product 1; never modified.
-_ONE: _Record = ([1], (), (), Counter())
+_ONE: _Record = ([1], Counter(), Counter())
 
 
 def _quotient_coeffs(a: Iterable[int], b: Iterable[int], prev: _Record = _ONE) -> _Record:
     """The kernel record of Q(a, b), or NotPolynomial.
 
-    prev is the record of a known quotient Q(pa, pb), by default _ONE, so a
-    build from scratch is a step from 1; prev is not modified.  Every check
-    runs before any coefficient list exists: the size limit, the lengths
-    and entries, the degree D = sum(a) - sum(b) >= 0, and the ledger.
-    Q(a, b) is Q(pa, pb) * Q(a + pb, b + pa), so the ledger adds the
-    surplus of the cancelled step lists to prev's and passes when no
-    divisor the step touches goes negative.  The quotient is then
-    palindromic of degree D, so only its head modulo q^h, h = D // 2 + 1,
-    is built; the tail is the head mirrored.  The passes come from
-    _pair_doubles, for the step from prev's coefficients if it takes
-    strictly fewer than the rebuild from 1 (the two agree when prev is
-    _ONE), else for the rebuild: first a multiplication by (1 + q^d) for
-    every pair, ascending, then by every remaining (1 - q^u), then a
-    division by every remaining (1 - q^d), largest first.  Once the ledger
-    has passed, every partial quotient is a polynomial (the final quotient
-    times the factors not yet divided out), so each pass stops at
-    min(its degree + 1, h); every division pass runs at h.  The result
-    must have coefficient sum prod(a) / prod(b), its value at q = 1;
-    anything else raises ArithmeticError, since it means a construction
-    error.
+    prev is the record of a known quotient, by default _ONE, so a build
+    from scratch is a step from 1; prev is not modified.  Every check runs
+    before any coefficient list exists: the size limit, the lengths and
+    entries, the degree D = sum(a) - sum(b) >= 0, and the ledger.  The
+    exponents are held as one signed multiset e, so factors common to a
+    and b cancel as e is counted, and Q(a, b) is prev's quotient times the
+    quotient of the step e - e_prev.  The ledger adds the surplus of the
+    step to prev's and passes when no divisor the step touches goes
+    negative.  The quotient is then palindromic of degree D, so only its
+    head modulo q^h, h = D // 2 + 1, is built; the tail is the head
+    mirrored.  The passes come from _pair_doubles, for the step from
+    prev's coefficients if it takes strictly fewer than the rebuild from 1
+    (the two agree when prev is _ONE), else for the rebuild: first a
+    multiplication by (1 + q^d) for every pair, ascending, then by every
+    remaining (1 - q^u), then a division by every remaining (1 - q^d),
+    largest first.  Once the ledger has passed, every partial quotient is
+    a polynomial (the final quotient times the factors not yet divided
+    out), so each pass stops at min(its degree + 1, h); every division
+    pass runs at h.  The result must have coefficient sum prod(a) /
+    prod(b), its value at q = 1; anything else raises ArithmeticError,
+    since it means a construction error.
     """
-    num, den = _check_exponents(_check_size(a), b)
-    degree = sum(num) - sum(den)
+    a, b = _check_exponents(_check_size(a), b)
+    degree = sum(a) - sum(b)
     if degree < 0:
-        raise NotPolynomial(f"quotient of a={num} by b={den} has negative degree {degree}")
-    c, pa, pb, surplus = prev
-    a, b = _cancel_common(num, den)
-    step = _cancel_common((*a, *pb), (*b, *pa))
-    change = _surplus(*step)
+        raise NotPolynomial(f"quotient of a={a} by b={b} has negative degree {degree}")
+    c, prev_e, surplus = prev
+    e = Counter(a)
+    e.subtract(b)
+    step = e.copy()
+    step.subtract(prev_e)
+    change = _surplus(step)
     surplus = surplus.copy()
     surplus.update(change)
     if any(surplus[d] < 0 for d in change):
-        raise NotPolynomial(f"quotient of a={num} by b={den} is not a polynomial")
+        raise NotPolynomial(f"quotient of a={a} by b={b} is not a polynomial")
     h = degree // 2 + 1
-    plan, rebuild = _pair_doubles(*step), _pair_doubles(a, b)
+    plan, rebuild = _pair_doubles(step), _pair_doubles(e)
     if sum(map(len, rebuild)) <= sum(map(len, plan)):
         c, plan = [1], rebuild
     pairs, ups, downs = plan
@@ -450,7 +457,7 @@ def _quotient_coeffs(a: Iterable[int], b: Iterable[int], prev: _Record = _ONE) -
         )
     # coefficient degree - i equals coefficient i
     c.extend(itertools.islice(reversed(c), middle, None))
-    return c, a, b, surplus
+    return c, e, surplus
 
 
 def _require_nonnegative(c: list[int], what: str) -> list[int]:
@@ -635,7 +642,7 @@ def iter_family(
     picks the cheaper of the rebuild and the step
 
         member(n+1) = member(n) * prod(1 - q^u) / prod(1 - q^d),
-        u = a(n+1) + b(n),  d = b(n+1) + a(n),  common entries cancelled,
+        the ups u and downs d of the signed step e(n+1) - e(n),
 
     which for catalan is C_n (1 - q^(2n+1))(1 - q^(2n+2)) /
     ((1 - q^(n+1))(1 - q^(n+2))) = C_n (1 - q^(2n+1))(1 + q^(n+1)) /
@@ -657,8 +664,10 @@ def iter_family(
 def _sweep(fam: Family, n_from: int, n_to: int, m: int | None) -> Iterator[IntPoly]:
     p = fam.build(n_from, m)
     yield p
-    a, b = _cancel_common(*fam.exponents(n_from, m))
-    record = (list(p.coeffs), a, b, _surplus(a, b))
+    a, b = fam.exponents(n_from, m)
+    e = Counter(a)
+    e.subtract(b)
+    record = (list(p.coeffs), e, _surplus(e))
     for n in range(n_from + 1, n_to + 1):
         record = _quotient_coeffs(*fam.exponents(n, m), record)
         yield IntPoly(_require_nonnegative(record[0], f"{fam.name} member n={n}"))

@@ -23,8 +23,8 @@ def empty_product_stays_one():
     """Every build from scratch starts from the kernel record polyq._ONE, so
     no kernel call may leave it changed."""
     yield
-    c, a, b, surplus = polyq._ONE
-    assert (c, a, b, dict(surplus)) == ([1], (), (), {}), polyq._ONE
+    c, e, surplus = polyq._ONE
+    assert (c, dict(e), dict(surplus)) == ([1], {}, {}), polyq._ONE
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

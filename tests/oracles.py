@@ -10,7 +10,8 @@ The quotient routes build at full length, as the library did before its
 construction kernel decided polynomiality from the cyclotomic ledger and
 built half of each quotient: `sequential_quotient` with one checked linear
 pass per factor, `is_polynomial_by_division` by long division of the full
-products.
+products.  `paired_passes` plans a quotient's passes from sorted cancelled
+lists, as the kernel did before it held one signed exponent multiset.
 
 `interior_unimodal` tests every candidate peak, the definition the scanner
 in `shape` shortcuts with one pass.  `dist_summary` and `lc_violations`
@@ -34,6 +35,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Any, Sequence, TextIO
 
@@ -201,6 +203,28 @@ def sequential_quotient(a, b) -> list[int]:
     for x in sorted(b, reverse=True):
         c = _div_one_minus_qpow(c, x)
     return c
+
+
+def paired_passes(a, b) -> tuple[list[int], list[int], list[int]]:
+    """The passes (pairs, ups, downs) of prod(1 - q^a_i) / prod(1 - q^b_i)
+    from sorted lists, as the kernel planned them before it held its
+    exponents as one signed multiset: common entries of a and b cancel,
+    leaving the ups and the downs ascending; then every down d, largest
+    first, whose double 2d is still among the ups becomes the pair 1 + q^d
+    and takes that up along.  pairs and the remaining ups come ascending,
+    the remaining downs largest first."""
+    ca, cb = Counter(a), Counter(b)
+    ups, downs = sorted((ca - cb).elements()), sorted((cb - ca).elements())
+    left = Counter(ups)
+    pairs, rest = [], []
+    for d in reversed(downs):
+        if left[2 * d]:
+            left[2 * d] -= 1
+            pairs.append(d)
+        else:
+            rest.append(d)
+    pairs.reverse()
+    return pairs, sorted(left.elements()), rest
 
 
 def _binomial_product(xs) -> IntPoly:

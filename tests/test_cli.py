@@ -418,7 +418,7 @@ def test_general_integer_lists_must_parse(a, b, capsys):
 
 def test_broken_construction_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(
-        polyq, "_quotient_coeffs", lambda a, b, prev=polyq._ONE: ([1, -1, 1], (), (), Counter())
+        polyq, "_quotient_coeffs", lambda a, b, prev=polyq._ONE: ([1, -1, 1], Counter(), Counter())
     )
     rc, out = run_cli("coeffs", "--family", "catalan", "--n", "3")
     assert rc == 3 and out == ""

@@ -272,6 +272,14 @@ def test_quotient_poly_validation():
         quotient_poly(SimpleNamespace(a=(0,), b=(1,)))
 
 
+def signed(a, b):
+    """The signed exponent multiset of prod(1 - q^a_i) / prod(1 - q^b_i),
+    e[x] = #{i : a_i = x} - #{j : b_j = x}, as the kernel counts it."""
+    e = Counter(a)
+    e.subtract(b)
+    return e
+
+
 @st.composite
 def exponent_lists(draw):
     # A product of up to three Gaussian binomials [top choose k], which is a
@@ -298,7 +306,7 @@ def exponent_lists(draw):
 def test_kernel_agrees_with_long_division_and_the_full_build(lists):
     a, b = lists
     verdict = oracles.is_polynomial_by_division(a, b)
-    assert (min(polyq._surplus(a, b).values(), default=0) >= 0) == verdict
+    assert (min(polyq._surplus(signed(a, b)).values(), default=0) >= 0) == verdict
     spec = SimpleNamespace(a=a, b=b)
     if not verdict:
         with pytest.raises(NotPolynomial):
@@ -340,11 +348,23 @@ def test_kernel_pairs_doubles_exactly(lists):
 
 
 def test_pair_doubles_takes_each_up_once():
-    assert polyq._pair_doubles((2, 6, 6, 7), (1, 3, 3, 5)) == ([1, 3, 3], [7], [5])
+    assert polyq._pair_doubles(signed((2, 6, 6, 7), (1, 3, 3, 5))) == ([1, 3, 3], [7], [5])
     # a chain: the down 2 takes the up 4, and the down 1 finds no up 2
-    assert polyq._pair_doubles((4, 8), (1, 2)) == ([2], [8], [1])
-    assert polyq._pair_doubles((6, 6), (3,)) == ([3], [6], [])
-    assert polyq._pair_doubles((5,), (2, 3)) == ([], [5], [3, 2])
+    assert polyq._pair_doubles(signed((4, 8), (1, 2))) == ([2], [8], [1])
+    assert polyq._pair_doubles(signed((6, 6), (3,))) == ([3], [6], [])
+    assert polyq._pair_doubles(signed((5,), (2, 3))) == ([], [5], [3, 2])
+    # common entries cancel: 4 on both sides leaves no pair for the down 2
+    assert polyq._pair_doubles(signed((4, 9), (2, 4))) == ([], [9], [2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.lists(st.integers(1, 24), max_size=10),
+    b=st.lists(st.integers(1, 24), max_size=10),
+)
+def test_pair_doubles_plans_as_the_sorted_lists_did(a, b):
+    # repeats, common entries and doubling chains all occur in this range
+    assert polyq._pair_doubles(signed(a, b)) == oracles.paired_passes(a, b)
 
 
 PASSES = ("_mul_one_plus_qpow", "_mul_one_minus_qpow", "_div_one_minus_qpow")
@@ -399,22 +419,23 @@ def test_kernel_from_prev_equals_the_build_from_one(prev, other, product):
     kept = copy.deepcopy(record)
     stepped = polyq._quotient_coeffs(a, b, record)
     built = polyq._quotient_coeffs(a, b)
-    assert stepped[:3] == built[:3]
-    assert +stepped[3] == +built[3] and -stepped[3] == -built[3]
-    assert record == kept and record[3].keys() == kept[3].keys()
+    assert stepped[:2] == built[:2]
+    assert +stepped[2] == +built[2] and -stepped[2] == -built[2]
+    assert record == kept
+    assert record[1].keys() == kept[1].keys() and record[2].keys() == kept[2].keys()
 
 
 def test_kernel_runs_from_prev_only_when_it_saves_passes(monkeypatch):
     counts = count_passes(monkeypatch)
     # from 1 + q to [4]: the step (1 - q^4)/(1 - q^2) is one pair pass, the
     # rebuild (1 - q^4)/(1 - q) two passes, so the kernel steps
-    prev = ([1, 1], (2,), (1,), polyq._surplus((2,), (1,)))
+    prev = ([1, 1], signed((2,), (1,)), polyq._surplus(signed((2,), (1,))))
     assert polyq._quotient_coeffs((4,), (1,), prev=prev)[0] == [1] * 4
     assert counts == {"_mul_one_plus_qpow": 1}
     # rebuilding (1 - q^2)(1 - q^12)/((1 - q)(1 - q^6)) is two pair passes,
     # as many as the unpaired step (1 - q^2)/(1 - q^6), so it builds from 1
     counts.clear()
-    prev = ([1] * 12, (12,), (1,), polyq._surplus((12,), (1,)))
+    prev = ([1] * 12, signed((12,), (1,)), polyq._surplus(signed((12,), (1,))))
     c = polyq._quotient_coeffs((2, 12), (1, 6), prev=prev)[0]
     assert c == [1, 1, 0, 0, 0, 0, 1, 1]
     assert counts == {"_mul_one_plus_qpow": 2}
@@ -630,17 +651,32 @@ def test_carried_surplus_equals_the_count_from_scratch(name, m, n_to, monkeypatc
     def spy(a, b, prev=polyq._ONE):
         a, b = tuple(a), tuple(b)  # a family member's exponent lists are lazy
         record = kernel(a, b, prev)
-        seen.append((a, b, prev is not polyq._ONE, record[3]))
+        seen.append((a, b, prev is not polyq._ONE, record[1], record[2]))
         return record
 
     monkeypatch.setattr(polyq, "_quotient_coeffs", spy)
     for _ in iter_family(name, 2, n_to, m):
         pass
-    assert [stepped for _, _, stepped, _ in seen] == [False] + [True] * (n_to - 2)
-    for a, b, _, surplus in seen:
-        counted = polyq._surplus(a, b)
+    assert [stepped for _, _, stepped, _, _ in seen] == [False] + [True] * (n_to - 2)
+    for a, b, _, e, surplus in seen:
+        # the carried signed multiset is the member's own, common entries cancelled
+        assert +e == Counter(a) - Counter(b) and -e == Counter(b) - Counter(a)
+        counted = polyq._surplus(signed(a, b))
         assert +surplus == +counted and -surplus == -counted
         assert not -surplus
+
+
+def test_the_kernel_never_cancels_lists(monkeypatch):
+    # the signed exponent multiset cancels common factors as it is counted
+    def no_cancel(*args):
+        raise AssertionError("the kernel cancelled exponent lists")
+
+    monkeypatch.setattr(polyq, "_cancel_common", no_cancel)
+    members = list(iter_family("catalan2", 1, 30))
+    assert members[-1] == q_catalan_second(30)
+    assert list(iter_family("mcatalan", 2, 12, 5))[-1] == q_catalan_general(12, 5)
+    spec = SimpleNamespace(a=(2, 4, 6, 9), b=(1, 2, 3, 9))
+    assert quotient_poly(spec).coeffs == tuple(oracles.sequential_quotient(spec.a, spec.b))
 
 
 @settings(max_examples=200, deadline=None)

@@ -144,8 +144,22 @@ def test_intpoly_trims_and_keeps_its_repr():
     assert repr(p) == "IntPoly(1 + 2*q^2)"
     assert repr(IntPoly()) == "IntPoly(0)"
     assert repr(IntPoly([0, -1, 3])) == "IntPoly(-q + 3*q^2)"
+    assert repr(IntPoly([5] * 8)) == (
+        "IntPoly(5 + 5*q + 5*q^2 + 5*q^3 + 5*q^4 + 5*q^5 + 5*q^6 + 5*q^7)"
+    )
     with pytest.raises(ValueError, match="undefined"):
         IntPoly().degree
+
+
+def test_an_elided_intpoly_repr_keeps_the_sign_of_its_last_term():
+    assert repr(IntPoly([1] * 9 + [-2])) == "IntPoly(1 + q + q^2 + q^3 ... - 2*q^9)"
+    assert repr(IntPoly([1] * 9 + [2])) == "IntPoly(1 + q + q^2 + q^3 ... + 2*q^9)"
+    assert repr(IntPoly([-1] * 9)) == "IntPoly(-1 - q - q^2 - q^3 ... - q^8)"
+
+
+def test_an_intpoly_repr_converts_only_the_terms_it_shows():
+    # 10**5000 is past the int-to-str digit limit, and the repr elides it
+    assert repr(IntPoly([1] * 4 + [10 ** 5000] + [1] * 5)) == "IntPoly(1 + q + q^2 + q^3 ... + q^9)"
 
 
 @given(st.lists(st.integers(-10**30, 10**30), max_size=20), st.integers(0, 10))

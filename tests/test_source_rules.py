@@ -4,7 +4,9 @@ The library has no assert statements (python -O strips them, so every check
 the output depends on must be explicit), imports nothing that starts
 processes or threads, nor dataclasses (it loads inspect, ast, dis and
 tokenize at start-up), imports only the standard library, and imports no
-name it does not use.  The command line and the test oracles use no private
+name it does not use.  Every private name a library module binds at its
+top level is read somewhere in the library, so a helper that a refactor
+leaves behind shows.  The command line and the test oracles use no private
 qcatalan name, so they depend only on the public surface.
 """
 
@@ -61,7 +63,11 @@ def private_import(node: ast.AST) -> str | None:
 
 def names_read(tree: ast.AST) -> set[str]:
     """The names the tree reads, those in its string annotations included."""
-    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
     for node in ast.walk(tree):
         for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
             for part in ast.walk(annotation) if annotation else ():
@@ -89,6 +95,28 @@ def unused_import(source: str) -> list[tuple[int, str]]:
     return out
 
 
+def unread_private(source: str, elsewhere: frozenset[str] = frozenset()) -> list[tuple[int, str]]:
+    """Each private name the module binds at its top level, by def, class
+    or assignment, that neither the module nor `elsewhere` reads."""
+    tree = ast.parse(source)
+    read = names_read(tree) | elsewhere
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound = [target.id for target in targets if isinstance(target, ast.Name)]
+        else:
+            continue
+        out += [
+            (node.lineno, f"unread private name {name}")
+            for name in bound
+            if name.startswith("_") and not name.endswith("__") and name not in read
+        ]
+    return out
+
+
 def findings(path: Path, rule) -> list[str]:
     return [f"{path.name}:{line}: {what}" for line, what in rule(path.read_text())]
 
@@ -101,6 +129,12 @@ def test_library_has_no_assert_and_only_allowed_stdlib_imports(path):
 @pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.name)
 def test_library_imports_no_name_it_does_not_use(path):
     assert findings(path, unused_import) == []
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.name)
+def test_library_reads_every_private_name_it_binds(path):
+    read = frozenset().union(*(names_read(ast.parse(p.read_text())) for p in LIBRARY))
+    assert findings(path, functools.partial(unread_private, elsewhere=read)) == []
 
 
 @pytest.mark.parametrize("path", PUBLIC_ONLY, ids=lambda p: p.name)
@@ -118,6 +152,8 @@ def test_cli_and_oracles_import_no_private_name(path):
         ("from .polyq import _Frozen", private_import, "private import _Frozen"),
         ("from qcatalan.limitlaw import _helper", private_import, "private import _helper"),
         ("from .exactnum import bernoulli_table", unused_import, "unused import bernoulli_table"),
+        ("def _helper(): pass", unread_private, "unread private name _helper"),
+        ("_LIMIT: int = 5", unread_private, "unread private name _LIMIT"),
     ],
 )
 def test_the_rules_catch_what_they_name(source, rule, what, tmp_path):
@@ -130,3 +166,5 @@ def test_the_rules_pass_clean_source(tmp_path):
     path = tmp_path / "probe.py"
     path.write_text("import math\nfrom .polyq import IntPoly\nfrom os import path\n")
     assert findings(path, offends) == findings(path, private_import) == []
+    path.write_text("__all__ = ['f']\n_LIMIT = 5\n\ndef f():\n    return _LIMIT\n")
+    assert findings(path, unread_private) == []
