@@ -10,8 +10,8 @@ numbers as doubles cannot silently lose digits.  Rows are typed by kind
 (coeff, moment, ratio, ks, mgf, density, a moments row, a shape row): a
 kind fixes each cell's column and type (bool, int, float, str or
 Fraction).  Every kind is written one way, a block of rows at a time taken
-as columns: the columns that hold a null fix the block's shape, and each
-shape has one template per format.  Coefficient rows stream from the
+as columns: the columns of a part of the table that hold a null fix the
+part's one template, per format.  Coefficient rows stream from the
 coefficient list as they are written, so peak memory is the list plus one
 block of encoded rows.  Every other row, and the widest coefficient, is
 computed and encoded before the first write, so an error leaves stdout
@@ -36,6 +36,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
+import operator
 import os
 import sys
 from fractions import Fraction
@@ -138,8 +139,8 @@ class RowKind(NamedTuple):
 def _shape(
     columns: Sequence[str], kind: RowKind, nulls: Sequence[bool], fmt: str
 ) -> tuple[str, list[Callable[[Any], str] | None]]:
-    """The %-format template of a block of `kind` whose cell columns hold a
-    null where `nulls` says, and the encoder each of those columns goes
+    """The %-format template of the rows of `kind` whose cell columns hold
+    a null where `nulls` says, and the encoder each of those columns goes
     through first, None for one the template writes itself.
 
     A column that holds a null is written with %s, by an encoder that gives
@@ -178,20 +179,22 @@ def _blocks(columns: Sequence[str], kind: RowKind, rows: Sequence[Any], fmt: str
     """The rows encoded and joined, BLOCK_ROWS rows to a block: by commas in
     JSON (the "rows" array's separator), end to end in CSV.
 
-    Each block is taken as columns, an indexed kind's k being the range of
-    the block's positions beside its coefficients.  The columns that hold a
-    null fix the block's shape, whose template and encoders are built on
-    its first use.  Each column with an encoder goes through it once, and
-    the template writes the block in one pass."""
+    The columns of the part that hold a null fix its one template and its
+    encoders, built before the first block; an indexed kind's k column
+    never holds one.  Each block is taken as columns, an indexed kind's k
+    being the range of the block's positions beside its coefficients.
+    Each column with an encoder goes through it once, and the template
+    writes the block in one pass."""
     join = ",".join if fmt == "json" else "".join
-    shapes: dict[tuple[bool, ...], tuple[str, list[Callable[[Any], str] | None]]] = {}
+    # column by column through itemgetter: zip(*rows) would hold one
+    # iterator per row of the part at once
+    nulls = [False, None in rows] if kind.indexed else [
+        None in map(operator.itemgetter(i), rows) for i in range(len(kind.cells))
+    ]
+    template, encoders = _shape(columns, kind, nulls, fmt)
     for start in range(0, len(rows), BLOCK_ROWS):
         block = rows[start : start + BLOCK_ROWS]
         cols = [range(start, start + len(block)), block] if kind.indexed else list(zip(*block))
-        nulls = tuple([None in col for col in cols])
-        if nulls not in shapes:
-            shapes[nulls] = _shape(columns, kind, nulls, fmt)
-        template, encoders = shapes[nulls]
         cells = [col if f is None else map(f, col) for f, col in zip(encoders, cols)]
         # a kind without cells has no column to zip: each row is ()
         yield join(map(template.__mod__, zip(*cells) if cells else [()] * len(block)))

@@ -24,15 +24,15 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .polyq import (
     SUM_LIMIT,
     IntPoly,
     QuotientTooLarge,
-    _cancel_common,
     _check_exponents,
     _Frozen,
+    _signed,
     get_family,
 )
 
@@ -92,6 +92,13 @@ def _check_distribution(p: IntPoly) -> bool:
     return palindromic
 
 
+def _raw_sums(cs: Sequence[int], r: int) -> list[int]:
+    """The raw power sums sum_k k^j c_k for j = 0..r, exact, each summed at
+    C speed."""
+    ks = range(len(cs))
+    return [sum(map(operator.mul, map(pow, ks, itertools.repeat(j)), cs)) for j in range(r + 1)]
+
+
 def dist_summary(p: IntPoly) -> DistSummary:
     """Mass, mean, and variance of the coefficient distribution of p.
 
@@ -99,8 +106,8 @@ def dist_summary(p: IntPoly) -> DistSummary:
     central moment.  A palindrome of degree d is read by its head: the mean
     is d/2, and pairing k with d - k gives the variance
     sum_{k<d/2} (d - 2k)^2 c_k / (2 mass), summed at C speed.  Other input
-    is read in full, through the second raw moment.  All exact; sigma on
-    the returned summary is the only float.
+    is read in full, through the raw sums of _raw_sums.  All exact; sigma
+    on the returned summary is the only float.
     """
     palindromic = _check_distribution(p)
     cs, d = p.coeffs, p.degree
@@ -111,14 +118,7 @@ def dist_summary(p: IntPoly) -> DistSummary:
         s2 = sum(map(operator.mul, map(operator.mul, gaps, gaps), cs))
         variance = Fraction(s2, 2 * mass)
         return DistSummary(mass=mass, mean=Fraction(d, 2), variance=variance, degree=d)
-    mass = 0
-    s1 = 0
-    s2 = 0
-    for k, c in enumerate(cs):
-        mass += c
-        kc = k * c
-        s1 += kc
-        s2 += k * kc
+    mass, s1, s2 = _raw_sums(cs, 2)
     mean = Fraction(s1, mass)
     variance = Fraction(s2, mass) - mean * mean
     return DistSummary(mass=mass, mean=mean, variance=variance, degree=d)
@@ -127,22 +127,14 @@ def dist_summary(p: IntPoly) -> DistSummary:
 def central_moment(p: IntPoly, r: int) -> Fraction:
     """Exact r-th central moment, 1 <= r <= 8.
 
-    One pass accumulates the raw power sums S_j = sum k^j c_k; the central
+    The raw power sums S_j = sum k^j c_k come from _raw_sums; the central
     moment is then the usual binomial expansion around the mean.  r = 1 is
     identically zero and r = 2 repeats the variance, both useful as checks.
     """
     if not 1 <= r <= 8:
         raise ValueError(f"need 1 <= r <= 8, got {r}")
     _check_distribution(p)
-    raw = [0] * (r + 1)
-    for k, c in enumerate(p.coeffs):
-        if c == 0:
-            continue
-        term = c
-        raw[0] += term
-        for j in range(1, r + 1):
-            term *= k
-            raw[j] += term
+    raw = _raw_sums(p.coeffs, r)
     mass = raw[0]
     mean = Fraction(raw[1], mass)
     acc = Fraction(0)
@@ -211,6 +203,6 @@ def preset(name: str, n: int, m: int | None = None) -> QuotientSpec:
                 f"{name} at n={n} has more than {SUM_LIMIT} exponents; "
                 "the exponent lists would be too large to hold"
             )
-    a, b = _cancel_common(*fam.exponents(n, m))
+    e = _signed(*fam.exponents(n, m))
     label = f"{name}(n={n},m={m})" if fam.takes_m else f"{name}(n={n})"
-    return QuotientSpec(a=a, b=b, label=label)
+    return QuotientSpec(a=sorted((+e).elements()), b=sorted((-e).elements()), label=label)

@@ -333,10 +333,14 @@ def _check_size(a: Iterable[int]) -> list[int]:
     return kept
 
 
-def _cancel_common(a: Iterable[int], b: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Drop exponents appearing in both multisets; those factors cancel."""
-    ca, cb = Counter(a), Counter(b)
-    return tuple(sorted((ca - cb).elements())), tuple(sorted((cb - ca).elements()))
+def _signed(a: Iterable[int], b: Iterable[int]) -> Counter[int]:
+    """The signed exponent multiset e of prod(1 - q^a_i) / prod(1 - q^b_i),
+    e[x] = #{i : a_i = x} - #{j : b_j = x}: the factors common to a and b
+    cancel as e is counted.  +e holds the numerator's uncancelled
+    exponents and -e the denominator's."""
+    e = Counter(a)
+    e.subtract(b)
+    return e
 
 
 def _divisors(xs: Iterable[int]) -> list[int]:
@@ -408,23 +412,23 @@ def _quotient_coeffs(a: Iterable[int], b: Iterable[int], prev: _Record = _ONE) -
     head modulo q^h, h = D // 2 + 1, is built; the tail is the head
     mirrored.  The passes come from _pair_doubles, for the step from
     prev's coefficients if it takes strictly fewer than the rebuild from 1
-    (the two agree when prev is _ONE), else for the rebuild: first a
-    multiplication by (1 + q^d) for every pair, ascending, then by every
-    remaining (1 - q^u), then a division by every remaining (1 - q^d),
-    largest first.  Once the ledger has passed, every partial quotient is
-    a polynomial (the final quotient times the factors not yet divided
-    out), so each pass stops at min(its degree + 1, h); every division
-    pass runs at h.  The result must have coefficient sum prod(a) /
-    prod(b), its value at q = 1; anything else raises ArithmeticError,
-    since it means a construction error.
+    (the two agree when prev is _ONE), else for the rebuild.  The rebuild
+    is planned only when it can win, since any plan of e takes at least
+    sum|e| / 2 passes.  A plan runs first a multiplication by (1 + q^d)
+    for every pair, ascending, then by every remaining (1 - q^u), then a
+    division by every remaining (1 - q^d), largest first.  Once the ledger
+    has passed, every partial quotient is a polynomial (the final quotient
+    times the factors not yet divided out), so each pass stops at min(its
+    degree + 1, h); every division pass runs at h.  The result must have
+    coefficient sum prod(a) / prod(b), its value at q = 1; anything else
+    raises ArithmeticError, since it means a construction error.
     """
     a, b = _check_exponents(_check_size(a), b)
     degree = sum(a) - sum(b)
     if degree < 0:
         raise NotPolynomial(f"quotient of a={a} by b={b} has negative degree {degree}")
     c, prev_e, surplus = prev
-    e = Counter(a)
-    e.subtract(b)
+    e = _signed(a, b)
     step = e.copy()
     step.subtract(prev_e)
     change = _surplus(step)
@@ -433,9 +437,12 @@ def _quotient_coeffs(a: Iterable[int], b: Iterable[int], prev: _Record = _ONE) -
     if any(surplus[d] < 0 for d in change):
         raise NotPolynomial(f"quotient of a={a} by b={b} is not a polynomial")
     h = degree // 2 + 1
-    plan, rebuild = _pair_doubles(step), _pair_doubles(e)
-    if sum(map(len, rebuild)) <= sum(map(len, plan)):
-        c, plan = [1], rebuild
+    plan = _pair_doubles(step)
+    passes = sum(map(len, plan))
+    if prev_e and 2 * passes >= sum(map(abs, e.values())):
+        rebuild = _pair_doubles(e)
+        if sum(map(len, rebuild)) <= passes:
+            c, plan = [1], rebuild
     pairs, ups, downs = plan
     deg = len(c) - 1
     c = c[:h]
@@ -616,12 +623,13 @@ def get_family(name: str, m: int | None = None) -> Family:
     """The registry entry for name, after checking that m suits it.
 
     m is required (and must be >= 2) for families that take it, and must
-    be None for families that do not; anything else raises ValueError.
+    be None for families that do not; anything else raises ValueError.  m
+    goes through operator.index, so a float such as 2.5 raises TypeError.
     """
     fam = FAMILIES.get(name)
     if fam is None:
         raise ValueError(f"unknown family {name!r}; choose from {tuple(FAMILIES)}")
-    if fam.takes_m and (m is None or m < 2):
+    if fam.takes_m and (m is None or operator.index(m) < 2):
         raise ValueError(f"family {name!r} needs m >= 2, got {m}")
     if not fam.takes_m and m is not None:
         takers = "/".join(f.name for f in FAMILIES.values() if f.takes_m)
@@ -664,9 +672,7 @@ def iter_family(
 def _sweep(fam: Family, n_from: int, n_to: int, m: int | None) -> Iterator[IntPoly]:
     p = fam.build(n_from, m)
     yield p
-    a, b = fam.exponents(n_from, m)
-    e = Counter(a)
-    e.subtract(b)
+    e = _signed(*fam.exponents(n_from, m))
     record = (list(p.coeffs), e, _surplus(e))
     for n in range(n_from + 1, n_to + 1):
         record = _quotient_coeffs(*fam.exponents(n, m), record)

@@ -13,6 +13,10 @@ pass per factor, `is_polynomial_by_division` by long division of the full
 products.  `paired_passes` plans a quotient's passes from sorted cancelled
 lists, as the kernel did before it held one signed exponent multiset.
 
+`central_moment` sums (k - mean)^r c_k over every coefficient in
+Fractions, without the raw power sums the library expands around the
+mean.
+
 `interior_unimodal` tests every candidate peak, the definition the scanner
 in `shape` shortcuts with one pass.  `dist_summary` and `lc_violations`
 read every coefficient, as the library did before it read a palindrome by
@@ -110,6 +114,14 @@ def dist_summary(coeffs: Sequence[int]) -> DistSummary:
     mean = Fraction(s1, mass)
     variance = Fraction(s2, mass) - mean * mean
     return DistSummary(mass=mass, mean=mean, variance=variance, degree=len(coeffs) - 1)
+
+
+def central_moment(coeffs: Sequence[int], r: int) -> Fraction:
+    """sum (k - mean)^r c_k / mass in Fractions, straight from the
+    definition, for a nonnegative list with positive mass."""
+    mass = sum(coeffs)
+    mean = Fraction(sum(k * c for k, c in enumerate(coeffs)), mass)
+    return sum((Fraction(k) - mean) ** r * c for k, c in enumerate(coeffs)) / mass
 
 
 def lc_violations(coeffs: Sequence[int]) -> list[int]:

@@ -86,6 +86,22 @@ def test_geco_presets():
                 call()
 
 
+def test_m_must_be_an_integer():
+    # m goes through operator.index at its one judge, as exponents do, so a
+    # non-integer m is refused before an envelope or a range sees it
+    for call in (
+        lambda m: get_family("mcatalan", m),
+        lambda m: q_catalan_general(5, m),
+        lambda m: preset("mcatalan", 5, m),
+        lambda m: iter_family("mcatalan", 2, 5, m),
+        mcatalan_geco_params,
+    ):
+        with pytest.raises(TypeError):
+            call(2.5)
+        with pytest.raises(ValueError, match="needs m >= 2"):
+            call(True)
+
+
 def test_power_sum_diff():
     spec = preset("catalan", 3)
     assert power_sum_diff(spec, 1) == 48

@@ -2,7 +2,10 @@
 
 from fractions import Fraction
 
+import oracles
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qcatalan import moments
 from qcatalan.limitlaw import catalan_geco_params, geco_bound_check, tail_series
@@ -99,6 +102,25 @@ def test_central_moments():
         central_moment(IntPoly([]), 2)
 
 
+@st.composite
+def distributions(draw):
+    # nonnegative lists with positive mass, half of them palindromes, which
+    # dist_summary reads by their head
+    cs = draw(st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=30))
+    if draw(st.booleans()):
+        cs = cs + cs[-2::-1]
+    assume(any(cs))
+    return IntPoly(cs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=distributions())
+def test_central_moments_equal_the_definition(p):
+    for r in range(1, 9):
+        assert central_moment(p, r) == oracles.central_moment(p.coeffs, r)
+    assert central_moment(p, 2) == dist_summary(p).variance
+
+
 def test_kurtosis_moves_toward_three():
     def kurt(n):
         p = q_catalan(n)
@@ -151,7 +173,7 @@ def test_preset_refuses_huge_lists_before_building(monkeypatch):
     def no_lists(*args):
         raise AssertionError("exponent lists were built")
 
-    monkeypatch.setattr(moments, "_cancel_common", no_lists)
+    monkeypatch.setattr(moments, "_signed", no_lists)
     for args in (("catalan", 10 ** 8), ("catalan2", 10 ** 12), ("mcatalan", 10 ** 8, 5)):
         with pytest.raises(QuotientTooLarge, match=f"more than {SUM_LIMIT} exponents"):
             preset(*args)
