@@ -11,9 +11,10 @@ numbers as doubles cannot silently lose digits.  Rows are typed by kind
 kind fixes each cell's column and type (bool, int, float, str or
 Fraction).  Every kind is written one way, a block of rows at a time taken
 as columns: the columns of a part of the table that hold a null fix the
-part's one template, per format.  Coefficient rows stream from the
-coefficient list as they are written, so peak memory is the list plus one
-block of encoded rows.  Every other row, and the widest coefficient, is
+part's one template, per format.  Coefficient rows, and the density rows
+of `normality`, are computed from the coefficient list one block at a time
+as they are written, so peak memory is the list plus one block of encoded
+rows.  Every other row, and the row of the widest coefficient, is
 computed and encoded before the first write, so an error leaves stdout
 empty by that order.  The JSON params take the same cell encoders as the
 rows.  Options are spelled in full: an abbreviation such as --bet for
@@ -41,7 +42,7 @@ import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .limitlaw import (
     GecoParams,
@@ -126,14 +127,21 @@ class RowKind(NamedTuple):
     `name` is the text of the row's "kind" cell, None in a table without
     that column.  `cells` are the (column, type) pairs of its other cells in
     column order, and a row is the tuple of their values, None for a null.
-    An indexed kind has two int cells, k and a coefficient: its rows are the
-    coefficients alone and k is the row's position, so a coefficient list
-    is its own rows.
+    An indexed kind's rows are a coefficient list instead, and its first
+    cell, k, is a row's position.  `indexed` gives its other cells: called
+    with a block's positions (a range) and its coefficients, it returns
+    their columns, none of which holds a null.  `_coefficients` makes a
+    coefficient list its own rows.
     """
 
     name: str | None
     cells: tuple[tuple[str, type], ...]
-    indexed: bool = False
+    indexed: Callable[[range, Sequence[int]], Sequence[Iterable[Any]]] | None = None
+
+
+def _coefficients(ks: range, block: Sequence[int]) -> tuple[Sequence[int]]:
+    """The one column after k of a coefficient row: the coefficient."""
+    return (block,)
 
 
 def _shape(
@@ -180,21 +188,26 @@ def _blocks(columns: Sequence[str], kind: RowKind, rows: Sequence[Any], fmt: str
     JSON (the "rows" array's separator), end to end in CSV.
 
     The columns of the part that hold a null fix its one template and its
-    encoders, built before the first block; an indexed kind's k column
-    never holds one.  Each block is taken as columns, an indexed kind's k
-    being the range of the block's positions beside its coefficients.
-    Each column with an encoder goes through it once, and the template
-    writes the block in one pass."""
+    encoders, built before the first block; an indexed kind's columns never
+    hold one.  Each block is taken as columns: an indexed kind's are the
+    range of the block's positions beside the columns `kind.indexed` makes
+    of them and the block's coefficients, so its rows exist one block at a
+    time.  Each column with an encoder goes through it once, and the
+    template writes the block in one pass."""
     join = ",".join if fmt == "json" else "".join
     # column by column through itemgetter: zip(*rows) would hold one
     # iterator per row of the part at once
-    nulls = [False, None in rows] if kind.indexed else [
+    nulls = [False] * len(kind.cells) if kind.indexed else [
         None in map(operator.itemgetter(i), rows) for i in range(len(kind.cells))
     ]
     template, encoders = _shape(columns, kind, nulls, fmt)
     for start in range(0, len(rows), BLOCK_ROWS):
         block = rows[start : start + BLOCK_ROWS]
-        cols = [range(start, start + len(block)), block] if kind.indexed else list(zip(*block))
+        if kind.indexed:
+            ks = range(start, start + len(block))
+            cols = [ks, *kind.indexed(ks, block)]
+        else:
+            cols = list(zip(*block))
         cells = [col if f is None else map(f, col) for f, col in zip(encoders, cols)]
         # a kind without cells has no column to zip: each row is ()
         yield join(map(template.__mod__, zip(*cells) if cells else [()] * len(block)))
@@ -212,15 +225,17 @@ def _emit(
     json.dumps(envelope, indent=2) + "\n".
 
     `parts` holds (kind, rows) pairs in output order, each encoded by
-    _blocks.  A coefficient part (an indexed kind) streams straight from its
-    list, each block written as it is encoded, so peak memory is the list
-    plus one block.  The commands compute every other row before calling
-    here, and those few rows are encoded, with the params, before the first
-    write.  So is each stream's widest cell: an int cell fails only past the
-    interpreter's limit on int digits, and then the widest fails, with a
-    ValueError that names the limit.  A cell that cannot be encoded (that,
-    or a non-finite float in JSON) therefore leaves `out` empty by the order
-    of the work, not by buffering.
+    _blocks.  An indexed part streams from its coefficient list, each block
+    of rows computed and encoded as it is written, so peak memory is the
+    list plus one block.  The commands compute every other row before
+    calling here, and those few rows are encoded, with the params, before
+    the first write.  So is the row of each stream's widest coefficient: an
+    int cell fails only past the interpreter's limit on int digits, and then
+    the widest fails, with a ValueError that names the limit.  A cell that
+    cannot be encoded (that, or a non-finite float in JSON) therefore leaves
+    `out` empty by the order of the work, not by buffering; a command whose
+    stream holds float cells checks before calling here that they are
+    finite.
     """
     json = fmt == "json"
     try:
@@ -230,8 +245,8 @@ def _emit(
             for kind, rows in parts
         ]
         for kind, rows in parts:
-            if kind.indexed and rows:  # the widest cell fails first, if any does
-                int.__repr__(max(max(rows), -min(rows)))
+            if kind.indexed and rows:  # the widest coefficient's row fails first, if any does
+                next(_blocks(columns, kind, [max(max(rows), -min(rows))], fmt))
         fields = ",".join([
             "\n    " + encode_basestring_ascii(k) + ": "
             + ("null" if v is None else _JSON_CELLS[type(v)](v))
@@ -280,7 +295,7 @@ def _emit_range(
     return EXIT_OK
 
 
-_COEFFS = RowKind(None, (("k", int), ("coeff", int)), indexed=True)
+_COEFFS = RowKind(None, (("k", int), ("coeff", int)), _coefficients)
 
 
 def _cmd_coeffs(args: argparse.Namespace, out: TextIO) -> int:
@@ -345,14 +360,42 @@ _MGF = RowKind("mgf", tuple((col, float) for col in (
     "t", "mgf_exact", "mgf_normal", "mgf_truncated", "mgf_residual",
     "series_k1", "series_tail", "tail_delta",
 )))
-_DENSITY = RowKind("density", (
-    ("k", int), ("z", float), ("density", float), ("normal_density", float),
-))
 _NORMALITY_COLUMNS = [
     "kind", "t", "ks", "mgf_exact", "mgf_normal", "mgf_truncated",
     "mgf_residual", "series_k1", "series_tail", "tail_delta",
     "k", "z", "density", "normal_density",
 ]
+
+
+def _density(law: StandardizedLaw) -> RowKind:
+    """The density rows of the law's coefficient list, an indexed kind: at
+    k, z = (k - mu) / sigma, the density sigma * c_k / mass and the normal
+    density at z.
+
+    Its rows are computed a block at a time as they are written, after the
+    first write, so a non-finite cell there could no longer leave stdout
+    empty.  Every cell is finite once mu and sigma are, which is checked
+    here."""
+    mu, sigma, mass = law.mu, law.sigma, law.summary.mass
+    if not (math.isfinite(mu) and math.isfinite(sigma)):
+        raise ArithmeticError(f"the law's mean {mu} and deviation {sigma} must be finite")
+    # c / mass with both scaled by one power of two that brings the mass
+    # into float range; the scale is 1, and the quotient sigma * c / mass,
+    # wherever the mass is already in range.  c <= mass keeps it finite.
+    scale = 1 << max(0, mass.bit_length() - 1023)
+    scaled_mass = mass / scale
+    root_two_pi = math.sqrt(2.0 * math.pi)
+
+    def columns(ks: range, block: Sequence[int]) -> list[list[float]]:
+        zs = [(k - mu) / sigma for k in ks]
+        return [
+            zs,
+            [sigma * (c / scale) / scaled_mass for c in block],
+            [math.exp(-z * z / 2.0) / root_two_pi for z in zs],
+        ]
+
+    cells = (("k", int), ("z", float), ("density", float), ("normal_density", float))
+    return RowKind("density", cells, columns)
 
 
 def _cmd_normality(args: argparse.Namespace, out: TextIO) -> int:
@@ -362,7 +405,8 @@ def _cmd_normality(args: argparse.Namespace, out: TextIO) -> int:
     spec = preset("catalan", args.n)  # the judge of n >= 2
     p = q_catalan(args.n)
     law = StandardizedLaw(p)
-    mu, sigma, mass = law.mu, law.sigma, law.summary.mass
+    density = _density(law)
+    mu, sigma = law.mu, law.sigma
     # One coefficient list serves both the K-term truncation and the 10-term
     # convergence check.
     coeffs = series_coefficients(spec, args.K + 10)
@@ -378,18 +422,8 @@ def _cmd_normality(args: argparse.Namespace, out: TextIO) -> int:
         tail, delta = split_tail(terms, args.K)
         normal = math.exp(t * t / 2.0)
         mgf_rows.append((t, exact, normal, trunc, abs(exact - trunc), terms[0], tail, delta))
-    # c / mass with both scaled by one power of two that brings the mass
-    # into float range; the scale is 1, and the quotient sigma * c / mass,
-    # wherever the mass is already in range
-    scale = 1 << max(0, mass.bit_length() - 1023)
-    scaled_mass = mass / scale
-    density_rows = []
-    for k, c in enumerate(p.coeffs):
-        z = (k - mu) / sigma
-        normal = math.exp(-z * z / 2.0) / math.sqrt(2.0 * math.pi)
-        density_rows.append((k, z, sigma * (c / scale) / scaled_mass, normal))
     params = {"n": args.n, "K": args.K, "grid_step": args.grid_step}
-    parts = [(_KS, [(law.ks(),)]), (_MGF, mgf_rows), (_DENSITY, density_rows)]
+    parts = [(_KS, [(law.ks(),)]), (_MGF, mgf_rows), (density, p.coeffs)]
     _emit("normality", params, _NORMALITY_COLUMNS, parts, args.format, out)
     return EXIT_OK
 
@@ -442,7 +476,7 @@ def _general_spec(args: argparse.Namespace) -> tuple[QuotientSpec, int, GecoPara
     return spec, len(spec.a) + 1, params
 
 
-_COEFF = RowKind("coeff", (("k", int), ("coeff", int)), indexed=True)
+_COEFF = RowKind("coeff", (("k", int), ("coeff", int)), _coefficients)
 _MOMENT = RowKind("moment", (
     ("mass", int), ("mean", Fraction), ("variance", Fraction),
     ("closed_mean", Fraction), ("closed_variance", Fraction), ("match", bool),

@@ -31,7 +31,9 @@ point.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from array import array
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -313,7 +315,9 @@ class StandardizedLaw:
         logs = [t * x / sigma + lc for x, lc in zip(self.offsets, self.log_weights)]
         logs.sort(reverse=True)
         top = logs[0]
-        ln_e = top + math.log(math.fsum(map(math.exp, [v - top for v in logs]))) - self.log_mass
+        # the terms v - top without a second list of them
+        shifted = map(operator.sub, logs, itertools.repeat(top))
+        ln_e = top + math.log(math.fsum(map(math.exp, shifted))) - self.log_mass
         if not ln_e <= 709.0:
             raise OverflowError(f"standardized MGF exceeds float range (ln = {ln_e:.1f})")
         return math.exp(ln_e)

@@ -26,8 +26,10 @@ its head c_0..c_{d//2}.
 one dict per row, every cell looked up by column and encoded by its value,
 the generic `json` encoder on the whole envelope, and one CSV line per
 row, with cell encoders of its own.  `cli._emit` writes typed rows from
-one template per row shape and streams coefficient rows; tests compare
-the two byte for byte.
+one template per row shape and streams coefficient and density rows;
+tests compare the two byte for byte.  `density_rows` builds every density
+row of `qcat normality` in one loop, as the command did before its
+density rows were computed a block at a time.
 
 Nothing here imports a private name of `qcatalan`, so an oracle never
 shares a helper with the code it checks: `power_sum` is the naive S_k,
@@ -45,7 +47,7 @@ from typing import Any, Sequence, TextIO
 
 from qcatalan.cli import SCHEMA_VERSION
 from qcatalan.exactnum import BernoulliTable
-from qcatalan.limitlaw import TailReport
+from qcatalan.limitlaw import StandardizedLaw, TailReport
 from qcatalan.moments import DistSummary, QuotientSpec, general_moments_closed, preset
 from qcatalan.polyq import IntPoly, NonzeroRemainder, poly_div_exact, poly_mul
 
@@ -254,6 +256,21 @@ def is_polynomial_by_division(a, b) -> bool:
     except NonzeroRemainder:
         return False
     return True
+
+
+def density_rows(p: IntPoly) -> list[tuple[int, float, float, float]]:
+    """The density rows of `qcat normality` for p, (k, z, density, normal
+    density) at every k, all built in one loop before any is written."""
+    law = StandardizedLaw(p)
+    mu, sigma, mass = law.mu, law.sigma, law.summary.mass
+    scale = 1 << max(0, mass.bit_length() - 1023)
+    scaled_mass = mass / scale
+    rows = []
+    for k, c in enumerate(p.coeffs):
+        z = (k - mu) / sigma
+        normal = math.exp(-z * z / 2.0) / math.sqrt(2.0 * math.pi)
+        rows.append((k, z, sigma * (c / scale) / scaled_mass, normal))
+    return rows
 
 
 def json_value(v: Any) -> Any:

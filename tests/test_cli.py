@@ -525,7 +525,10 @@ def test_every_argv_exits_0_2_or_3_without_raising(argv):
 
 
 _V = cli.RowKind(None, (("v", float),))
-_KC = cli.RowKind(None, (("k", int), ("coeff", int)), indexed=True)
+# The density rows of one law, computed from a coefficient list, and a
+# plain kind with their cells whose rows are given as tuples.
+_DENSITY = cli._density(StandardizedLaw(q_catalan(5)))
+_DENSITY_ROWS = cli.RowKind("density", _DENSITY.cells)
 
 
 @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
@@ -534,7 +537,7 @@ def test_emit_json_non_finite_writes_nothing(bad):
     # encoded before any write, even behind blocks of streamed coefficients
     for columns, parts in (
         (["v"], [(_V, [(1.0,), (bad,)])]),
-        (["k", "coeff", "v"], [(_KC, list(range(3 * cli.BLOCK_ROWS))), (_V, [(1.0,), (bad,)])]),
+        (["k", "coeff", "v"], [(cli._COEFFS, list(range(3 * cli.BLOCK_ROWS))), (_V, [(1.0,), (bad,)])]),
     ):
         out = io.StringIO()
         with pytest.raises(OverflowError):
@@ -548,8 +551,11 @@ def _dict_rows(parts):
     for kind, part in parts:
         names = [col for col, _ in kind.cells]
         head = {} if kind.name is None else {"kind": kind.name}
-        for i, row in enumerate(part):
-            rows.append({**head, **dict(zip(names, (i, row) if kind.indexed else row))})
+        if kind.indexed:  # k is the position, the other cells the kind's columns
+            ks = range(len(part))
+            part = zip(ks, *kind.indexed(ks, part))
+        for row in part:
+            rows.append({**head, **dict(zip(names, row))})
     return rows
 
 
@@ -613,14 +619,14 @@ def _outcome(emit, table, fmt):
 @st.composite
 def _kinds(draw, columns):
     """A row kind on the columns: a name, cells of one type each in column
-    order, and, with two int cells, maybe indexed."""
+    order, and, with two int cells, maybe a coefficient stream."""
     name = draw(st.none() | _NAMES)
     usable = [col for col in columns if name is None or col != "kind"]
     chosen = set(draw(st.lists(st.sampled_from(usable), unique=True))) if usable else set()
     types = st.sampled_from(list(_TYPED))
     cells = tuple((col, draw(types)) for col in usable if col in chosen)
-    indexed = [t for _, t in cells] == [int, int] and draw(st.booleans())
-    return cli.RowKind(name, cells, indexed)
+    stream = [t for _, t in cells] == [int, int] and draw(st.booleans())
+    return cli.RowKind(name, cells, cli._coefficients if stream else None)
 
 
 # The tables the commands write: their columns and row kinds, in order.
@@ -628,7 +634,7 @@ _COMMAND_TABLES = [
     (cli._columns(cli._COEFFS), [cli._COEFFS]),
     (cli._columns(cli._MOMENTS), [cli._MOMENTS]),
     (cli._columns(cli._SHAPE), [cli._SHAPE]),
-    (cli._NORMALITY_COLUMNS, [cli._KS, cli._MGF, cli._DENSITY]),
+    (cli._NORMALITY_COLUMNS, [cli._KS, cli._MGF, _DENSITY]),
     (cli._GENERAL_COLUMNS, [cli._COEFF, cli._MOMENT, cli._RATIO]),
 ]
 
@@ -639,8 +645,9 @@ def _tables(draw, block_rows):
     drawn ones.  A row's cells are each None or of their type, so every null
     pattern of a kind is drawn (a shape row with a null violation, a moment
     row with or without its distribution cells, a ratio row with or without
-    bound and ok); a coefficient stream is 0, block_rows - 1, block_rows or
-    block_rows + 1 rows long, or up to 12."""
+    bound and ok); a stream from a coefficient list (coefficient or density
+    rows) is 0, block_rows - 1, block_rows or block_rows + 1 rows long, or
+    up to 12."""
     if draw(st.booleans()):
         columns, kinds = draw(st.sampled_from(_COMMAND_TABLES))
         kinds = [kind for kind in kinds if draw(st.booleans())]
@@ -660,6 +667,7 @@ def _tables(draw, block_rows):
     floats = [
         (i, j, c)
         for i, (kind, rows) in enumerate(parts)
+        if not kind.indexed  # a density cell is finite: cli._density checks
         for j in range(len(rows))
         for c, (_, t) in enumerate(kind.cells)
         if t is float
@@ -688,24 +696,21 @@ def test_emit_equals_the_generic_encoder_byte_for_byte(data, block_rows):
 
 @pytest.mark.parametrize("block_rows", [1, 2, 3, 4, 5])
 def test_emit_pins_the_null_shapes_at_the_block_edges(block_rows):
-    # each command kind with every null pattern its rows take, behind a
-    # coefficient stream that ends just before, on and just past a block
+    # each command kind with every null pattern its rows take, behind or
+    # beside a stream from a coefficient list that ends just before, on and
+    # just past a block
     n_a, n_b, one = Fraction(7, 2), Fraction(35, 12), Fraction(1)
     shapes = [(5, 20, True, None, 1, None), (6, 30, False, 4, None, 3), (7, 42, True, None, None, None)]
     mgfs = [(0.5, 1.1, 1.2, 1.3, 0.01, 0.125, 1e-3, 1e-9), (1.0, 1.6, 1.7, 1.8, 0.2, 0.5, 0.03, None)]
     tables = [
         (cli._columns(cli._SHAPE), [(cli._SHAPE, shapes)]),
         (cli._columns(cli._MOMENTS), [(cli._MOMENTS, [(2, 2, 2, one, one, one, one, True)])]),
-        (cli._NORMALITY_COLUMNS, [
-            (cli._KS, [(0.125,)]),
-            (cli._MGF, mgfs),
-            (cli._DENSITY, [(0, -2.5, 0.01, 0.02), (1, 0.0, 0.4, 0.39)]),
-        ]),
     ]
     for size in (0, block_rows - 1, block_rows, block_rows + 1):
         coeffs = list(range(2 ** 53 - 2, 2 ** 53 - 2 + size))
         tables += [
             (cli._columns(cli._COEFFS), [(cli._COEFFS, coeffs)]),
+            (cli._NORMALITY_COLUMNS, [(cli._KS, [(0.125,)]), (cli._MGF, mgfs), (_DENSITY, coeffs)]),
             (cli._GENERAL_COLUMNS, [
                 (cli._COEFF, coeffs),
                 (cli._MOMENT, [(8, n_a, n_b, n_a, n_b, True), (None, None, None, n_a, n_b, None)]),
@@ -759,7 +764,7 @@ def test_emit_pins_the_plain_blocks(block_rows):
     tables = [
         (cli._NORMALITY_COLUMNS, [
             (cli._KS, [(x,) for x in _EDGE_FLOATS]),
-            (cli._DENSITY, density),
+            (_DENSITY_ROWS, density),
         ]),
         (["kind", "i", "x", "b", "s", "f"], [(mixed, mixed_rows)]),
         (cli._columns(cli._MOMENTS), [(cli._MOMENTS, moments)]),
@@ -781,7 +786,7 @@ def test_emit_pins_the_plain_blocks(block_rows):
         oracles.emit("x", {"n": 3}, ["x", "i", "y"], _dict_rows(parts), "csv", generic)
         assert got.getvalue() == generic.getvalue()
         for bad in (math.nan, math.inf, -math.inf):
-            parts = [(cli._DENSITY, density[:3] + [(3, 0.5, bad, 1.0)] + density[3:])]
+            parts = [(_DENSITY_ROWS, density[:3] + [(3, 0.5, bad, 1.0)] + density[3:])]
             got, generic = io.StringIO(), io.StringIO()
             cli._emit("x", {"n": 3}, cli._NORMALITY_COLUMNS, parts, "csv", got)
             oracles.emit("x", {"n": 3}, cli._NORMALITY_COLUMNS, _dict_rows(parts), "csv", generic)
@@ -831,21 +836,88 @@ class _CharCount:
         return len(text)
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_general_holds_the_coefficient_list_and_one_block(fmt):
-    # rows stream from the coefficient list, BLOCK_ROWS at a time, so the
-    # peak is the list plus one encoded block, not every row and its text
+def _peak_in_coefficient_lists(argv):
+    """Run qcat on argv into a stdout that keeps nothing, and return the
+    exit code, the characters written and the tracemalloc peak in units of
+    the size of q_catalan(120)'s coefficient list with its ints."""
     coeffs = q_catalan(120).coeffs
     size = sys.getsizeof(coeffs) + sum(map(sys.getsizeof, coeffs))
     sink = _CharCount()
     tracemalloc.start()
     try:
-        rc = main(["general", "--preset", "catalan", "--n", "120", "--format", fmt], out=sink)
+        rc = main(argv, out=sink)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rc == 0 and sink.chars > len(coeffs) * 20
-    assert peak < 3 * size
+    return rc, sink.chars, peak / size
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_general_holds_the_coefficient_list_and_one_block(fmt):
+    # rows stream from the coefficient list, BLOCK_ROWS at a time, so the
+    # peak is the list plus one encoded block, not every row and its text
+    argv = ["general", "--preset", "catalan", "--n", "120", "--format", fmt]
+    rc, chars, peak = _peak_in_coefficient_lists(argv)
+    assert rc == 0 and chars > 14281 * 20
+    assert peak < 3
+
+
+# Measured on CPython 3.11: 1.8 (CSV) and 2.6 (JSON) coefficient lists.
+# Beside the list and the law's two float arrays, the CSV peak holds the
+# mgf's log-terms at one t and the JSON peak one block of encoded rows.
+# The bounds leave a margin of about a third.  With every density row built
+# and encoded before the first write the peaks were 5.8 and 11.3.
+@pytest.mark.parametrize("fmt, bound", [("csv", 2.5), ("json", 3.5)])
+def test_normality_holds_the_coefficient_list_and_one_block(fmt, bound):
+    # density rows are computed from the coefficient list and written
+    # BLOCK_ROWS at a time, as coefficient rows are
+    argv = ["normality", "--n", "120", "--format", fmt]
+    rc, chars, peak = _peak_in_coefficient_lists(argv)
+    assert rc == 0 and chars > 14281 * 60
+    assert peak < bound
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_normality_density_rows_are_the_eager_loops(fmt):
+    # the streamed density rows against the loop that built them all before
+    # the first write; blocks of 7 rows split the density part mid-table
+    calls = []
+    emit = cli._emit
+
+    def record(command, params, columns, parts, fmt, out):
+        calls.append((params, columns, parts[:-1]))
+        emit(command, params, columns, parts, fmt, out)
+
+    names = [col for col, _ in _DENSITY.cells]
+    with mock.patch.object(cli, "BLOCK_ROWS", 7), mock.patch.object(cli, "_emit", record):
+        for n in [*range(2, 41), 120]:
+            calls.clear()
+            rc, text = run_cli("normality", "--n", str(n), "--format", fmt)
+            assert rc == 0
+            [(params, columns, ks_and_mgf)] = calls
+            density = oracles.density_rows(q_catalan(n))
+            rows = _dict_rows(ks_and_mgf) + [
+                {"kind": "density", **dict(zip(names, row))} for row in density
+            ]
+            expected = io.StringIO()
+            oracles.emit("normality", params, columns, rows, fmt, expected)
+            assert text == expected.getvalue()
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("name", ["mu", "sigma"])
+def test_a_non_finite_mu_or_sigma_exits_3_before_the_first_write(name, bad):
+    # density rows are written after the first write, so their premise, a
+    # finite mu and sigma, is checked before it; n = 60 has 3541 of them
+    init = StandardizedLaw.__init__
+
+    def spoiled(law, p):
+        init(law, p)
+        setattr(law, name, bad)
+
+    with mock.patch.object(StandardizedLaw, "__init__", spoiled):
+        for fmt in ("json", "csv"):
+            assert run_cli("normality", "--n", "60", "--format", fmt) == (3, "")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -957,6 +1029,14 @@ def test_closed_pipe_on_streamed_json_exits_1_without_a_traceback():
     # writer's block loop, not the final flush
     argv = ["general", "--preset", "catalan", "--n", "150", "--format", "json"]
     assert _close_after_first_line(argv, b"{\n") == (1, b"")
+
+
+def test_closed_pipe_on_streamed_density_rows_exits_1_without_a_traceback():
+    # about 1.2 MB of CSV, nearly all of it the 22351 density rows, which
+    # stream: the closed pipe fails a write while they are written
+    argv = ["normality", "--n", "150"]
+    header = ",".join(cli._NORMALITY_COLUMNS).encode() + b"\n"
+    assert _close_after_first_line(argv, header) == (1, b"")
 
 
 def test_K_limit_is_legal_and_documented(capsys):
