@@ -10,15 +10,15 @@ numbers as doubles cannot silently lose digits.  Rows are typed by kind
 (coeff, moment, ratio, ks, mgf, density, a moments row, a shape row): a
 kind fixes each cell's column and type (bool, int, float, str or
 Fraction).  Every kind is written one way, a block of rows at a time taken
-as columns: the columns of a part of the table that hold a null fix the
-part's one template, per format.  Coefficient rows, and the density rows
-of `normality`, are computed from the coefficient list one block at a time
-as they are written, so peak memory is the list plus one block of encoded
-rows.  Every other row, and the row of the widest coefficient, is
-computed and encoded before the first write, so an error leaves stdout
-empty by that order.  The JSON params take the same cell encoders as the
-rows.  Options are spelled in full: an abbreviation such as --bet for
---beta is a usage error.
+as columns, through one template per format that its declaration fixes: a
+plain kind's cells may be null, an indexed kind's never are.  Coefficient
+rows, and the density rows of `normality`, are computed from the
+coefficient list one block at a time as they are written, so peak memory
+is the list plus one block of encoded rows.  Every other row, and the row
+of the widest coefficient, is computed and encoded before the first
+write, so an error leaves stdout empty by that order.  The JSON params
+take the same cell encoders as the rows.  Options are spelled in full: an
+abbreviation such as --bet for --beta is a usage error.
 
 Exit codes: 0 success, 1 the reader closed stdout before the output ended
 (`qcat ... | head -1`; nothing is written to stderr), 2 usage or validation
@@ -37,7 +37,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
-import operator
 import os
 import sys
 from fractions import Fraction
@@ -54,8 +53,8 @@ from .limitlaw import (
     series_terms,
     split_tail,
 )
-from .moments import QuotientSpec, dist_summary, general_moments_closed, preset
-from .polyq import FAMILIES, get_family, iter_family, q_catalan, quotient_poly
+from .moments import dist_summary, general_moments_closed
+from .polyq import FAMILIES, QuotientSpec, get_family, iter_family, preset, q_catalan, quotient_poly
 from .shape import scan_family
 
 SCHEMA_VERSION = "1"
@@ -145,22 +144,23 @@ def _coefficients(ks: range, block: Sequence[int]) -> tuple[Sequence[int]]:
 
 
 def _shape(
-    columns: Sequence[str], kind: RowKind, nulls: Sequence[bool], fmt: str
+    columns: Sequence[str], kind: RowKind, fmt: str
 ) -> tuple[str, list[Callable[[Any], str] | None]]:
-    """The %-format template of the rows of `kind` whose cell columns hold
-    a null where `nulls` says, and the encoder each of those columns goes
-    through first, None for one the template writes itself.
+    """The %-format template of the rows of `kind`, and the encoder each of
+    its cell columns goes through first, None for one the template writes
+    itself.
 
-    A column that holds a null is written with %s, by an encoder that gives
-    null (JSON) or empty text (CSV) for None and otherwise the text of its
-    type's own encoder or slot.  The "kind" cell and the columns the kind
-    lacks are fixed text."""
+    A plain kind's cells may be null, so each is written with %s, by an
+    encoder that gives null (JSON) or empty text (CSV) for None and
+    otherwise the text of its type's own encoder or slot.  An indexed
+    kind's cells are never null and keep their type's slot and encoder.
+    The "kind" cell and the columns the kind lacks are fixed text."""
     json = fmt == "json"
     null = "null" if json else ""
     slots, encoders = {}, []
-    for (col, t), nullable in zip(kind.cells, nulls):
+    for col, t in kind.cells:
         slot, encode = ("%s", _JSON_CELLS[t]) if json else (_CSV_SLOTS[t], _CSV_CELLS.get(t))
-        if nullable:
+        if not kind.indexed:
             text = encode or slot.__mod__
             slot, encode = "%s", lambda v, text=text: null if v is None else text(v)
         slots[col] = slot
@@ -187,20 +187,14 @@ def _blocks(columns: Sequence[str], kind: RowKind, rows: Sequence[Any], fmt: str
     """The rows encoded and joined, BLOCK_ROWS rows to a block: by commas in
     JSON (the "rows" array's separator), end to end in CSV.
 
-    The columns of the part that hold a null fix its one template and its
-    encoders, built before the first block; an indexed kind's columns never
-    hold one.  Each block is taken as columns: an indexed kind's are the
-    range of the block's positions beside the columns `kind.indexed` makes
-    of them and the block's coefficients, so its rows exist one block at a
-    time.  Each column with an encoder goes through it once, and the
-    template writes the block in one pass."""
+    The kind's declaration fixes its one template and its encoders, built
+    before the first block (see _shape).  Each block is taken as columns:
+    an indexed kind's are the range of the block's positions beside the
+    columns `kind.indexed` makes of them and the block's coefficients, so
+    its rows exist one block at a time.  Each column with an encoder goes
+    through it once, and the template writes the block in one pass."""
     join = ",".join if fmt == "json" else "".join
-    # column by column through itemgetter: zip(*rows) would hold one
-    # iterator per row of the part at once
-    nulls = [False] * len(kind.cells) if kind.indexed else [
-        None in map(operator.itemgetter(i), rows) for i in range(len(kind.cells))
-    ]
-    template, encoders = _shape(columns, kind, nulls, fmt)
+    template, encoders = _shape(columns, kind, fmt)
     for start in range(0, len(rows), BLOCK_ROWS):
         block = rows[start : start + BLOCK_ROWS]
         if kind.indexed:
@@ -295,13 +289,13 @@ def _emit_range(
     return EXIT_OK
 
 
-_COEFFS = RowKind(None, (("k", int), ("coeff", int)), _coefficients)
+_COEFF = RowKind("coeff", (("k", int), ("coeff", int)), _coefficients)
 
 
 def _cmd_coeffs(args: argparse.Namespace, out: TextIO) -> int:
     p = get_family(args.family, args.m).build(args.n, args.m)
     params = {"family": args.family, "n": args.n, "m": args.m}
-    _emit("coeffs", params, _columns(_COEFFS), [(_COEFFS, p.coeffs)], args.format, out)
+    _emit("coeffs", params, _columns(_COEFF), [(_COEFF, p.coeffs)], args.format, out)
     return EXIT_OK
 
 
@@ -476,7 +470,6 @@ def _general_spec(args: argparse.Namespace) -> tuple[QuotientSpec, int, GecoPara
     return spec, len(spec.a) + 1, params
 
 
-_COEFF = RowKind("coeff", (("k", int), ("coeff", int)), _coefficients)
 _MOMENT = RowKind("moment", (
     ("mass", int), ("mean", Fraction), ("variance", Fraction),
     ("closed_mean", Fraction), ("closed_variance", Fraction), ("match", bool),

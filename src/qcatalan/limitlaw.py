@@ -39,8 +39,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .exactnum import bernoulli_table, log_sinh_series_coeff
-from .moments import QuotientSpec, dist_summary, general_moments_closed, power_sums, preset
-from .polyq import IntPoly, _Frozen, get_family
+from .moments import dist_summary, general_moments_closed, power_sums
+from .polyq import IntPoly, QuotientSpec, _Frozen, get_family, preset
 
 __all__ = [
     "GecoParams",

@@ -16,6 +16,10 @@ specialize to mean n(n-1)/2 and variance n(n^2-1)/6.
 S_k = sum(a_i^{2k} - b_i^{2k}) are the even power sums.  power_sums is the
 one place they are computed: the variance here, and the ratios and the
 series of `limitlaw`, all read them from it.
+
+The exponent multisets themselves, QuotientSpec and the family presets,
+belong to `polyq`, which judges and builds them; this module only reads
+them.
 """
 
 from __future__ import annotations
@@ -24,46 +28,19 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from .polyq import (
-    SUM_LIMIT,
-    IntPoly,
-    QuotientTooLarge,
-    _check_exponents,
-    _Frozen,
-    _signed,
-    get_family,
-)
+from .polyq import IntPoly, QuotientSpec
+from .polyq import preset  # noqa: F401  bench/tracer.py LAYERS reads moments.preset
 
 __all__ = [
-    "QuotientSpec",
     "DistSummary",
     "dist_summary",
     "central_moment",
     "catalan_moments_closed",
     "general_moments_closed",
     "power_sums",
-    "preset",
 ]
-
-class QuotientSpec(_Frozen):
-    """Exponent multisets of a quotient prod(1-q^a_i) / prod(1-q^b_i).
-
-    Both tuples must have the same length and positive integer entries; a
-    and b are multisets, so repeats are meaningful and order is not.
-    """
-
-    __slots__ = ("a", "b", "label")
-    a: tuple[int, ...]
-    b: tuple[int, ...]
-    label: str
-
-    def __init__(self, a: Iterable[int], b: Iterable[int], label: str = ""):
-        a, b = _check_exponents(a, b)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "label", label)
 
 
 class DistSummary(NamedTuple):
@@ -176,33 +153,3 @@ def general_moments_closed(spec: QuotientSpec) -> tuple[Fraction, Fraction]:
     """Closed-form (mean, variance) for any quotient spec:
     sum(a - b)/2 and S_1/12."""
     return Fraction(sum(spec.a) - sum(spec.b), 2), Fraction(power_sums(spec, 1)[1], 12)
-
-
-def preset(name: str, n: int, m: int | None = None) -> QuotientSpec:
-    """A registry family at size n as a quotient spec, common pairs cancelled.
-
-    catalan:  a = (n+2 .. 2n),        b = (2 .. n)
-    catalan2: a = (2, n+2 .. 2n-1),   b = (1, 2 .. n-1), then cancellation;
-              for n >= 3 this leaves a = (n+2 .. 2n-1), b = (1, 3, 4 .. n-1)
-              and quotient_poly of it equals q_catalan_second(n)
-    mcatalan: a = ((m-1)n+2 .. (m-1)n+n), b = (2 .. n), requires m >= 2
-
-    The lists come from polyq.FAMILIES.  All presets need n >= 2: at n = 1
-    the registry lists are empty, and the constant 1 they give has zero
-    variance, which the ratio and series diagnostics divide by.
-    Lists with more than polyq.SUM_LIMIT entries raise QuotientTooLarge (a
-    ValueError) before any is built; the closed forms reach well past the
-    construction kernel's limit (mcatalan m = 5, n = 1000 is legal).
-    """
-    fam = get_family(name, m)
-    if n < 2:
-        raise ValueError(f"presets need n >= 2, got {n}")
-    for xs in fam.exponents(n, m):
-        if next(itertools.islice(xs, SUM_LIMIT, None), None) is not None:
-            raise QuotientTooLarge(
-                f"{name} at n={n} has more than {SUM_LIMIT} exponents; "
-                "the exponent lists would be too large to hold"
-            )
-    e = _signed(*fam.exponents(n, m))
-    label = f"{name}(n={n},m={m})" if fam.takes_m else f"{name}(n={n})"
-    return QuotientSpec(a=sorted((+e).elements()), b=sorted((-e).elements()), label=label)

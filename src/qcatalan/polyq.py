@@ -45,7 +45,10 @@ allocates anything.
 
 FAMILIES is the one registry of named families.  iter_family sweeps a
 family over a range of n, stepping each member from the previous one in a
-few such passes instead of the ~3n/2 a rebuild takes.  poly_mul,
+few such passes instead of the ~3n/2 a rebuild takes.  A QuotientSpec holds
+the exponent multisets a and b, checked as the kernel checks them, and
+preset gives a family member's spec with its common pairs cancelled;
+quotient_poly builds a spec through the kernel.  poly_mul,
 poly_div_exact, gaussian_binomial, q_catalan_via_binomial and
 major_index_histogram do not use the kernel and serve as oracles for it.
 """
@@ -56,10 +59,7 @@ import itertools
 import math
 import operator
 from collections import Counter
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
-
-if TYPE_CHECKING:
-    from .moments import QuotientSpec
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "FAMILIES",
@@ -67,6 +67,7 @@ __all__ = [
     "IntPoly",
     "NonzeroRemainder",
     "NotPolynomial",
+    "QuotientSpec",
     "QuotientTooLarge",
     "SUM_LIMIT",
     "poly_mul",
@@ -80,6 +81,7 @@ __all__ = [
     "get_family",
     "iter_family",
     "quotient_poly",
+    "preset",
     "major_index_histogram",
 ]
 
@@ -679,7 +681,28 @@ def _sweep(fam: Family, n_from: int, n_to: int, m: int | None) -> Iterator[IntPo
         yield IntPoly(_require_nonnegative(record[0], f"{fam.name} member n={n}"))
 
 
-def quotient_poly(spec: "QuotientSpec") -> IntPoly:
+# -- quotient specs -------------------------------------------------------------
+
+class QuotientSpec(_Frozen):
+    """Exponent multisets of a quotient prod(1-q^a_i) / prod(1-q^b_i).
+
+    Both tuples must have the same length and positive integer entries; a
+    and b are multisets, so repeats are meaningful and order is not.
+    """
+
+    __slots__ = ("a", "b", "label")
+    a: tuple[int, ...]
+    b: tuple[int, ...]
+    label: str
+
+    def __init__(self, a: Iterable[int], b: Iterable[int], label: str = ""):
+        a, b = _check_exponents(a, b)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "label", label)
+
+
+def quotient_poly(spec: QuotientSpec) -> IntPoly:
     """Polynomial value of prod(1 - q^a_i) / prod(1 - q^b_i), if one exists.
 
     The construction kernel decides from the cyclotomic ledger, before any
@@ -688,6 +711,36 @@ def quotient_poly(spec: "QuotientSpec") -> IntPoly:
     SUM_LIMIT.
     """
     return IntPoly(_quotient_coeffs(spec.a, spec.b)[0])
+
+
+def preset(name: str, n: int, m: int | None = None) -> QuotientSpec:
+    """A registry family at size n as a quotient spec, common pairs cancelled.
+
+    catalan:  a = (n+2 .. 2n),        b = (2 .. n)
+    catalan2: a = (2, n+2 .. 2n-1),   b = (1, 2 .. n-1), then cancellation;
+              for n >= 3 this leaves a = (n+2 .. 2n-1), b = (1, 3, 4 .. n-1)
+              and quotient_poly of it equals q_catalan_second(n)
+    mcatalan: a = ((m-1)n+2 .. (m-1)n+n), b = (2 .. n), requires m >= 2
+
+    The lists come from FAMILIES.  All presets need n >= 2: at n = 1 the
+    registry lists are empty, and the constant 1 they give has zero
+    variance, which the ratio and series diagnostics divide by.
+    Lists with more than SUM_LIMIT entries raise QuotientTooLarge (a
+    ValueError) before any is built; the closed forms reach well past the
+    construction kernel's limit (mcatalan m = 5, n = 1000 is legal).
+    """
+    fam = get_family(name, m)
+    if n < 2:
+        raise ValueError(f"presets need n >= 2, got {n}")
+    for xs in fam.exponents(n, m):
+        if next(itertools.islice(xs, SUM_LIMIT, None), None) is not None:
+            raise QuotientTooLarge(
+                f"{name} at n={n} has more than {SUM_LIMIT} exponents; "
+                "the exponent lists would be too large to hold"
+            )
+    e = _signed(*fam.exponents(n, m))
+    label = f"{name}(n={n},m={m})" if fam.takes_m else f"{name}(n={n})"
+    return QuotientSpec(a=sorted((+e).elements()), b=sorted((-e).elements()), label=label)
 
 
 def major_index_histogram(n: int) -> IntPoly:

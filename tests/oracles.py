@@ -48,8 +48,8 @@ from typing import Any, Sequence, TextIO
 from qcatalan.cli import SCHEMA_VERSION
 from qcatalan.exactnum import BernoulliTable
 from qcatalan.limitlaw import StandardizedLaw, TailReport
-from qcatalan.moments import DistSummary, QuotientSpec, general_moments_closed, preset
-from qcatalan.polyq import IntPoly, NonzeroRemainder, poly_div_exact, poly_mul
+from qcatalan.moments import DistSummary, general_moments_closed
+from qcatalan.polyq import IntPoly, NonzeroRemainder, QuotientSpec, poly_div_exact, poly_mul, preset
 
 
 def bernoulli_by_recurrence(max_k: int) -> tuple[Fraction, ...]:

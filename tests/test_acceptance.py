@@ -38,11 +38,11 @@ from qcatalan.moments import (
     central_moment,
     dist_summary,
     general_moments_closed,
-    preset,
 )
 from qcatalan.polyq import (
     iter_family,
     major_index_histogram,
+    preset,
     q_catalan,
     q_catalan_via_binomial,
     quotient_poly,

@@ -28,8 +28,7 @@ from qcatalan.limitlaw import (
     ks_distance_to_normal,
     log_mgf_truncated,
 )
-from qcatalan.moments import preset
-from qcatalan.polyq import q_catalan
+from qcatalan.polyq import preset, q_catalan
 
 
 def run_cli(*argv):
@@ -537,7 +536,7 @@ def test_emit_json_non_finite_writes_nothing(bad):
     # encoded before any write, even behind blocks of streamed coefficients
     for columns, parts in (
         (["v"], [(_V, [(1.0,), (bad,)])]),
-        (["k", "coeff", "v"], [(cli._COEFFS, list(range(3 * cli.BLOCK_ROWS))), (_V, [(1.0,), (bad,)])]),
+        (["k", "coeff", "v"], [(cli._COEFF, list(range(3 * cli.BLOCK_ROWS))), (_V, [(1.0,), (bad,)])]),
     ):
         out = io.StringIO()
         with pytest.raises(OverflowError):
@@ -631,7 +630,7 @@ def _kinds(draw, columns):
 
 # The tables the commands write: their columns and row kinds, in order.
 _COMMAND_TABLES = [
-    (cli._columns(cli._COEFFS), [cli._COEFFS]),
+    (cli._columns(cli._COEFF), [cli._COEFF]),
     (cli._columns(cli._MOMENTS), [cli._MOMENTS]),
     (cli._columns(cli._SHAPE), [cli._SHAPE]),
     (cli._NORMALITY_COLUMNS, [cli._KS, cli._MGF, _DENSITY]),
@@ -709,7 +708,7 @@ def test_emit_pins_the_null_shapes_at_the_block_edges(block_rows):
     for size in (0, block_rows - 1, block_rows, block_rows + 1):
         coeffs = list(range(2 ** 53 - 2, 2 ** 53 - 2 + size))
         tables += [
-            (cli._columns(cli._COEFFS), [(cli._COEFFS, coeffs)]),
+            (cli._columns(cli._COEFF), [(cli._COEFF, coeffs)]),
             (cli._NORMALITY_COLUMNS, [(cli._KS, [(0.125,)]), (cli._MGF, mgfs), (_DENSITY, coeffs)]),
             (cli._GENERAL_COLUMNS, [
                 (cli._COEFF, coeffs),

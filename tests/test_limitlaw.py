@@ -24,17 +24,13 @@ from qcatalan.limitlaw import (
     series_terms,
     tail_series,
 )
-from qcatalan.moments import (
-    QuotientSpec,
-    central_moment,
-    general_moments_closed,
-    power_sums,
-    preset,
-)
+from qcatalan.moments import central_moment, general_moments_closed, power_sums
 from qcatalan.polyq import (
     IntPoly,
+    QuotientSpec,
     get_family,
     iter_family,
+    preset,
     q_catalan,
     q_catalan_general,
     quotient_poly,

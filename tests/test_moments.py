@@ -7,20 +7,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qcatalan import moments
+from qcatalan import polyq
 from qcatalan.limitlaw import catalan_geco_params, geco_bound_check, tail_series
 from qcatalan.moments import (
-    QuotientSpec,
     catalan_moments_closed,
     central_moment,
     dist_summary,
     general_moments_closed,
-    preset,
 )
 from qcatalan.polyq import (
     SUM_LIMIT,
     IntPoly,
+    QuotientSpec,
     QuotientTooLarge,
+    preset,
     q_catalan,
     q_catalan_general,
     q_catalan_second,
@@ -173,7 +173,7 @@ def test_preset_refuses_huge_lists_before_building(monkeypatch):
     def no_lists(*args):
         raise AssertionError("exponent lists were built")
 
-    monkeypatch.setattr(moments, "_signed", no_lists)
+    monkeypatch.setattr(polyq, "_signed", no_lists)
     for args in (("catalan", 10 ** 8), ("catalan2", 10 ** 12), ("mcatalan", 10 ** 8, 5)):
         with pytest.raises(QuotientTooLarge, match=f"more than {SUM_LIMIT} exponents"):
             preset(*args)
@@ -186,7 +186,7 @@ def test_preset_refuses_huge_lists_before_building(monkeypatch):
 
 
 def test_preset_limit_counts_entries(monkeypatch):
-    monkeypatch.setattr(moments, "SUM_LIMIT", 5)
+    monkeypatch.setattr(polyq, "SUM_LIMIT", 5)
     assert len(preset("catalan", 6).a) == 5
     with pytest.raises(QuotientTooLarge):
         preset("catalan", 7)

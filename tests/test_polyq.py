@@ -14,13 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcatalan import polyq
-from qcatalan.moments import QuotientSpec
 from qcatalan.polyq import (
     FAMILIES,
     SUM_LIMIT,
     IntPoly,
     NonzeroRemainder,
     NotPolynomial,
+    QuotientSpec,
     QuotientTooLarge,
     _check_size,
     _require_nonnegative,

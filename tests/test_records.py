@@ -16,8 +16,16 @@ from hypothesis import strategies as st
 
 from qcatalan.exactnum import BernoulliTable, bernoulli_table
 from qcatalan.limitlaw import GecoParams, GecoReport, GecoViolation, TailReport
-from qcatalan.moments import DistSummary, QuotientSpec
-from qcatalan.polyq import FAMILIES, SUM_LIMIT, Family, IntPoly, QuotientTooLarge, quotient_poly
+from qcatalan.moments import DistSummary
+from qcatalan.polyq import (
+    FAMILIES,
+    SUM_LIMIT,
+    Family,
+    IntPoly,
+    QuotientSpec,
+    QuotientTooLarge,
+    quotient_poly,
+)
 from qcatalan.shape import ShapeReport
 
 

@@ -6,8 +6,10 @@ processes or threads, nor dataclasses (it loads inspect, ast, dis and
 tokenize at start-up), imports only the standard library, and imports no
 name it does not use.  Every private name a library module binds at its
 top level is read somewhere in the library, so a helper that a refactor
-leaves behind shows.  The command line and the test oracles use no private
-qcatalan name, so they depend only on the public surface.
+leaves behind shows.  The command line, `moments` and the test oracles use
+no private qcatalan name, so they depend only on the public surface.  The
+library's modules import each other without a cycle, counting the imports
+under `if TYPE_CHECKING:`.
 """
 
 import ast
@@ -19,7 +21,11 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = sorted((ROOT / "src" / "qcatalan").glob("*.py"))
-PUBLIC_ONLY = [ROOT / "src" / "qcatalan" / "cli.py", ROOT / "tests" / "oracles.py"]
+PUBLIC_ONLY = [
+    ROOT / "src" / "qcatalan" / "cli.py",
+    ROOT / "src" / "qcatalan" / "moments.py",
+    ROOT / "tests" / "oracles.py",
+]
 BANNED = {"concurrent", "dataclasses", "multiprocessing", "subprocess", "threading"}
 
 
@@ -117,6 +123,41 @@ def unread_private(source: str, elsewhere: frozenset[str] = frozenset()) -> list
     return out
 
 
+def sibling_imports(source: str) -> set[str]:
+    """The modules of its own package that a module imports by a relative
+    import, wherever the import stands (an `if TYPE_CHECKING:` block too)."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                out.add(node.module.split(".")[0])
+            else:  # from . import x
+                out |= {alias.name for alias in node.names}
+    return out
+
+
+def import_cycle(graph: dict[str, set[str]]) -> list[str]:
+    """One cycle of the import graph, the modules along it with the first
+    repeated at the end, or [] when there is none."""
+    acyclic: set[str] = set()
+
+    def visit(module: str, path: list[str]) -> list[str]:
+        if module in path:
+            return path[path.index(module):] + [module]
+        if module in acyclic or module not in graph:
+            return []
+        for target in sorted(graph[module]):
+            if cycle := visit(target, path + [module]):
+                return cycle
+        acyclic.add(module)
+        return []
+
+    for module in sorted(graph):
+        if cycle := visit(module, []):
+            return cycle
+    return []
+
+
 def findings(path: Path, rule) -> list[str]:
     return [f"{path.name}:{line}: {what}" for line, what in rule(path.read_text())]
 
@@ -142,6 +183,11 @@ def test_cli_and_oracles_import_no_private_name(path):
     assert findings(path, private_import) == []
 
 
+def test_library_imports_form_no_cycle():
+    graph = {path.stem: sibling_imports(path.read_text()) for path in LIBRARY}
+    assert import_cycle(graph) == []
+
+
 @pytest.mark.parametrize(
     "source, rule, what",
     [
@@ -160,6 +206,19 @@ def test_the_rules_catch_what_they_name(source, rule, what, tmp_path):
     path = tmp_path / "probe.py"
     path.write_text(source + "\n")
     assert findings(path, rule) == [f"probe.py:1: {what}"]
+
+
+def test_the_cycle_rule_counts_imports_under_type_checking():
+    sources = {
+        "a": "from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n    from .b import B\n",
+        "b": "from .a import A\n",
+        "c": "from . import a, b\n",
+    }
+    graph = {name: sibling_imports(source) for name, source in sources.items()}
+    assert graph["c"] == {"a", "b"}
+    assert import_cycle(graph) == ["a", "b", "a"]
+    del graph["a"]
+    assert import_cycle(graph) == []
 
 
 def test_the_rules_pass_clean_source(tmp_path):
