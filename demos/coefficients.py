@@ -23,7 +23,7 @@ def main() -> None:
     print("=" * 60)
     for n in range(1, 7):
         p = q_catalan(n)
-        print(f"n={n:>2}  degree {p.degree:>2}  mass {p.evaluate(1):>4}  {list(p.coeffs)}")
+        print(f"n={n:>2}  degree {p.degree:>2}  mass {sum(p.coeffs):>4}  {list(p.coeffs)}")
     print()
 
     print("three independent constructions, compared exactly")
@@ -46,7 +46,7 @@ def main() -> None:
         assert p.is_palindromic()
         assert p.degree == n * (n - 1)
     print("coefficients read the same in both directions, degree n(n-1), n = 1..30")
-    c10 = q_catalan(10).evaluate(1)
+    c10 = sum(q_catalan(10).coeffs)
     print(f"mass at n=10 is the Catalan number {c10}")
     print()
 

@@ -14,7 +14,9 @@ as columns, through one template per format that its declaration fixes: a
 plain kind's cells may be null, an indexed kind's never are.  Coefficient
 rows, and the density rows of `normality`, are computed from the
 coefficient list one block at a time as they are written, so peak memory
-is the list plus one block of encoded rows.  Every other row, and the row
+is the list plus one block of encoded rows.  The density columns, and the
+check that they are finite, are the law's (StandardizedLaw.density_columns);
+this module declares their cells only.  Every other row, and the row
 of the widest coefficient, is computed and encoded before the first
 write, so an error leaves stdout empty by that order.  The JSON params
 take the same cell encoders as the rows.  Options are spelled in full: an
@@ -227,9 +229,9 @@ def _emit(
     int cell fails only past the interpreter's limit on int digits, and then
     the widest fails, with a ValueError that names the limit.  A cell that
     cannot be encoded (that, or a non-finite float in JSON) therefore leaves
-    `out` empty by the order of the work, not by buffering; a command whose
-    stream holds float cells checks before calling here that they are
-    finite.
+    `out` empty by the order of the work, not by buffering; a stream's float
+    cells are checked to be finite before this is called, by the function
+    that computes them (StandardizedLaw.density_columns for density rows).
     """
     json = fmt == "json"
     try:
@@ -354,42 +356,14 @@ _MGF = RowKind("mgf", tuple((col, float) for col in (
     "t", "mgf_exact", "mgf_normal", "mgf_truncated", "mgf_residual",
     "series_k1", "series_tail", "tail_delta",
 )))
+# The density rows' cells; the law gives the columns after k
+# (StandardizedLaw.density_columns).
+_DENSITY_CELLS = (("k", int), ("z", float), ("density", float), ("normal_density", float))
 _NORMALITY_COLUMNS = [
     "kind", "t", "ks", "mgf_exact", "mgf_normal", "mgf_truncated",
     "mgf_residual", "series_k1", "series_tail", "tail_delta",
     "k", "z", "density", "normal_density",
 ]
-
-
-def _density(law: StandardizedLaw) -> RowKind:
-    """The density rows of the law's coefficient list, an indexed kind: at
-    k, z = (k - mu) / sigma, the density sigma * c_k / mass and the normal
-    density at z.
-
-    Its rows are computed a block at a time as they are written, after the
-    first write, so a non-finite cell there could no longer leave stdout
-    empty.  Every cell is finite once mu and sigma are, which is checked
-    here."""
-    mu, sigma, mass = law.mu, law.sigma, law.summary.mass
-    if not (math.isfinite(mu) and math.isfinite(sigma)):
-        raise ArithmeticError(f"the law's mean {mu} and deviation {sigma} must be finite")
-    # c / mass with both scaled by one power of two that brings the mass
-    # into float range; the scale is 1, and the quotient sigma * c / mass,
-    # wherever the mass is already in range.  c <= mass keeps it finite.
-    scale = 1 << max(0, mass.bit_length() - 1023)
-    scaled_mass = mass / scale
-    root_two_pi = math.sqrt(2.0 * math.pi)
-
-    def columns(ks: range, block: Sequence[int]) -> list[list[float]]:
-        zs = [(k - mu) / sigma for k in ks]
-        return [
-            zs,
-            [sigma * (c / scale) / scaled_mass for c in block],
-            [math.exp(-z * z / 2.0) / root_two_pi for z in zs],
-        ]
-
-    cells = (("k", int), ("z", float), ("density", float), ("normal_density", float))
-    return RowKind("density", cells, columns)
 
 
 def _cmd_normality(args: argparse.Namespace, out: TextIO) -> int:
@@ -399,7 +373,7 @@ def _cmd_normality(args: argparse.Namespace, out: TextIO) -> int:
     spec = preset("catalan", args.n)  # the judge of n >= 2
     p = q_catalan(args.n)
     law = StandardizedLaw(p)
-    density = _density(law)
+    density = RowKind("density", _DENSITY_CELLS, law.density_columns())
     mu, sigma = law.mu, law.sigma
     # One coefficient list serves both the K-term truncation and the 10-term
     # convergence check.

@@ -19,7 +19,8 @@ finite-n correction, and the functions here measure it three ways:
     single final float conversion per coefficient.
   * StandardizedLaw (and its one-shot wrappers exact_standardized_mgf /
     ks_distance_to_normal): direct comparison of the finite-n law against
-    the standard normal, no series involved.
+    the standard normal, no series involved: its mgf, its KS distance and
+    its density beside the normal density.
 
 S_k comes from moments.power_sums and B_{2k} / (2k (2k)!) from
 exactnum.log_sinh_series_coeff, each the one place its quantity is computed.
@@ -279,6 +280,9 @@ class StandardizedLaw:
     takes the one exact dist_summary of p and stores, in one pass over the
     coefficients, the float offset k - mean and log(c_k) for every k with
     c_k > 0, so each mgf(t) is one float pass and one sort over the support.
+    The law is the one home of the standardization: the mgf, the KS
+    distance, and the density columns with their finite-mean-and-sigma
+    premise and the scaling of a mass past float range.
     """
 
     def __init__(self, p: IntPoly):
@@ -344,20 +348,51 @@ class StandardizedLaw:
         The empirical CDF is a step function, so the supremum is attained
         at a jump: both the pre-jump and post-jump gaps are checked at every
         support point.  CDF values come from big-int partial sums divided by
-        the mass, correctly rounded by int/int true division.
+        the mass, correctly rounded by int/int true division, one per point:
+        each point's pre-jump value is the previous point's post-jump value.
         """
         sigma = self.sigma
         mass = self.summary.mass
-        best = 0.0
+        best = lo = 0.0
         cum = 0
         weights = (c for c in self.poly.coeffs if c > 0)
         for x, c in zip(self.offsets, weights):
             phi = _normal_cdf(x / sigma)
-            lo = cum / mass
             cum += c
             hi = cum / mass
             best = max(best, abs(phi - lo), abs(hi - phi))
+            lo = hi  # the next point's pre-jump value
         return best
+
+    def density_columns(self) -> Callable[[range, Sequence[int]], list[list[float]]]:
+        """The function that gives, for positions ks and their coefficients,
+        the columns z = (k - mean) / sigma, the density sigma * c_k / mass
+        and the standard normal density at z.
+
+        It is called a block of positions at a time, so its premise is
+        checked here, before the first block: a non-finite mean or sigma
+        raises ArithmeticError.  Once both are finite every cell is, since
+        c_k <= mass.
+        """
+        mu, sigma, mass = self.mu, self.sigma, self.summary.mass
+        if not (math.isfinite(mu) and math.isfinite(sigma)):
+            raise ArithmeticError(f"the law's mean {mu} and deviation {sigma} must be finite")
+        # c / mass with both scaled by one power of two that brings the mass
+        # into float range; the scale is 1, and the quotient sigma * c / mass,
+        # wherever the mass is already in range.
+        scale = 1 << max(0, mass.bit_length() - 1023)
+        scaled_mass = mass / scale
+        root_two_pi = math.sqrt(2.0 * math.pi)
+
+        def columns(ks: range, block: Sequence[int]) -> list[list[float]]:
+            zs = [(k - mu) / sigma for k in ks]
+            return [
+                zs,
+                [sigma * (c / scale) / scaled_mass for c in block],
+                [math.exp(-z * z / 2.0) / root_two_pi for z in zs],
+            ]
+
+        return columns
 
 
 def exact_standardized_mgf(p: IntPoly, t: float) -> float:

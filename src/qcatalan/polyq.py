@@ -198,13 +198,6 @@ class IntPoly(_Frozen):
             raise IndexError("coefficient index must be nonnegative")
         return self.coeffs[k] if k < len(self.coeffs) else 0
 
-    def evaluate(self, x):
-        """Evaluate at x by Horner's rule; exact for int/Fraction arguments."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def is_palindromic(self) -> bool:
         """Whether c_k = c_{d-k} for every k; compares in place, without a
         reversed copy of the coefficients."""

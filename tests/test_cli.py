@@ -258,18 +258,8 @@ def test_shape_csv_golden():
     assert lines[3] == "4,12,false,6,5,1"
 
 
-def test_shape_workers_env_does_not_change_bytes(monkeypatch):
-    args = ("shape", "--family", "catalan", "--n-from", "2", "--n-to", "12")
-    monkeypatch.setenv("QCAT_THREADS", "1")
-    _, serial = run_cli(*args)
-    monkeypatch.setenv("QCAT_THREADS", "2")
-    _, threaded = run_cli(*args)
-    assert serial == threaded
-
-
 def test_shape_runs_in_one_process(monkeypatch):
     args = ("shape", "--family", "catalan", "--n-from", "2", "--n-to", "30")
-    monkeypatch.delenv("QCAT_THREADS", raising=False)
     _, expected = run_cli(*args)
 
     def no_fork():
@@ -277,7 +267,6 @@ def test_shape_runs_in_one_process(monkeypatch):
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(os, "fork", no_fork)
-    monkeypatch.setenv("QCAT_THREADS", "2")
     rc, text = run_cli(*args)
     assert rc == 0
     assert text == expected
@@ -526,7 +515,9 @@ def test_every_argv_exits_0_2_or_3_without_raising(argv):
 _V = cli.RowKind(None, (("v", float),))
 # The density rows of one law, computed from a coefficient list, and a
 # plain kind with their cells whose rows are given as tuples.
-_DENSITY = cli._density(StandardizedLaw(q_catalan(5)))
+_DENSITY = cli.RowKind(
+    "density", cli._DENSITY_CELLS, StandardizedLaw(q_catalan(5)).density_columns()
+)
 _DENSITY_ROWS = cli.RowKind("density", _DENSITY.cells)
 
 
@@ -666,7 +657,7 @@ def _tables(draw, block_rows):
     floats = [
         (i, j, c)
         for i, (kind, rows) in enumerate(parts)
-        if not kind.indexed  # a density cell is finite: cli._density checks
+        if not kind.indexed  # a density cell is finite: the law's density_columns checks
         for j in range(len(rows))
         for c, (_, t) in enumerate(kind.cells)
         if t is float
@@ -725,8 +716,9 @@ def test_emit_pins_the_null_shapes_at_the_block_edges(block_rows):
                 assert got.getvalue() == generic.getvalue()
 
 
-# The float and int cells whose text the plain-block templates write
-# themselves in CSV (%.12g, %d) and encode a column at a time in JSON.
+# Float and int cells at the edges of their text.  A plain kind writes
+# every cell with %s, through an encoder that gives a null for None and
+# otherwise the %.12g or %d text (CSV) or the JSON cell encoding.
 _EDGE_FLOATS = [-0.0, 5e-324, 1e-05, 123.0, 1e12, 1e16, 1.7976931348623157e308]
 _EDGE_INTS = [2 ** 53 - 1, -(2 ** 53 - 1), 2 ** 53, -(2 ** 53)]
 
@@ -734,9 +726,9 @@ _EDGE_INTS = [2 ** 53 - 1, -(2 ** 53 - 1), 2 ** 53, -(2 ** 53)]
 @pytest.mark.parametrize("block_rows", [1, 2, 3, 4, 5])
 def test_emit_pins_the_plain_blocks(block_rows):
     # every block goes through its template in one pass; the nulls in the
-    # mixed and sparse rows put plain and null rows into one block at some
-    # sizes, and a column with a null in a block goes through its nullable
-    # encoder
+    # mixed and sparse rows put rows with and without a null into one block
+    # at some sizes, and every cell goes through its kind's null-aware
+    # encoder whether or not its column holds a null
     density = [(k, x, -x, x / 3) for k, x in zip(_EDGE_INTS * 2, _EDGE_FLOATS)]
     cells = (("i", int), ("x", float), ("b", bool), ("s", str), ("f", Fraction))
     mixed = cli.RowKind("mix%", cells)
@@ -747,9 +739,9 @@ def test_emit_pins_the_plain_blocks(block_rows):
     mixed_rows[5] = (7, None, True, None, Fraction(1, 2))
     third = Fraction(1, 3)
     moments = [(i, 3, i, Fraction(i, 7), third, third, third, i > 0) for i in _EDGE_INTS]
-    # columns x and i hold a null in some rows only, so a block writes them
-    # through their nullable encoders beside the plain column y; the CSV
-    # rows add nan and inf, which JSON cannot hold
+    # columns x and i hold a null in some rows only, and y in none; all
+    # three go through the same null-aware encoders; the CSV rows add nan
+    # and inf, which JSON cannot hold
     sparse = cli.RowKind(None, (("x", float), ("i", int), ("y", float)))
     sparse_rows = [(x, i, x) for x, i in zip([-0.0, 5e-324, 1e16] * 3, _EDGE_INTS[2:] * 5)]
     sparse_rows[1] = (None, 2 ** 53, 5e-324)

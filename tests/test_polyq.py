@@ -67,14 +67,6 @@ def test_degree_and_getitem():
         p[-1]
 
 
-def test_evaluate_horner():
-    p = IntPoly([1, 2, 3])
-    assert p.evaluate(1) == 6
-    assert p.evaluate(2) == 1 + 4 + 12
-    assert p.evaluate(Fraction(1, 2)) == Fraction(11, 4)
-    assert IntPoly([]).evaluate(7) == 0
-
-
 def test_palindromic():
     assert IntPoly([1, 2, 1]).is_palindromic()
     assert not IntPoly([1, 2, 3]).is_palindromic()
@@ -161,7 +153,7 @@ def test_gaussian_binomial_structure(n):
         assert g.is_palindromic()
         assert min(g.coeffs) >= 0
         assert g.degree == k * (n - k)
-        assert g.evaluate(1) == math.comb(n, k)
+        assert sum(g.coeffs) == math.comb(n, k)
 
 
 # -- q-Catalan families -------------------------------------------------------
@@ -180,7 +172,7 @@ def test_q_catalan_structure():
         assert p.degree == n * (n - 1) or (n == 1 and p.degree == 0)
         assert p.is_palindromic()
         assert min(p.coeffs) >= 0
-        assert p.evaluate(1) == catalan_number(n)
+        assert sum(p.coeffs) == catalan_number(n)
 
 
 def test_routes_agree():
@@ -212,7 +204,7 @@ def test_q_catalan_second_structure():
         assert p.degree == (n - 1) ** 2
         assert p.is_palindromic()
         assert min(p.coeffs) >= 0
-        assert p.evaluate(1) == catalan_number(n)
+        assert sum(p.coeffs) == catalan_number(n)
 
 
 def test_kernel_families_match_gaussian_binomial_routes():
@@ -242,7 +234,7 @@ def test_q_catalan_general_mass(m):
     for n in range(1, 9):
         p = q_catalan_general(n, m)
         assert p.is_palindromic()
-        assert p.evaluate(1) == math.comb(m * n, n) // ((m - 1) * n + 1)
+        assert sum(p.coeffs) == math.comb(m * n, n) // ((m - 1) * n + 1)
 
 
 # -- general quotients ---------------------------------------------------------
