@@ -14,13 +14,14 @@ as columns, through one template per format that its declaration fixes: a
 plain kind's cells may be null, an indexed kind's never are.  Coefficient
 rows, and the density rows of `normality`, are computed from the
 coefficient list one block at a time as they are written, so peak memory
-is the list plus one block of encoded rows.  The density columns, and the
-check that they are finite, are the law's (StandardizedLaw.density_columns);
-this module declares their cells only.  Every other row, and the row
-of the widest coefficient, is computed and encoded before the first
-write, so an error leaves stdout empty by that order.  The JSON params
-take the same cell encoders as the rows.  Options are spelled in full: an
-abbreviation such as --bet for --beta is a usage error.
+is the list plus one block of encoded rows.  Every `normality` number is
+the law's (StandardizedLaw): the KS distance, the mgf rows, and the
+density columns with the check that they are finite; this module declares
+their cells only.  Every other row, and the row of the widest coefficient,
+is computed and encoded before the first write, so an error leaves stdout
+empty by that order.  The JSON params take the same cell encoders as the
+rows.  Options are spelled in full: an abbreviation such as --bet for
+--beta is a usage error.
 
 Exit codes: 0 success, 1 the reader closed stdout before the output ended
 (`qcat ... | head -1`; nothing is written to stderr), 2 usage or validation
@@ -51,9 +52,6 @@ from .limitlaw import (
     catalan_geco_params,
     condition_ratios,
     mcatalan_geco_params,
-    series_coefficients,
-    series_terms,
-    split_tail,
 )
 from .moments import dist_summary, general_moments_closed
 from .polyq import FAMILIES, QuotientSpec, get_family, iter_family, preset, q_catalan, quotient_poly
@@ -374,24 +372,8 @@ def _cmd_normality(args: argparse.Namespace, out: TextIO) -> int:
     p = q_catalan(args.n)
     law = StandardizedLaw(p)
     density = RowKind("density", _DENSITY_CELLS, law.density_columns())
-    mu, sigma = law.mu, law.sigma
-    # One coefficient list serves both the K-term truncation and the 10-term
-    # convergence check.
-    coeffs = series_coefficients(spec, args.K + 10)
-    mgf_rows = []
-    for t, exact in zip(grid, law.mgf_grid(grid)):
-        terms = series_terms(coeffs, t)
-        # The law's exact mean n(n-1)/2 and variance n(n^2-1)/6 are the
-        # closed forms log_mgf_truncated takes its drift from, so this is
-        # that drift; adding it and taking it off again keeps the rounding
-        # of log_mgf_truncated's drift + series in the cell.
-        drift = mu * t / sigma
-        trunc = math.exp(drift + math.fsum(terms[: args.K]) - drift)
-        tail, delta = split_tail(terms, args.K)
-        normal = math.exp(t * t / 2.0)
-        mgf_rows.append((t, exact, normal, trunc, abs(exact - trunc), terms[0], tail, delta))
     params = {"n": args.n, "K": args.K, "grid_step": args.grid_step}
-    parts = [(_KS, [(law.ks(),)]), (_MGF, mgf_rows), (density, p.coeffs)]
+    parts = [(_KS, [(law.ks(),)]), (_MGF, law.mgf_rows(spec, args.K, grid)), (density, p.coeffs)]
     _emit("normality", params, _NORMALITY_COLUMNS, parts, args.format, out)
     return EXIT_OK
 

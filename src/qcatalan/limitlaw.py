@@ -19,8 +19,9 @@ finite-n correction, and the functions here measure it three ways:
     single final float conversion per coefficient.
   * StandardizedLaw (and its one-shot wrappers exact_standardized_mgf /
     ks_distance_to_normal): direct comparison of the finite-n law against
-    the standard normal, no series involved: its mgf, its KS distance and
-    its density beside the normal density.
+    the standard normal: its mgf, its KS distance and its density beside
+    the normal density, and its mgf rows, which set the exact mgf beside
+    the normal's and the truncated series of the law's quotient.
 
 S_k comes from moments.power_sums and B_{2k} / (2k (2k)!) from
 exactnum.log_sinh_series_coeff, each the one place its quantity is computed.
@@ -280,9 +281,10 @@ class StandardizedLaw:
     takes the one exact dist_summary of p and stores, in one pass over the
     coefficients, the float offset k - mean and log(c_k) for every k with
     c_k > 0, so each mgf(t) is one float pass and one sort over the support.
-    The law is the one home of the standardization: the mgf, the KS
-    distance, and the density columns with their finite-mean-and-sigma
-    premise and the scaling of a mass past float range.
+    The law is the one home of the standardization: the mgf, its rows
+    beside the series, the KS distance, and the density columns with
+    their finite-mean-and-sigma premise and the scaling of a mass past
+    float range.
     """
 
     def __init__(self, p: IntPoly):
@@ -341,6 +343,30 @@ class StandardizedLaw:
                 done[key] = self.mgf(key)
             out.append(done[key])
         return out
+
+    def mgf_rows(self, spec: QuotientSpec, K: int, ts: Sequence[float]) -> list[tuple[float, ...]]:
+        """For every t in ts, the row (t, exact, normal, truncated, residual,
+        k1, tail, delta): the law's mgf(t), the normal's e^{t^2/2}, exp of
+        the degree-2K series of spec (the quotient whose law this is), the
+        distance of the exact from the truncated, the series' k = 1 term, and
+        its k = 2..K tail with how far 10 more terms move it (split_tail).
+
+        One series_coefficients(spec, K + 10) serves every t.  The law's
+        exact mean and variance are the closed forms log_mgf_truncated
+        takes its drift from, so mu t / sigma is that drift; adding it to
+        the K-term sum and taking it off again gives the truncated cell the
+        rounding of exp(log_mgf_truncated(spec, t, K) - mu t / sigma).
+        """
+        coeffs = series_coefficients(spec, K + 10)
+        rows = []
+        for t, exact in zip(ts, self.mgf_grid(ts)):
+            terms = series_terms(coeffs, t)
+            drift = self.mu * t / self.sigma
+            trunc = math.exp(drift + math.fsum(terms[:K]) - drift)
+            tail, delta = split_tail(terms, K)
+            normal = math.exp(t * t / 2.0)
+            rows.append((t, exact, normal, trunc, abs(exact - trunc), terms[0], tail, delta))
+        return rows
 
     def ks(self) -> float:
         """Kolmogorov-Smirnov distance to the standard normal.

@@ -338,17 +338,6 @@ def _signed(a: Iterable[int], b: Iterable[int]) -> Counter[int]:
     return e
 
 
-def _divisors(xs: Iterable[int]) -> list[int]:
-    """Every divisor of every x in xs, with repeats, by trial division up to
-    sqrt(x)."""
-    divisors: list[int] = []
-    for x in xs:
-        small = [d for d in range(1, math.isqrt(x) + 1) if x % d == 0]
-        divisors += small
-        divisors += [x // d for d in small if d * d != x]
-    return divisors
-
-
 def _surplus(e: Counter[int]) -> Counter[int]:
     """The cyclotomic ledger of the quotient whose signed exponent multiset
     is e (see _quotient_coeffs).
@@ -356,10 +345,17 @@ def _surplus(e: Counter[int]) -> Counter[int]:
     (1 - q^x) is the product of Phi_d over d | x, so the quotient holds
     Phi_d to the power sum(e[x] for x with d | x), the surplus at d, and it
     is a polynomial exactly when no surplus is negative.  The surplus of a
-    product is the sum of its factors' surpluses.
+    product is the sum of its factors' surpluses.  The divisors of each x
+    with e[x] != 0 come by trial division up to sqrt(x).
     """
-    surplus = Counter(_divisors((+e).elements()))
-    surplus.subtract(_divisors((-e).elements()))
+    surplus: Counter[int] = Counter()
+    for x, count in e.items():
+        if count:
+            for d in range(1, math.isqrt(x) + 1):
+                if x % d == 0:
+                    surplus[d] += count
+                    if d * d != x:
+                        surplus[x // d] += count
     return surplus
 
 
@@ -683,16 +679,14 @@ class QuotientSpec(_Frozen):
     and b are multisets, so repeats are meaningful and order is not.
     """
 
-    __slots__ = ("a", "b", "label")
+    __slots__ = ("a", "b")
     a: tuple[int, ...]
     b: tuple[int, ...]
-    label: str
 
-    def __init__(self, a: Iterable[int], b: Iterable[int], label: str = ""):
+    def __init__(self, a: Iterable[int], b: Iterable[int]):
         a, b = _check_exponents(a, b)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "label", label)
 
 
 def quotient_poly(spec: QuotientSpec) -> IntPoly:
@@ -732,8 +726,7 @@ def preset(name: str, n: int, m: int | None = None) -> QuotientSpec:
                 "the exponent lists would be too large to hold"
             )
     e = _signed(*fam.exponents(n, m))
-    label = f"{name}(n={n},m={m})" if fam.takes_m else f"{name}(n={n})"
-    return QuotientSpec(a=sorted((+e).elements()), b=sorted((-e).elements()), label=label)
+    return QuotientSpec(a=sorted((+e).elements()), b=sorted((-e).elements()))
 
 
 def major_index_histogram(n: int) -> IntPoly:

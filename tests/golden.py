@@ -4,9 +4,10 @@ the sha256 of its stdout and stderr, run in-process through
 
     PYTHONPATH=src python tests/golden.py
 
-rewrites tests/golden.json from the tree, and tests/test_golden.py replays
-it.  A change that means to change bytes rewrites the manifest and names
-each entry that changed; any other change leaves it alone.
+rewrites tests/golden.json from the tree and prints each key whose entry
+was added, changed or dropped, nothing when none was; tests/test_golden.py
+replays it.  A change that means to change bytes rewrites the manifest and
+names each entry that changed; any other change leaves it alone.
 
 Every command runs under 640 digits, the interpreter's smallest limit on
 converting an int to text (PYTHONINTMAXSTRDIGITS=640 sets the same), so
@@ -170,8 +171,14 @@ def keys() -> list[str]:
 
 
 def main() -> None:
+    """Rewrite the manifest, then print each key whose entry was added,
+    changed or dropped, after its status; nothing when none was."""
+    old = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {}
     manifest = {key: record(shlex.split(key)) for key in keys()}
     MANIFEST.write_text(json.dumps(manifest, indent=1) + "\n")
+    for key in [*manifest, *(key for key in old if key not in manifest)]:
+        if old.get(key) != manifest.get(key):
+            print("added" if key not in old else "dropped" if key not in manifest else "changed", key)
 
 
 if __name__ == "__main__":

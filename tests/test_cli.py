@@ -223,7 +223,7 @@ def test_normality_prepares_the_law_once(monkeypatch):
 @pytest.mark.parametrize("n", [5, 30, 60])
 @pytest.mark.parametrize("K", [10, 30])
 def test_normality_truncated_cells_are_log_mgf_truncated_less_the_laws_drift(n, K):
-    # the command sums one coefficient list per t inline; each cell is the
+    # the command writes the law's mgf rows; each truncated cell is the
     # library's truncated log-mgf with the law's drift mu t / sigma taken off
     rc, text = run_cli("normality", "--n", str(n), "--K", str(K), "--grid-step", "0.1")
     assert rc == 0

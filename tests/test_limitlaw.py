@@ -22,6 +22,7 @@ from qcatalan.limitlaw import (
     power_sum_diff,
     series_coefficients,
     series_terms,
+    split_tail,
     tail_series,
 )
 from qcatalan.moments import central_moment, general_moments_closed, power_sums
@@ -345,7 +346,7 @@ def _cumulants(p, r_max):
         preset("mcatalan", 7, 3),
         QuotientSpec(a=(5, 6, 7, 8), b=(1, 2, 3, 4)),
     ],
-    ids=lambda spec: spec.label or "a=5..8,b=1..4",
+    ids=["catalan(n=6)", "catalan(n=12)", "catalan(n=25)", "mcatalan(n=7,m=3)", "a=5..8,b=1..4"],
 )
 def test_cumulants_equal_bernoulli_series(spec):
     # the coefficients from polyq/moments against the Bernoulli series from
@@ -390,6 +391,34 @@ def test_standardized_law_equals_oracle_on_the_grid():
         p = q_catalan(n)
         expected = [oracles.exact_standardized_mgf(p, t) for t in T_GRID]
         assert StandardizedLaw(p).mgf_grid(T_GRID) == expected
+
+
+@pytest.mark.parametrize("K", [10, 30])
+@pytest.mark.parametrize(
+    "name, m, n",
+    [("catalan", None, 5), ("catalan", None, 30), ("catalan", None, 60),
+     ("catalan2", None, 10), ("catalan2", None, 30), ("mcatalan", 3, 10), ("mcatalan", 3, 30)],
+)
+def test_mgf_rows_equal_the_per_call_routes(name, m, n, K):
+    # each row of the law against the one-value calls, bit for bit, in
+    # each family: the exact mgf, the truncated log-mgf less the drift, and
+    # the k = 1 term and the tail of the K + 10 terms
+    p = get_family(name, m).build(n, m)
+    spec = preset(name, n, m)
+    rows = StandardizedLaw(p).mgf_rows(spec, K, T_GRID)
+    assert [row[0] for row in rows] == T_GRID
+    for t, exact, normal, trunc, residual, k1, tail, delta in rows:
+        assert exact == exact_standardized_mgf(p, t)
+        assert normal == math.exp(t * t / 2.0)
+        assert trunc == math.exp(log_mgf_truncated(spec, t, K) - drift(spec, t))
+        assert residual == abs(exact - trunc)
+        terms = series_terms(series_coefficients(spec, K + 10), t)
+        assert (k1, (tail, delta)) == (terms[0], split_tail(terms, K))
+        if name == "catalan":
+            report = tail_series(n, t, K)
+            assert (k1, tail, delta) == (
+                report.leading_term, report.tail_value, report.truncation_delta
+            )
 
 
 # coefficient weights: small ones, zeros among them, and up to 10^300

@@ -35,8 +35,8 @@ def test_spec_validation():
         QuotientSpec(a=(0,), b=(1,))
     with pytest.raises(ValueError):
         QuotientSpec(a=(2,), b=(-3,))
-    s = QuotientSpec(a=[4], b=[2], label="x")
-    assert s.a == (4,) and s.b == (2,) and s.label == "x"
+    s = QuotientSpec(a=[4], b=[2])
+    assert s.a == (4,) and s.b == (2,)
 
 
 def test_dist_summary_examples():
@@ -133,7 +133,8 @@ def test_kurtosis_moves_toward_three():
 def test_preset_catalan():
     s = preset("catalan", 3)
     assert s.a == (5, 6) and s.b == (2, 3)
-    assert s.label == "catalan(n=3)"
+    assert s == QuotientSpec((5, 6), (2, 3))
+    assert hash(s) == hash(QuotientSpec((5, 6), (2, 3)))
     for n in range(2, 11):
         assert quotient_poly(preset("catalan", n)) == q_catalan(n)
 

@@ -43,8 +43,8 @@ RECORDS = [
     (IntPoly, {"coeffs": (1, 2, 1)}, {"coeffs": (1, 3, 1)}),
     (
         QuotientSpec,
-        {"a": (4, 6), "b": (1, 2), "label": "x"},
-        {"a": (4, 6), "b": (1, 2), "label": "y"},
+        {"a": (4, 6), "b": (1, 2)},
+        {"a": (4, 6), "b": (1, 3)},
     ),
     (
         DistSummary,
@@ -139,8 +139,7 @@ def test_copies_equal_the_original(cls, fields, other):
 
 def test_defaults_and_reprs():
     assert IntPoly().coeffs == ()
-    assert QuotientSpec((4, 6), (1, 2)).label == ""
-    assert repr(QuotientSpec([4, 6], [1, 2])) == "QuotientSpec(a=(4, 6), b=(1, 2), label='')"
+    assert repr(QuotientSpec([4, 6], [1, 2])) == "QuotientSpec(a=(4, 6), b=(1, 2))"
     assert repr(GecoParams(2.0, -0.5, -0.25)) == "GecoParams(alpha=2.0, beta=-0.5, gamma=-0.25)"
     assert repr(GecoViolation(10, 2, 0.5, 0.25)) == "GecoViolation(n=10, k=2, ratio=0.5, bound=0.25)"
 
