@@ -153,13 +153,18 @@ def _shape(
     A plain kind's cells may be null, so each is written with %s, by an
     encoder that gives null (JSON) or empty text (CSV) for None and
     otherwise the text of its type's own encoder or slot.  An indexed
-    kind's cells are never null and keep their type's slot and encoder.
-    The "kind" cell and the columns the kind lacks are fixed text."""
+    kind's cells are never null and keep their type's slot and encoder,
+    but for its position k: a list position is below polyq.SUM_LIMIT + 1,
+    far below 2^53, so JSON writes it with %d as CSV does.  The "kind" cell
+    and the columns the kind lacks are fixed text."""
     json = fmt == "json"
     null = "null" if json else ""
     slots, encoders = {}, []
-    for col, t in kind.cells:
-        slot, encode = ("%s", _JSON_CELLS[t]) if json else (_CSV_SLOTS[t], _CSV_CELLS.get(t))
+    for i, (col, t) in enumerate(kind.cells):
+        if json and not (kind.indexed and i == 0):
+            slot, encode = "%s", _JSON_CELLS[t]
+        else:
+            slot, encode = _CSV_SLOTS[t], _CSV_CELLS.get(t)
         if not kind.indexed:
             text = encode or slot.__mod__
             slot, encode = "%s", lambda v, text=text: null if v is None else text(v)

@@ -33,7 +33,12 @@ comes from one construction kernel, in four parts:
     so once the ledger has passed they are exact modulo q^h.  With equal
     list lengths the quotient is palindromic of degree D = sum(a) - sum(b),
     so only h = D // 2 + 1 coefficients are built: O(len(a) * D) work
-    instead of the O(D^2) of naive convolution.
+    instead of the O(D^2) of naive convolution.  Each division runs as
+    soon as the cyclotomic content of the partial product allows it, so
+    every partial product is a polynomial too, palindromic or
+    antipalindromic; each is held by its head alone, at most h
+    coefficients, and a multiplication mirrors the few entries past the
+    head that it reads.  The work is the sum of the partial heads' lengths.
   * Mirror.  The upper half is the lower half reversed.  The coefficient
     sum, twice the head's sum less the middle coefficient, must then equal
     prod(a) / prod(b), an explicit check that stands in for the per-pass
@@ -338,6 +343,18 @@ def _signed(a: Iterable[int], b: Iterable[int]) -> Counter[int]:
     return e
 
 
+def _divisors(x: int) -> list[int]:
+    """The divisors of x, 1 and x first, by trial division up to sqrt(x);
+    the ledger and the kernel's division schedule both read them."""
+    found = []
+    for d in range(1, math.isqrt(x) + 1):
+        if x % d == 0:
+            found.append(d)
+            if d * d != x:
+                found.append(x // d)
+    return found
+
+
 def _surplus(e: Counter[int]) -> Counter[int]:
     """The cyclotomic ledger of the quotient whose signed exponent multiset
     is e (see _quotient_coeffs).
@@ -345,17 +362,14 @@ def _surplus(e: Counter[int]) -> Counter[int]:
     (1 - q^x) is the product of Phi_d over d | x, so the quotient holds
     Phi_d to the power sum(e[x] for x with d | x), the surplus at d, and it
     is a polynomial exactly when no surplus is negative.  The surplus of a
-    product is the sum of its factors' surpluses.  The divisors of each x
-    with e[x] != 0 come by trial division up to sqrt(x).
+    product is the sum of its factors' surpluses.  Only the x with
+    e[x] != 0 are read.
     """
     surplus: Counter[int] = Counter()
     for x, count in e.items():
         if count:
-            for d in range(1, math.isqrt(x) + 1):
-                if x % d == 0:
-                    surplus[d] += count
-                    if d * d != x:
-                        surplus[x // d] += count
+            for d in _divisors(x):
+                surplus[d] += count
     return surplus
 
 
@@ -377,6 +391,61 @@ def _pair_doubles(e: Counter[int]) -> tuple[list[int], list[int], list[int]]:
             rest.append(d)
     pairs.reverse()
     return pairs, sorted(left.elements()), rest
+
+
+def _schedule(
+    plan: tuple[list[int], list[int], list[int]], content: Counter[int]
+) -> list[tuple[int, int]]:
+    """The passes of plan (pairs, ups, downs; see _pair_doubles) in the
+    order the kernel runs them, as (k, kind): kind 0 multiplies by
+    1 + q^k, 1 by 1 - q^k, and -1 divides by 1 - q^k.
+
+    content is the cyclotomic content of the product the passes start
+    from, the power of each Phi_d in it as _surplus counts it; it is not
+    modified.  The pairs run first, ascending, then the ups, ascending, and
+    after each up every pending down, largest first, all of whose divisors
+    y still have positive content: 1 - q^x divides the partial product
+    exactly when Phi_y does for every y | x, so every partial product is a
+    polynomial.  Every 1 - q^x holds Phi_1 once and a pair holds none, so
+    no down can run before the first up.  After the last up every pending
+    down runs, largest first: the ledger has passed, so the content left
+    then covers them all, and it is followed only up to the last up.
+    """
+    pairs, ups, downs = plan
+    order = [(d, 0) for d in pairs]
+    pending = downs
+    if len(ups) > 1:
+        content = content.copy()
+        for d in pairs:
+            content.update(_divisors(2 * d))
+            content.subtract(_divisors(d))
+        waiting = [(d, _divisors(d)) for d in downs]
+        for u in ups[:-1]:
+            order.append((u, 1))
+            content.update(_divisors(u))
+            held = []
+            for d, divs in waiting:
+                if all(content[x] > 0 for x in divs):
+                    content.subtract(divs)
+                    order.append((d, -1))
+                else:
+                    held.append((d, divs))
+            waiting = held
+        pending = [d for d, _ in waiting]
+    order.extend((u, 1) for u in ups[-1:])
+    order.extend((d, -1) for d in pending)
+    return order
+
+
+def _mirror(c: list[int], degree: int, sign: int, size: int) -> None:
+    """Extend in place the head c of a polynomial P of the given degree with
+    P_i = sign * P_{degree - i}, c_0..c_{degree // 2} at least, to its
+    first min(size, degree + 1) coefficients."""
+    have, end = len(c), min(size, degree + 1)
+    if end > have:
+        tail = c[degree - end + 1:degree - have + 1]
+        tail.reverse()
+        c.extend(tail if sign > 0 else map(operator.neg, tail))
 
 
 # A kernel record (c, e, surplus): the full coefficient list of
@@ -405,12 +474,14 @@ def _quotient_coeffs(a: Iterable[int], b: Iterable[int], prev: _Record = _ONE) -
     prev's coefficients if it takes strictly fewer than the rebuild from 1
     (the two agree when prev is _ONE), else for the rebuild.  The rebuild
     is planned only when it can win, since any plan of e takes at least
-    sum|e| / 2 passes.  A plan runs first a multiplication by (1 + q^d)
-    for every pair, ascending, then by every remaining (1 - q^u), then a
-    division by every remaining (1 - q^d), largest first.  Once the ledger
-    has passed, every partial quotient is a polynomial (the final quotient
-    times the factors not yet divided out), so each pass stops at min(its
-    degree + 1, h); every division pass runs at h.  The result must have
+    sum|e| / 2 passes.  _schedule orders the passes so that each division
+    runs as soon as the cyclotomic content of the partial product allows,
+    starting from prev's surplus or, for a rebuild, from none.  Every
+    partial product P of degree deg is then a polynomial with
+    P_i = sign * P_{deg - i}: sign flips at each pass by 1 - q^k and holds
+    at a pair.  So only its head, min(deg // 2 + 1, h) coefficients, is
+    held; a multiplication first mirrors the few entries past the head that
+    it reads, and a division reads only the head.  The result must have
     coefficient sum prod(a) / prod(b), its value at q = 1; anything else
     raises ArithmeticError, since it means a construction error.
     """
@@ -418,12 +489,12 @@ def _quotient_coeffs(a: Iterable[int], b: Iterable[int], prev: _Record = _ONE) -
     degree = sum(a) - sum(b)
     if degree < 0:
         raise NotPolynomial(f"quotient of a={a} by b={b} has negative degree {degree}")
-    c, prev_e, surplus = prev
+    c, prev_e, content = prev
     e = _signed(a, b)
     step = e.copy()
     step.subtract(prev_e)
     change = _surplus(step)
-    surplus = surplus.copy()
+    surplus = content.copy()
     surplus.update(change)
     if any(surplus[d] < 0 for d in change):
         raise NotPolynomial(f"quotient of a={a} by b={b} is not a polynomial")
@@ -433,19 +504,21 @@ def _quotient_coeffs(a: Iterable[int], b: Iterable[int], prev: _Record = _ONE) -
     if prev_e and 2 * passes >= sum(map(abs, e.values())):
         rebuild = _pair_doubles(e)
         if sum(map(len, rebuild)) <= passes:
-            c, plan = [1], rebuild
-    pairs, ups, downs = plan
+            c, plan, content = [1], rebuild, Counter()
     deg = len(c) - 1
-    c = c[:h]
-    for d in pairs:
-        deg += d
-        c = _mul_one_plus_qpow(c, d, min(deg + 1, h))
-    for u in ups:
-        deg += u
-        c = _mul_one_minus_qpow(c, u, min(deg + 1, h))
-    for d in downs:
-        deg -= d
-        c = _div_one_minus_qpow(c, d, min(deg + 1, h))
+    sign = 1
+    c = c[:min(deg // 2 + 1, h)]
+    for k, kind in _schedule(plan, content):
+        if kind < 0:
+            deg -= k
+            c = _div_one_minus_qpow(c, k, min(deg // 2 + 1, h))
+        else:
+            size = min((deg + k) // 2 + 1, h)
+            _mirror(c, deg, sign, size)
+            c = (_mul_one_minus_qpow if kind else _mul_one_plus_qpow)(c, k, size)
+            deg += k
+        if kind:
+            sign = -sign
     # 1 when the degree is even: the middle coefficient is not mirrored
     middle = 2 * h - degree - 1
     if deg != degree or (2 * sum(c) - middle * c[-1]) * math.prod(b) != math.prod(a):

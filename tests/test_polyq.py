@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcatalan import polyq
@@ -461,16 +461,162 @@ def test_the_rebuild_is_planned_only_when_it_can_win(args, calls, monkeypatch):
     assert len(planned) == 1
 
 
-def test_kernel_builds_only_the_head(monkeypatch):
-    sizes = []
+def log_passes(monkeypatch):
+    """Patch the three linear passes to log (name, k, size) for each call;
+    size is the number of coefficients the pass writes."""
+    log = []
     for name in PASSES:
-        def record(c, k, size, _pass=getattr(polyq, name)):
-            sizes.append(size)
+        def logged(c, k, size, _pass=getattr(polyq, name), _name=name):
+            log.append((_name, k, size))
             return _pass(c, k, size)
 
-        monkeypatch.setattr(polyq, name, record)
+        monkeypatch.setattr(polyq, name, logged)
+    return log
+
+
+def test_kernel_builds_only_the_head(monkeypatch):
+    # every pass writes at most the head of the partial product it leaves,
+    # min(its degree // 2 + 1, h), in builds from 1 and in sweep steps alike
+    log = log_passes(monkeypatch)
+
+    def check(start, degree):
+        h, deg = degree // 2 + 1, start
+        for name, k, size in log:
+            deg += -k if name == "_div_one_minus_qpow" else k
+            assert size <= min(deg // 2 + 1, h)
+        assert deg == degree
+        log.clear()
+
     p = q_catalan(30)
-    assert max(sizes) == p.degree // 2 + 1 == 436
+    assert max(size for *_, size in log) == p.degree // 2 + 1 == 436
+    check(0, p.degree)
+    check(0, q_catalan_general(20, 3).degree)
+    members = iter_family("catalan", 5, 40)  # steps throughout
+    prev = next(members)
+    log.clear()
+    for p in members:
+        check(prev.degree, p.degree)
+        prev = p
+
+
+@pytest.mark.parametrize(
+    "build, most",
+    [
+        # about two thirds of the 4565321 that passes over every partial
+        # product up to h write, with each division after the last up
+        (lambda: quotient_poly(polyq.preset("catalan", 200)), 3_000_000),
+        # a sweep step writes no more than when it ran every pass at h
+        (lambda: list(iter_family("catalan", 2, 100)), 500_243),
+        (lambda: list(iter_family("mcatalan", 2, 50, 3)), 250_166),
+    ],
+    ids=["catalan-200", "catalan-sweep-2-100", "mcatalan3-sweep-2-50"],
+)
+def test_the_passes_write_a_bounded_number_of_coefficients(build, most, monkeypatch):
+    log = log_passes(monkeypatch)
+    build()
+    assert 0 < sum(size for *_, size in log) <= most
+
+
+def test_each_division_runs_as_soon_as_the_content_allows():
+    # q_catalan(8) from 1: the pairs leave Phi_2 twice and Phi_4 once, so
+    # after the up 11 the down 4 divides, the down 2 waits for the next
+    # up's Phi_1, and the down 3 for the up 15's Phi_3
+    plan = polyq._pair_doubles(signed(range(10, 17), range(2, 9)))
+    assert plan == ([5, 6, 7, 8], [11, 13, 15], [4, 3, 2])
+    assert polyq._schedule(plan, Counter()) == [
+        (5, 0), (6, 0), (7, 0), (8, 0), (11, 1), (4, -1), (13, 1), (2, -1), (15, 1), (3, -1),
+    ]
+    # the mcatalan m = 3 step from n = 5 to 6 starts from the content of
+    # member 5, which lets a down follow each up; from no content, the
+    # downs would all wait for the last up
+    fam = FAMILIES["mcatalan"]
+    before, after = (signed(*fam.exponents(n, 3)) for n in (5, 6))
+    step = after.copy()
+    step.subtract(before)
+    plan = polyq._pair_doubles(step)
+    assert polyq._schedule(plan, polyq._surplus(before)) == [
+        (16, 1), (13, -1), (17, 1), (12, -1), (18, 1), (6, -1),
+    ]
+    assert polyq._schedule(plan, Counter()) == [
+        (16, 1), (17, 1), (18, 1), (13, -1), (12, -1), (6, -1),
+    ]
+
+
+def test_the_mirror_negates_an_antipalindromic_head():
+    # (1 - q^3)(1 + q) = 1 + q - q^3 - q^4 has the zero middle of an
+    # antipalindromic polynomial of even degree
+    c = [1, 1, 0]
+    polyq._mirror(c, 4, -1, 9)
+    assert c == [1, 1, 0, -1, -1]
+    c = [1, 2]
+    polyq._mirror(c, 3, 1, 3)
+    assert c == [1, 2, 2]
+    polyq._mirror(c, 3, 1, 2)
+    assert c == [1, 2, 2]
+
+
+def test_the_kernel_mirrors_antipalindromic_partials_of_even_degree(monkeypatch):
+    # mcatalan m = 3 at n = 10 runs an up with no down after it three times
+    # from a partial product of even degree, so the next multiplication
+    # mirrors an antipalindromic head, whose middle coefficient is zero
+    middles = []
+
+    def spy(c, degree, sign, size, _mirror=polyq._mirror):
+        if sign < 0 and degree % 2 == 0 and min(size, degree + 1) > len(c):
+            middles.append(c[degree // 2])
+        _mirror(c, degree, sign, size)
+
+    monkeypatch.setattr(polyq, "_mirror", spy)
+    assert q_catalan_general(10, 3) == sequential_member("mcatalan", 10, 3)
+    assert middles == [0, 0, 0]
+
+
+@st.composite
+def binomial_products(draw, spoil=True):
+    # A product of 2 to 4 Gaussian binomials [top choose k] with top <= 40,
+    # its exponent lists shuffled.  With spoil, a third of the draws gain
+    # one factor (1 - q^x)/(1 - q^y), which mostly leaves no polynomial.
+    a, b = [], []
+    for _ in range(draw(st.integers(2, 4))):
+        top = draw(st.integers(2, 40))
+        k = draw(st.integers(1, min(top - 1, 10)))
+        a += range(top - k + 1, top + 1)
+        b += range(1, k + 1)
+    if spoil and draw(st.integers(0, 2)) == 0:
+        a.append(draw(st.integers(1, 40)))
+        b.append(draw(st.integers(1, 40)))
+    return tuple(draw(st.permutations(a))), tuple(draw(st.permutations(b)))
+
+
+@st.composite
+def interleaved_cases(draw):
+    # (prev, a, b): the kernel builds a, b from 1 when prev is None, else
+    # steps from the record of the unspoiled product prev; the target is
+    # the drawn product, or prev times it
+    a, b = draw(binomial_products())
+    prev = draw(st.none() | binomial_products(spoil=False))
+    if prev is not None and draw(st.booleans()):
+        a, b = a + prev[0], b + prev[1]
+    return prev, a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=interleaved_cases())
+@example(case=(None, tuple(range(22, 31)), tuple(range(2, 11))))
+@example(case=((tuple(range(12, 16)), tuple(range(2, 6))), tuple(range(14, 19)), tuple(range(2, 7))))
+def test_interleaved_schedules_build_exactly_the_polynomials(case):
+    # the examples are mcatalan m = 3 at n = 10 from 1, which mirrors
+    # antipalindromic partials of even degree, and the step from n = 5 to 6,
+    # which divides after each up from the content of member 5
+    prev, a, b = case
+    record = polyq._ONE if prev is None else polyq._quotient_coeffs(*prev)
+    try:
+        expected = oracles.sequential_quotient(a, b)
+    except NonzeroRemainder:
+        with pytest.raises(NotPolynomial):
+            polyq._quotient_coeffs(a, b, record)
+    else:
+        assert polyq._quotient_coeffs(a, b, record)[0] == expected
 
 
 def test_reject_is_decided_before_any_pass(monkeypatch):
