@@ -60,7 +60,7 @@ from .shape import scan_family
 SCHEMA_VERSION = "1"
 INT_AS_STRING_LIMIT = 2 ** 53
 # Rows encoded and joined into one write by the table writer.
-BLOCK_ROWS = 2 ** 10
+BLOCK_ROWS = 2 ** 8
 # Largest t grid `normality` accepts: 4001 points, i.e. --grid-step >= 0.001.
 GRID_MAX_POINTS = 4001
 # Largest --K.  `normality` sums the series to K + 10 terms, and t^(2k) at

@@ -39,6 +39,9 @@ comes from one construction kernel, in four parts:
     antipalindromic; each is held by its head alone, at most h
     coefficients, and a multiplication mirrors the few entries past the
     head that it reads.  The work is the sum of the partial heads' lengths.
+    The passes rewrite the kernel's one list in place, a slice or a chunk
+    at a time, so none holds more than _PASS_BLOCK new coefficients beside
+    it and a build peaks near the size of its result, not twice that.
   * Mirror.  The upper half is the lower half reversed.  The coefficient
     sum, twice the head's sum less the middle coefficient, must then equal
     prod(a) / prod(b), an explicit check that stands in for the per-pass
@@ -262,41 +265,63 @@ def poly_div_exact(p: IntPoly, d: IntPoly) -> IntPoly:
 
 # -- linear passes for (1 - q^k) factors ------------------------------------
 
+# Most new coefficients a pass holds beside the list it rewrites.
+_PASS_BLOCK = 2 ** 11
+
+
+def _shift_in_place(c: list[int], k: int, size: int, op: Callable[[int, int], int]) -> list[int]:
+    """c_i = op(c_i, c_{i-k}) for k <= i < size, after extending c with
+    zeros to size.  The slices are rewritten from the top down, so the
+    entries each one reads below it still hold their old values, whatever k
+    is."""
+    c.extend(itertools.repeat(0, size - len(c)))
+    for end in range(size, k, -_PASS_BLOCK):
+        start = max(end - _PASS_BLOCK, k)
+        c[start:end] = map(op, c[start:end], c[start - k:end - k])
+    return c
+
 def _mul_one_minus_qpow(c: list[int], k: int, size: int) -> list[int]:
-    """c * (1 - q^k) modulo q^size, for len(c) <= size <= len(c) + k."""
-    ext = c + [0] * (size - len(c))
-    return ext[:k] + list(map(operator.sub, ext[k:], c))
+    """c * (1 - q^k) modulo q^size, for len(c) <= size <= len(c) + k; c
+    is rewritten in place and returned."""
+    return _shift_in_place(c, k, size, operator.sub)
 
 def _mul_one_plus_qpow(c: list[int], k: int, size: int) -> list[int]:
     """c * (1 + q^k) modulo q^size, for len(c) <= size <= len(c) + k: one
-    pass for the pair (1 - q^2k) / (1 - q^k)."""
-    ext = c + [0] * (size - len(c))
-    return ext[:k] + list(map(operator.add, ext[k:], c))
+    pass for the pair (1 - q^2k) / (1 - q^k); c is rewritten in place and
+    returned."""
+    return _shift_in_place(c, k, size, operator.add)
 
 def _div_one_minus_qpow(c: list[int], k: int, size: int) -> list[int]:
-    """c / (1 - q^k) modulo q^size, for size <= len(c).
+    """c / (1 - q^k) modulo q^size, for size <= len(c); c is cut to size,
+    rewritten in place and returned.
 
     Per residue class mod k the quotient is a prefix sum, which runs at C
-    speed through itertools.accumulate.  Output index i reads inputs 0..i
-    only, so the pass is exact modulo q^size whether or not the division
-    leaves a remainder further up.
+    speed through itertools.accumulate, in chunks of at most _PASS_BLOCK
+    terms: each later chunk starts from the class's last value.  (One
+    prefix sum over a whole class holds the class in new integers at once:
+    half the list for k = 2.)  Output
+    index i reads inputs 0..i only, so the pass is exact modulo q^size
+    whether or not the division leaves a remainder further up.
     """
-    out = c[:size]
+    del c[size:]
+    span = k * _PASS_BLOCK
     for r in range(min(k, size)):
-        out[r::k] = itertools.accumulate(out[r::k])
-    return out
+        c[r:r + span:k] = itertools.accumulate(c[r:r + span:k])
+        for s in range(r + span, size, span):
+            c[s - k:s + span:k] = itertools.accumulate(c[s:s + span:k], initial=c[s - k])
+    return c
 
 def _div_exact(c: list[int], k: int) -> list[int]:
-    """Exactly divide by (1 - q^k): the top k running sums must come out
-    zero, otherwise NonzeroRemainder."""
+    """Exactly divide by (1 - q^k), rewriting c in place and returning it:
+    the top k running sums must come out zero, otherwise NonzeroRemainder."""
     n = len(c)
     if n <= k:
         raise NonzeroRemainder(f"cannot divide degree {n - 1} by (1 - q^{k})")
-    out = _div_one_minus_qpow(c, k, n)
-    if any(out[n - k:]):
+    _div_one_minus_qpow(c, k, n)
+    if any(c[n - k:]):
         raise NonzeroRemainder(f"division by (1 - q^{k}) is not exact")
-    del out[n - k:]
-    return out
+    del c[n - k:]
+    return c
 
 
 # -- the construction kernel -----------------------------------------------------
@@ -507,6 +532,8 @@ def _quotient_coeffs(a: Iterable[int], b: Iterable[int], prev: _Record = _ONE) -
             c, plan, content = [1], rebuild, Counter()
     deg = len(c) - 1
     sign = 1
+    # the passes rewrite c in place, so this copy of the head is what keeps
+    # _ONE and prev's coefficients unmodified
     c = c[:min(deg // 2 + 1, h)]
     for k, kind in _schedule(plan, content):
         if kind < 0:

@@ -73,7 +73,8 @@ COMMANDS = _both_formats(
         _general("2", "2"),  # trivial: no ratio rows
         _general("5,6", "2,3"),  # null envelope cells
         _general("4,5,6", "1,2,3"),  # three factors
-        # 1023, 1024 and 1025 coefficient rows, about one block
+        # 1023, 1024 and 1025 coefficient rows: four blocks of 2^8 rows, one
+        # row short of them, exactly and one row past
         *(_general(str(a), "1") for a in (1023, 1024, 1025)),
         ["general", "--preset", "catalan", "--n", "10", "--alpha", "1", "--beta", "-1e-3", "--gamma", "-5e-1"],
         ["general", "--preset", "catalan", "--n", "10", "--beta=-1e-3", "--gamma=-5e-1", "--alpha", "1"],

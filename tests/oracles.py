@@ -12,6 +12,10 @@ built half of each quotient: `sequential_quotient` with one checked linear
 pass per factor, `is_polynomial_by_division` by long division of the full
 products.  `paired_passes` plans a quotient's passes from sorted cancelled
 lists, as the kernel did before it held one signed exponent multiset.
+`copying_mul_one_minus_qpow`, `copying_mul_one_plus_qpow` and
+`copying_div_one_minus_qpow` are the kernel's three linear passes as they
+were before they rewrote their list in place: each returns a new list and
+leaves its argument as it was.
 
 `central_moment` sums (k - mean)^r c_k over every coefficient in
 Fractions, without the raw power sums the library expands around the
@@ -41,6 +45,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 from typing import Any, Sequence, TextIO
@@ -205,6 +210,27 @@ def _div_one_minus_qpow(c: list[int], k: int) -> list[int]:
     if any(out[n - k:]):
         raise NonzeroRemainder(f"division by (1 - q^{k}) is not exact")
     return out[:n - k]
+
+
+def copying_mul_one_minus_qpow(c: list[int], k: int, size: int) -> list[int]:
+    """c * (1 - q^k) modulo q^size, for len(c) <= size <= len(c) + k."""
+    ext = c + [0] * (size - len(c))
+    return ext[:k] + list(map(operator.sub, ext[k:], c))
+
+
+def copying_mul_one_plus_qpow(c: list[int], k: int, size: int) -> list[int]:
+    """c * (1 + q^k) modulo q^size, for len(c) <= size <= len(c) + k."""
+    ext = c + [0] * (size - len(c))
+    return ext[:k] + list(map(operator.add, ext[k:], c))
+
+
+def copying_div_one_minus_qpow(c: list[int], k: int, size: int) -> list[int]:
+    """c / (1 - q^k) modulo q^size, for size <= len(c): one prefix sum per
+    residue class mod k."""
+    out = c[:size]
+    for r in range(min(k, size)):
+        out[r::k] = itertools.accumulate(out[r::k])
+    return out
 
 
 def sequential_quotient(a, b) -> list[int]:

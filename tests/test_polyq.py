@@ -7,6 +7,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import oracles
 import pytest
@@ -651,6 +652,79 @@ def test_mass_check_catches_a_broken_pass(monkeypatch):
     monkeypatch.setattr(polyq, "_div_one_minus_qpow", off_by_one)
     with pytest.raises(ArithmeticError, match="does not sum to prod"):
         q_catalan(6)
+
+
+COPYING_PASSES = {
+    "_mul_one_plus_qpow": oracles.copying_mul_one_plus_qpow,
+    "_mul_one_minus_qpow": oracles.copying_mul_one_minus_qpow,
+    "_div_one_minus_qpow": oracles.copying_div_one_minus_qpow,
+}
+
+
+@st.composite
+def pass_cases(draw):
+    # (name, c, k, size), size within what the pass accepts
+    name = draw(st.sampled_from(PASSES))
+    c = draw(st.lists(st.integers(-(10 ** 30), 10 ** 30), min_size=1, max_size=40))
+    k = draw(st.integers(1, 12))
+    low, high = (0, len(c)) if name == "_div_one_minus_qpow" else (len(c), len(c) + k)
+    return name, c, k, draw(st.integers(low, high))
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 2 ** 11])
+@settings(max_examples=300, deadline=None)
+@given(case=pass_cases())
+def test_each_pass_rewrites_its_list_as_the_copying_pass_builds_a_new_one(block, case):
+    # slices of 1 to 3 entries, and division chunks of 1 to 3 terms a
+    # class, put a boundary between almost every pair of entries
+    name, c, k, size = case
+    expected = COPYING_PASSES[name](c, k, size)
+    with mock.patch.object(polyq, "_PASS_BLOCK", block):
+        out = getattr(polyq, name)(c, k, size)
+    assert out is c and out == expected
+
+
+def test_a_build_peaks_near_what_it_holds():
+    # the passes rewrite the kernel's one list, with at most _PASS_BLOCK
+    # new coefficients beside it; the rest of the peak is the list beside
+    # the result's tuple.  Measured on CPython 3.11: 1.25, and 1.95 when
+    # each pass built a new list beside the old one.
+    tracemalloc.start()
+    try:
+        p = q_catalan(150)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert p.degree == 150 * 149
+    assert peak <= 1.45 * held
+
+
+@pytest.mark.parametrize("block", [3, 2 ** 11])
+def test_a_sweep_leaves_each_previous_member_and_record_as_they_were(block, monkeypatch):
+    # the heads of members 60..75 run past one slice of 2^11 entries; member
+    # 60 is built from the empty product _ONE, which must stay 1 too
+    monkeypatch.setattr(polyq, "_PASS_BLOCK", block)
+    kernel = polyq._quotient_coeffs
+    steps = []
+
+    def spy(a, b, prev=polyq._ONE):
+        kept = copy.deepcopy(prev)
+        record = kernel(a, b, prev)
+        steps.append((prev, kept))
+        return record
+
+    monkeypatch.setattr(polyq, "_quotient_coeffs", spy)
+    members = iter_family("catalan", 60, 75)
+    previous = next(members)
+    for n, member in enumerate(members, 61):
+        assert previous == q_catalan_via_binomial(n - 1)
+        previous = member
+    assert len(steps) == 16
+    assert steps[0][0] is polyq._ONE
+    for prev, kept in steps:
+        assert prev == kept
+        assert prev[1].keys() == kept[1].keys() and prev[2].keys() == kept[2].keys()
+    assert polyq._ONE == ([1], Counter(), Counter())
 
 
 def test_size_check_reads_lazily_and_refuses_past_the_limit():
