@@ -45,10 +45,12 @@ comes from one construction kernel, in four parts:
     The passes rewrite the kernel's one list in place, a slice or a chunk
     at a time, so none holds more than _PASS_BLOCK new coefficients beside
     it and a build peaks near the size of its result, not twice that.
-  * Mirror.  The upper half is the lower half reversed.  The coefficient
-    sum, twice the head's sum less the middle coefficient, must then equal
-    prod(a) / prod(b), an explicit check that stands in for the per-pass
-    remainder checks the truncation drops.
+  * Mirror.  The upper half is the lower half reversed, negated for an
+    antipalindromic partial; one routine, _mirror, writes every tail, the
+    few entries a multiplication reads and the result's upper half alike.
+    The coefficient sum, twice the head's sum less the middle coefficient,
+    must equal prod(a) / prod(b), an explicit check that stands in for the
+    per-pass remainder checks the truncation drops.
 
 The kernel refuses numerator exponents summing past SUM_LIMIT with
 QuotientTooLarge, a ValueError (the command line exits 2), before it
@@ -431,47 +433,45 @@ def _schedule(
     polynomial.  The copies of a down are held together, so one test and
     one min over its divisors' content run as many of them as it allows.
     Every 1 - q^x holds Phi_1 once and a pair holds none, so no down can
-    run before the first up.  After the last up every pending down runs,
-    largest first: the ledger has passed, so the content left then covers
-    them all, and it is followed only up to the last up.
+    run before the first up.  No down waits past the last up: the ledger
+    has found the finished quotient's surplus >= 0 at every divisor of
+    every down, so after the last up the content covers every pending
+    down, and that up's walk runs them all, largest first.
     """
     pairs, ups, downs = plan
     order = [(d, 0) for d in sorted(pairs.elements())]
-    ups = sorted(ups.elements())
-    pending = sorted(downs.items(), reverse=True)
-    if len(ups) > 1:
-        content = content.copy()
-        for d, k in pairs.items():
-            content.update(_divisors(2 * d) * k)
-            content.subtract(_divisors(d) * k)
-        waiting = [(d, k, _divisors(d)) for d, k in pending]
-        for u in ups[:-1]:
-            order.append((u, 1))
-            content.update(_divisors(u))
-            held = []
-            for d, k, divs in waiting:
-                if all(content[x] > 0 for x in divs):
-                    run = min(k, min(content[x] for x in divs))
-                    content.subtract(divs * run)
-                    order.extend([(d, -1)] * run)
-                    k -= run
-                if k:
-                    held.append((d, k, divs))
-            waiting = held
-        pending = [(d, k) for d, k, _ in waiting]
-    order.extend((u, 1) for u in ups[-1:])
-    order.extend((d, -1) for d, k in pending for _ in range(k))
+    content = content.copy()
+    for d, k in pairs.items():
+        content.update(_divisors(2 * d) * k)
+        content.subtract(_divisors(d) * k)
+    waiting = [(d, k, _divisors(d)) for d, k in sorted(downs.items(), reverse=True)]
+    for u in sorted(ups.elements()):
+        order.append((u, 1))
+        content.update(_divisors(u))
+        held = []
+        for d, k, divs in waiting:
+            if all(content[x] > 0 for x in divs):
+                run = min(k, min(content[x] for x in divs))
+                content.subtract(divs * run)
+                order.extend([(d, -1)] * run)
+                k -= run
+            if k:
+                held.append((d, k, divs))
+        waiting = held
     return order
 
 
 def _mirror(c: list[int], degree: int, sign: int, size: int) -> None:
     """Extend in place the head c of a polynomial P of the given degree with
     P_i = sign * P_{degree - i}, c_0..c_{degree // 2} at least, to its
-    first min(size, degree + 1) coefficients."""
+    first min(size, degree + 1) coefficients.  The new entries are read
+    from c through reversed(c), with no slice copy; size degree + 1 with
+    sign 1 writes the whole upper half of a palindrome."""
     have, end = len(c), min(size, degree + 1)
     if end > have:
-        tail = c[degree - end + 1:degree - have + 1]
-        tail.reverse()
+        # reversed(c) yields c_{have - 1 - j} at position j, so it reaches
+        # c_{degree - have} at 2 * have - 1 - degree
+        tail = itertools.islice(reversed(c), 2 * have - 1 - degree, have + end - 1 - degree)
         c.extend(tail if sign > 0 else map(operator.neg, tail))
 
 
@@ -496,21 +496,23 @@ def _quotient_coeffs(a: Iterable[int], b: Iterable[int], prev: _Record = _ONE) -
     quotient of the step e - e_prev.  The ledger adds the surplus of the
     step to prev's and passes when no divisor the step touches goes
     negative.  The quotient is then palindromic of degree D, so only its
-    head modulo q^h, h = D // 2 + 1, is built; the tail is the head
-    mirrored.  The passes come from _pair_doubles, for the step from
+    head modulo q^h, h = D // 2 + 1, is built, and _mirror writes the tail
+    from it.  The passes come from _pair_doubles, for the step from
     prev's coefficients if it takes strictly fewer than the rebuild from 1
     (the two agree when prev is _ONE), else for the rebuild.  The rebuild
     is planned only when it can win, since any plan of e takes at least
     sum|e| / 2 passes.  _schedule orders the passes so that each division
     runs as soon as the cyclotomic content of the partial product allows,
-    starting from prev's surplus or, for a rebuild, from none.  Every
-    partial product P of degree deg is then a polynomial with
-    P_i = sign * P_{deg - i}: sign flips at each pass by 1 - q^k and holds
-    at a pair.  So only its head, min(deg // 2 + 1, h) coefficients, is
-    held; a multiplication first mirrors the few entries past the head that
-    it reads, and a division reads only the head.  The result must have
-    coefficient sum prod(a) / prod(b), its value at q = 1; anything else
-    raises ArithmeticError, since it means a construction error.
+    starting from prev's surplus or, for a rebuild, from none; since the
+    ledger passed, no division waits past the last up.  Every partial
+    product P of degree deg is then a polynomial with P_i = sign *
+    P_{deg - i}: sign flips at each pass by 1 - q^k and holds at a pair.
+    So only its head, min(deg // 2 + 1, h) coefficients, is held; a
+    multiplication first mirrors the few entries past the head that it
+    reads, through the same _mirror, and a division reads only the head.
+    The result must have coefficient sum prod(a) / prod(b), its value at
+    q = 1; anything else raises ArithmeticError, since it means a
+    construction error.
     """
     a, b = _check_exponents(_check_size(a), b)
     degree = sum(a) - sum(b)
@@ -555,8 +557,7 @@ def _quotient_coeffs(a: Iterable[int], b: Iterable[int], prev: _Record = _ONE) -
             f"quotient of a={a} by b={b} does not sum to prod(a)/prod(b); "
             "construction is broken"
         )
-    # coefficient degree - i equals coefficient i
-    c.extend(itertools.islice(reversed(c), middle, None))
+    _mirror(c, degree, 1, degree + 1)
     return c, e, surplus
 
 

@@ -14,7 +14,10 @@ products.  `paired_passes` plans a quotient's passes from sorted cancelled
 lists, as the kernel did before it held one signed exponent multiset, and
 `elementwise_schedule` orders such a plan one copy of each exponent at a
 time, as the kernel did before it held its plan as multisets; it finds
-divisors by testing every candidate up to x.
+divisors by testing every candidate up to x, and it keeps that kernel's
+shortcut of no content test after the last up, where the kernel now
+walks the content too and, the ledger having passed, runs the same
+downs in the same order.
 `copying_mul_one_minus_qpow`, `copying_mul_one_plus_qpow` and
 `copying_div_one_minus_qpow` are the kernel's three linear passes as they
 were before they rewrote their list in place: each returns a new list and

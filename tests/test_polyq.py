@@ -538,8 +538,7 @@ def test_each_division_runs_as_soon_as_the_content_allows():
         (5, 0), (6, 0), (7, 0), (8, 0), (11, 1), (4, -1), (13, 1), (2, -1), (15, 1), (3, -1),
     ]
     # the mcatalan m = 3 step from n = 5 to 6 starts from the content of
-    # member 5, which lets a down follow each up; from no content, the
-    # downs would all wait for the last up
+    # member 5, which lets a down follow each up
     fam = FAMILIES["mcatalan"]
     before, after = (signed(*fam.exponents(n, 3)) for n in (5, 6))
     step = after.copy()
@@ -548,9 +547,22 @@ def test_each_division_runs_as_soon_as_the_content_allows():
     assert polyq._schedule(plan, polyq._surplus(before)) == [
         (16, 1), (13, -1), (17, 1), (12, -1), (18, 1), (6, -1),
     ]
-    assert polyq._schedule(plan, Counter()) == [
-        (16, 1), (17, 1), (18, 1), (13, -1), (12, -1), (6, -1),
-    ]
+
+
+def test_every_family_step_runs_the_passes_in_the_elementwise_order():
+    # each step n -> n + 1 from member n's content; catalan and catalan2
+    # take one up per step, which the binomial products rarely draw
+    for name, m, n_end in (("catalan", None, 80), ("catalan2", None, 80),
+                           ("mcatalan", 3, 40), ("mcatalan", 7, 40)):
+        fam = FAMILIES[name]
+        for n in range(1, n_end):
+            before = signed(*fam.exponents(n, m))
+            step = signed(*fam.exponents(n + 1, m))
+            step.subtract(before)
+            content = polyq._surplus(before)
+            ups, downs = (+step).elements(), (-step).elements()
+            expected = oracles.elementwise_schedule(oracles.paired_passes(ups, downs), content)
+            assert polyq._schedule(polyq._pair_doubles(step), content) == expected
 
 
 @st.composite
@@ -609,6 +621,18 @@ def test_the_mirror_negates_an_antipalindromic_head():
     assert c == [1, 2, 2]
     polyq._mirror(c, 3, 1, 2)
     assert c == [1, 2, 2]
+    # the kernel's final tail: a head of d // 2 + 1 entries mirrored to
+    # size d + 1, for an even and an odd degree
+    c = [1, 2, 3]
+    polyq._mirror(c, 4, 1, 5)
+    assert c == [1, 2, 3, 2, 1]
+    c = [1, 2, 3]
+    polyq._mirror(c, 5, 1, 6)
+    assert c == [1, 2, 3, 3, 2, 1]
+    # 1 + 2q + q^2 - q^3 - 2q^4 - q^5, antipalindromic of odd degree
+    c = [1, 2, 1]
+    polyq._mirror(c, 5, -1, 6)
+    assert c == [1, 2, 1, -1, -2, -1]
 
 
 def test_the_kernel_mirrors_antipalindromic_partials_of_even_degree(monkeypatch):
