@@ -38,6 +38,7 @@ construction that failed its own checks.
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import math
 import os
@@ -571,6 +572,14 @@ def main(argv: Sequence[str] | None = None, out: TextIO | None = None) -> int:
 
 
 def run() -> None:
+    # Start-up leaves about 13,100 objects tracked by the collector (the
+    # imports, and whatever the environment's site loads), and almost none
+    # of them becomes garbage.  The full collections of interpreter shutdown
+    # traversed them all: exit took 10.5 ms of a one-row `qcat coeffs`, and
+    # 2.8 ms once they are frozen (Python 3.11, 2 shared cores).  Frozen,
+    # they sit in the permanent generation, which no collection visits;
+    # what the command allocates stays collectable.
+    gc.freeze()
     try:
         code = main()
         sys.stdout.flush()  # a closed pipe fails here, inside the try

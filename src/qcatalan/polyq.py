@@ -197,6 +197,18 @@ class IntPoly(_Frozen):
             cs = cs[:end]
         object.__setattr__(self, "coeffs", cs)
 
+    @classmethod
+    def _of_kernel(cls, c: list[int]) -> IntPoly:
+        """The IntPoly of a coefficient list the kernel made, without the
+        per-coefficient checks: its entries are ints, c_0 = 1 and, by
+        palindromy, c_D = +-1.  The last one is still checked, so a list
+        that IntPoly would trim raises ArithmeticError instead."""
+        if not (c and c[-1]):
+            raise ArithmeticError("kernel coefficients end in 0; construction is broken")
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", tuple(c))
+        return p
+
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -607,7 +619,7 @@ def _member(name: str, n: int, m: int | None, label: str) -> IntPoly:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     c = _quotient_coeffs(*fam.exponents(n, m))[0]
-    return IntPoly(_require_nonnegative(c, label))
+    return IntPoly._of_kernel(_require_nonnegative(c, label))
 
 
 def q_catalan(n: int) -> IntPoly:
@@ -770,7 +782,7 @@ def _sweep(fam: Family, n_from: int, n_to: int, m: int | None) -> Iterator[IntPo
     record = (list(p.coeffs), e, _surplus(e))
     for n in range(n_from + 1, n_to + 1):
         record = _quotient_coeffs(*fam.exponents(n, m), record)
-        yield IntPoly(_require_nonnegative(record[0], f"{fam.name} member n={n}"))
+        yield IntPoly._of_kernel(_require_nonnegative(record[0], f"{fam.name} member n={n}"))
 
 
 # -- quotient specs -------------------------------------------------------------
@@ -800,7 +812,7 @@ def quotient_poly(spec: QuotientSpec) -> IntPoly:
     QuotientTooLarge (a ValueError) when the numerator exponents sum past
     SUM_LIMIT.
     """
-    return IntPoly(_quotient_coeffs(spec.a, spec.b)[0])
+    return IntPoly._of_kernel(_quotient_coeffs(spec.a, spec.b)[0])
 
 
 def preset(name: str, n: int, m: int | None = None) -> QuotientSpec:

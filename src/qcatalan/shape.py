@@ -22,6 +22,7 @@ in the tail.  Input that is not palindromic is scanned in full.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from typing import NamedTuple
 
@@ -71,18 +72,24 @@ def _interior_unimodal(cs: tuple[int, ...], palindromic: bool) -> tuple[bool, in
     A palindrome is scanned up to its middle, k <= d//2, where a rise after
     a fall is the first violation.  If the head falls and never rises again,
     its last strict fall at j mirrors to the first rise of the tail,
-    d - j + 1, and no rise comes before it.
+    d - j + 1, and no rise comes before it.  The strict falls and rises of
+    c_2..c_stop-1 against their left neighbours are compared in two maps,
+    entry i standing for k = i + 2, and searched with list.index.
     """
     d = len(cs) - 1
-    fell = 0  # index of the last strict fall so far
-    for k in range(2, d // 2 + 1 if palindromic else d):
-        if cs[k] > cs[k - 1]:
-            if fell:
-                return False, k
-        elif cs[k] < cs[k - 1]:
-            fell = k
-    if fell and palindromic:
-        return False, d - fell + 1
+    stop = d // 2 + 1 if palindromic else d
+    ks, left = cs[2:stop], cs[1:stop - 1]
+    falls = list(map(operator.lt, ks, left))
+    if True not in falls:
+        return True, None
+    rises = list(map(operator.gt, ks, left))
+    first = falls.index(True)
+    if True in rises[first:]:
+        return False, rises.index(True, first) + 2
+    if palindromic:
+        falls.reverse()
+        last = len(falls) + 1 - falls.index(True)
+        return False, d - last + 1
     return True, None
 
 

@@ -28,9 +28,10 @@ Fractions, without the raw power sums the library expands around the
 mean.
 
 `interior_unimodal` tests every candidate peak, the definition the scanner
-in `shape` shortcuts with one pass.  `dist_summary` and `lc_violations`
-read every coefficient, as the library did before it read a palindrome by
-its head c_0..c_{d//2}.
+in `shape` shortcuts with one pass, and `interior_unimodal_loop` is that
+pass one k at a time, as it was before it compared the coefficients in two
+maps.  `dist_summary` and `lc_violations` read every coefficient, as the
+library did before it read a palindrome by its head c_0..c_{d//2}.
 
 `emit` is the generic table writer that `cli._emit`'s row kinds replace:
 one dict per row, every cell looked up by column and encoded by its value,
@@ -197,6 +198,22 @@ def interior_unimodal(coeffs: Sequence[int]) -> tuple[bool, int | None]:
         if fell and coeffs[k] > coeffs[k - 1]:
             return False, k
     raise AssertionError("a sequence that is not unimodal has a rise after a fall")
+
+
+def interior_unimodal_loop(cs: Sequence[int], palindromic: bool) -> tuple[bool, int | None]:
+    """shape._interior_unimodal one k at a time: a palindrome is scanned up
+    to its middle and its last strict fall mirrors to d - fall + 1."""
+    d = len(cs) - 1
+    fell = 0  # index of the last strict fall so far
+    for k in range(2, d // 2 + 1 if palindromic else d):
+        if cs[k] > cs[k - 1]:
+            if fell:
+                return False, k
+        elif cs[k] < cs[k - 1]:
+            fell = k
+    if fell and palindromic:
+        return False, d - fell + 1
+    return True, None
 
 
 def _mul_one_minus_qpow(c: list[int], k: int) -> list[int]:

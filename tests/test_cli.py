@@ -1,6 +1,7 @@
 """End-to-end tests of the qcat command line interface via main()."""
 
 import argparse
+import gc
 import io
 import json
 import math
@@ -1042,6 +1043,26 @@ def test_closed_pipe_on_streamed_density_rows_exits_1_without_a_traceback():
     argv = ["normality", "--n", "150"]
     header = ",".join(cli._NORMALITY_COLUMNS).encode() + b"\n"
     assert _close_after_first_line(argv, header) == (1, b"")
+
+
+def test_run_freezes_the_start_up_heap_once_before_main(monkeypatch, capsys):
+    # the real gc.freeze would make this pytest process's heap permanent
+    calls = []
+    real_main = cli.main
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or real_main())
+    monkeypatch.setattr(sys, "argv", ["qcat", "coeffs", "--family", "catalan", "--n", "1"])
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == 0
+    assert calls == ["freeze", "main"]
+    assert capsys.readouterr().out == "k,coeff\n0,1\n"
+
+
+def test_main_freezes_nothing():
+    before = gc.get_freeze_count()
+    assert run_cli("coeffs", "--family", "catalan", "--n", "5")[0] == 0
+    assert gc.get_freeze_count() == before
 
 
 def test_K_limit_is_legal_and_documented(capsys):

@@ -54,6 +54,22 @@ def test_trailing_zeros_trimmed():
     assert IntPoly([]).is_zero()
 
 
+def test_a_kernel_list_becomes_the_intpoly_the_public_constructor_makes():
+    c = [1, 0, 1, 1, 0, 1]
+    p = IntPoly._of_kernel(c)
+    assert p == IntPoly(c) and type(p.coeffs) is tuple
+    c[0] = 5  # the polynomial holds its own tuple
+    assert p.coeffs[0] == 1
+    assert polyq.quotient_poly(QuotientSpec((4, 6), (2, 3))) == p
+    # a list IntPoly would trim is a broken construction, not a shorter polynomial
+    for bad in ([1, 2, 0], [0], []):
+        with pytest.raises(ArithmeticError, match="construction is broken"):
+            IntPoly._of_kernel(bad)
+    # the public constructor keeps its per-coefficient check
+    with pytest.raises(TypeError):
+        IntPoly([1, 2.5, 1])
+
+
 def test_zero_polynomial_degree_undefined():
     with pytest.raises(ValueError):
         IntPoly([]).degree

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from qcatalan.polyq import IntPoly, gaussian_binomial, poly_mul, q_catalan, qint
 from qcatalan.shape import (
+    _interior_unimodal,
     interior_unimodal,
     min_logconcave_t,
     min_logconcave_t_bruteforce,
@@ -113,6 +114,25 @@ def test_scanners_equal_brute_force_on_random_palindromes(p):
     assert p.is_palindromic()
     assert quiet_min_t(p) == quiet_brute(p)
     assert interior_unimodal(p) == oracles.interior_unimodal(p.coeffs)
+
+
+@st.composite
+def scanner_inputs(draw):
+    # (coefficients, palindromic): random lists with ties, plateaus and
+    # zeros, scanned in full, or palindromes made from random heads
+    values = st.sampled_from([0, 0, 1, 2, 2, 3, 7])
+    head = draw(st.lists(values, min_size=2, max_size=30))
+    if not draw(st.booleans()):
+        return head + draw(st.lists(values, min_size=1, max_size=30)), False
+    middle = draw(st.lists(values, max_size=1))
+    return head + middle + head[::-1], True
+
+
+@settings(max_examples=600, deadline=None)
+@given(case=scanner_inputs())
+def test_unimodality_scanner_equals_its_loop(case):
+    cs, palindromic = case
+    assert _interior_unimodal(tuple(cs), palindromic) == oracles.interior_unimodal_loop(cs, palindromic)
 
 
 def test_unimodality_oracle_examples():

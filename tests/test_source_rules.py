@@ -9,7 +9,9 @@ top level is read somewhere in the library, so a helper that a refactor
 leaves behind shows.  The command line, `moments` and the test oracles use
 no private qcatalan name, so they depend only on the public surface.  The
 library's modules import each other without a cycle, counting the imports
-under `if TYPE_CHECKING:`.
+under `if TYPE_CHECKING:`.  Only `cli.run`, the process entry, calls
+`gc.freeze`, so an in-process caller of the library keeps its heap as it
+was.
 """
 
 import ast
@@ -227,3 +229,16 @@ def test_the_rules_pass_clean_source(tmp_path):
     assert findings(path, offends) == findings(path, private_import) == []
     path.write_text("__all__ = ['f']\n_LIMIT = 5\n\ndef f():\n    return _LIMIT\n")
     assert findings(path, unread_private) == []
+
+
+def test_only_the_process_entry_freezes_the_heap():
+    callers = []
+    for path in LIBRARY:
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                callers += [
+                    f"{path.stem}.{func.name}"
+                    for node in ast.walk(func)
+                    if isinstance(node, ast.Attribute) and node.attr == "freeze"
+                ]
+    assert callers == ["cli.run"]
