@@ -55,7 +55,9 @@ from .limitlaw import (
     mcatalan_geco_params,
 )
 from .moments import dist_summary, general_moments_closed
-from .polyq import FAMILIES, QuotientSpec, get_family, iter_family, preset, q_catalan, quotient_poly
+from .polyq import (
+    FAMILIES, IntPoly, QuotientSpec, get_family, iter_family, preset, q_catalan, quotient_poly,
+)
 from .shape import scan_family
 
 SCHEMA_VERSION = "1"
@@ -287,22 +289,20 @@ def _columns(kind: RowKind) -> list[str]:
 
 def _emit_range(
     command: str, kind: RowKind, rows: Sequence[Any], args: argparse.Namespace, out: TextIO
-) -> int:
+) -> None:
     """Write the table of a range command (moments, shape): one row of `kind`
     per family member n_from..n_to."""
     params = {"family": args.family, "n_from": args.n_from, "n_to": args.n_to, "m": args.m}
     _emit(command, params, _columns(kind), [(kind, rows)], args.format, out)
-    return EXIT_OK
 
 
 _COEFF = RowKind("coeff", (("k", int), ("coeff", int)), _coefficients)
 
 
-def _cmd_coeffs(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_coeffs(args: argparse.Namespace, out: TextIO) -> None:
     p = get_family(args.family, args.m).build(args.n, args.m)
     params = {"family": args.family, "n": args.n, "m": args.m}
     _emit("coeffs", params, _columns(_COEFF), [(_COEFF, p.coeffs)], args.format, out)
-    return EXIT_OK
 
 
 _MOMENTS = RowKind(None, (
@@ -311,17 +311,27 @@ _MOMENTS = RowKind(None, (
 ))
 
 
-def _cmd_moments(args: argparse.Namespace, out: TextIO) -> int:
+def _moment_cells(p: IntPoly, spec: QuotientSpec) -> tuple[Any, ...]:
+    """The cells mass, mean, variance, closed_mean, closed_variance and match
+    of p, the quotient of spec.  dist_summary judges whether p is a law: when
+    it refuses p (a negative coefficient), every cell but the closed forms
+    is null."""
+    c_mean, c_var = general_moments_closed(spec)
+    try:
+        s = dist_summary(p)
+    except ValueError:
+        return (None, None, None, c_mean, c_var, None)
+    return (s.mass, s.mean, s.variance, c_mean, c_var, s.mean == c_mean and s.variance == c_var)
+
+
+def _cmd_moments(args: argparse.Namespace, out: TextIO) -> None:
     rows = []
     members = iter_family(args.family, args.n_from, args.n_to, args.m)
     exponents = FAMILIES[args.family].exponents
     for n, p in zip(range(args.n_from, args.n_to + 1), members):
-        s = dist_summary(p)
         # sums and power sums, hence the closed forms, ignore cancellation
-        c_mean, c_var = general_moments_closed(QuotientSpec(*exponents(n, args.m)))
-        match = s.mean == c_mean and s.variance == c_var
-        rows.append((n, s.degree, s.mass, s.mean, s.variance, c_mean, c_var, match))
-    return _emit_range("moments", _MOMENTS, rows, args, out)
+        rows.append((n, p.degree, *_moment_cells(p, QuotientSpec(*exponents(n, args.m)))))
+    _emit_range("moments", _MOMENTS, rows, args, out)
 
 
 def _check_K(K: int) -> None:
@@ -370,7 +380,7 @@ _NORMALITY_COLUMNS = [
 ]
 
 
-def _cmd_normality(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_normality(args: argparse.Namespace, out: TextIO) -> None:
     _check_K(args.K)
     grid = _t_grid(args.grid_step)
     _check_mgf_work(args.n, grid)
@@ -381,7 +391,6 @@ def _cmd_normality(args: argparse.Namespace, out: TextIO) -> int:
     params = {"n": args.n, "K": args.K, "grid_step": args.grid_step}
     parts = [(_KS, [(law.ks(),)]), (_MGF, law.mgf_rows(spec, args.K, grid)), (density, p.coeffs)]
     _emit("normality", params, _NORMALITY_COLUMNS, parts, args.format, out)
-    return EXIT_OK
 
 
 # A shape report without its family, whose first field it is.
@@ -392,9 +401,9 @@ _SHAPE = RowKind(None, (
 ))
 
 
-def _cmd_shape(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_shape(args: argparse.Namespace, out: TextIO) -> None:
     reports = scan_family(args.family, args.n_from, args.n_to, m=args.m)
-    return _emit_range("shape", _SHAPE, [r[1:] for r in reports], args, out)
+    _emit_range("shape", _SHAPE, [r[1:] for r in reports], args, out)
 
 
 def _parse_int_list(raw: str, flag: str) -> tuple[int, ...]:
@@ -443,24 +452,19 @@ _GENERAL_COLUMNS = [
 ]
 
 
-def _cmd_general(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_general(args: argparse.Namespace, out: TextIO) -> None:
     _check_K(args.K)
     spec, n, geco = _general_spec(args)
     p = quotient_poly(spec)
-    c_mean, c_var = general_moments_closed(spec)
-    moment: tuple[Any, ...] = (None, None, None, c_mean, c_var, None)
-    if min(p.coeffs, default=0) >= 0:
-        s = dist_summary(p)
-        match = s.mean == c_mean and s.variance == c_var
-        moment = (s.mass, s.mean, s.variance, c_mean, c_var, match)
+    moment = _moment_cells(p, spec)
+    try:
+        values = condition_ratios(spec, args.K)
+    except ValueError:  # S_1 <= 0: no ratio S_k / S_1^k is defined, so no row
+        values = []
     ratios = []
-    if c_var > 0:  # S_1 = 12 var > 0, so the ratios S_k / S_1^k are defined
-        for k, ratio in enumerate(condition_ratios(spec, args.K), 2):
-            if geco is None:
-                ratios.append((k, ratio, None, None))
-            else:
-                bound = geco.bound(n, k)
-                ratios.append((k, ratio, bound, ratio < bound))
+    for k, ratio in enumerate(values, 2):
+        bound = None if geco is None else geco.bound(n, k)
+        ratios.append((k, ratio, bound, None if bound is None else ratio < bound))
     params = {
         "preset": args.preset,
         "n": args.n,
@@ -474,7 +478,6 @@ def _cmd_general(args: argparse.Namespace, out: TextIO) -> int:
     }
     parts = [(_COEFF, p.coeffs), (_MOMENT, [moment]), (_RATIO, ratios)]
     _emit("general", params, _GENERAL_COLUMNS, parts, args.format, out)
-    return EXIT_OK
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -485,61 +488,43 @@ def _build_parser() -> argparse.ArgumentParser:
         "exact coefficients, moments, normal-limit diagnostics, shape scans.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_command(name: str, help: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, help=help, allow_abbrev=False)
-
-    def add_format(sp: argparse.ArgumentParser) -> None:
+    # Each subcommand: its name, help, handler and options in --help order,
+    # each option a flag and its add_argument keywords; every subcommand
+    # ends with --format.
+    size = {"type": int, "required": True}
+    family = ("--family", {"choices": tuple(FAMILIES), "required": True})
+    n = ("--n", size)
+    m = ("--m", {"type": int})
+    n_range = [family, ("--n-from", size), ("--n-to", size), m]
+    commands: list[tuple[str, str, Callable[[argparse.Namespace, TextIO], None], list[Any]]] = [
+        ("coeffs", "coefficients of one family member", _cmd_coeffs, [family, n, m]),
+        ("moments", "exact vs closed-form moments over an n range", _cmd_moments, n_range),
+        ("normality", "normal-limit diagnostics for q-Catalan at one n", _cmd_normality, [
+            n,
+            ("--K", {"type": int, "default": 30, "help": f"series truncation depth, 2..{K_MAX}"}),
+            ("--grid-step", {"type": float, "default": 0.5, "help": "t grid spacing on [-2, 2], "
+             f"at most {GRID_MAX_POINTS} points and at most {MGF_WORK_MAX} mgf terms "
+             "(distinct |t| times n(n-1)+1)"}),
+        ]),
+        ("shape", "unimodality / log-concavity scan over an n range", _cmd_shape, n_range),
+        ("general", "arbitrary quotient of binomial products", _cmd_general, [
+            ("--a", {"help": "comma-separated numerator exponents"}),
+            ("--b", {"help": "comma-separated denominator exponents"}),
+            ("--preset", {"choices": tuple(FAMILIES)}),
+            ("--n", {"type": int}),
+            m,
+            ("--K", {"type": int, "default": 10, "help": f"largest ratio index k, 2..{K_MAX}"}),
+            ("--alpha", {"type": float}),
+            ("--beta", {"type": float}),
+            ("--gamma", {"type": float}),
+        ]),
+    ]
+    for name, help, func, options in commands:
+        sp = sub.add_parser(name, help=help, allow_abbrev=False)
+        for flag, keywords in options:
+            sp.add_argument(flag, **keywords)
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    def add_range_command(name: str, help: str, func: Callable[..., int]) -> None:
-        sp = add_command(name, help)
-        sp.add_argument("--family", choices=tuple(FAMILIES), required=True)
-        sp.add_argument("--n-from", type=int, required=True)
-        sp.add_argument("--n-to", type=int, required=True)
-        sp.add_argument("--m", type=int, default=None)
-        add_format(sp)
         sp.set_defaults(func=func)
-
-    sp = add_command("coeffs", "coefficients of one family member")
-    sp.add_argument("--family", choices=tuple(FAMILIES), required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--m", type=int, default=None)
-    add_format(sp)
-    sp.set_defaults(func=_cmd_coeffs)
-
-    add_range_command("moments", "exact vs closed-form moments over an n range", _cmd_moments)
-
-    sp = add_command("normality", "normal-limit diagnostics for q-Catalan at one n")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument(
-        "--K", type=int, default=30, help=f"series truncation depth, 2..{K_MAX}"
-    )
-    sp.add_argument(
-        "--grid-step", type=float, default=0.5,
-        help=f"t grid spacing on [-2, 2], at most {GRID_MAX_POINTS} points and "
-        f"at most {MGF_WORK_MAX} mgf terms (distinct |t| times n(n-1)+1)",
-    )
-    add_format(sp)
-    sp.set_defaults(func=_cmd_normality)
-
-    add_range_command("shape", "unimodality / log-concavity scan over an n range", _cmd_shape)
-
-    sp = add_command("general", "arbitrary quotient of binomial products")
-    sp.add_argument("--a", default=None, help="comma-separated numerator exponents")
-    sp.add_argument("--b", default=None, help="comma-separated denominator exponents")
-    sp.add_argument("--preset", choices=tuple(FAMILIES), default=None)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--m", type=int, default=None)
-    sp.add_argument(
-        "--K", type=int, default=10, help=f"largest ratio index k, 2..{K_MAX}"
-    )
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--beta", type=float, default=None)
-    sp.add_argument("--gamma", type=float, default=None)
-    add_format(sp)
-    sp.set_defaults(func=_cmd_general)
-
     return parser
 
 
@@ -562,13 +547,14 @@ def main(argv: Sequence[str] | None = None, out: TextIO | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args, out)
+        args.func(args, out)
     except ArithmeticError as exc:
         print(f"qcat: error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except ValueError as exc:
         print(f"qcat: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_OK
 
 
 def run() -> None:

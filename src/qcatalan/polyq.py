@@ -707,7 +707,7 @@ FAMILIES: dict[str, Family] = {
             "catalan",
             False,
             lambda n, m: q_catalan(n),
-            lambda n, m: (range(n + 2, 2 * n + 1), range(2, n + 1)),
+            lambda n, m: _mcatalan_exponents(n, 2),
         ),
         Family(
             "catalan2",

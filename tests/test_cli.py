@@ -466,6 +466,70 @@ def _parser_flags() -> dict[str, list[str]]:
     }
 
 
+FAMILY_NAMES = ("catalan", "catalan2", "mcatalan")
+FORMAT = ("--format", None, "csv", False, ("csv", "json"), None)
+# Each subcommand in order, with its help and its options in order as
+# (flag, type, default, required, choices, help): what --help prints,
+# pinned apart from argparse's wording of it, which differs by Python version.
+OPTION_SURFACE = {
+    "coeffs": ("coefficients of one family member", [
+        ("--family", None, None, True, FAMILY_NAMES, None),
+        ("--n", int, None, True, None, None),
+        ("--m", int, None, False, None, None),
+        FORMAT,
+    ]),
+    "moments": ("exact vs closed-form moments over an n range", [
+        ("--family", None, None, True, FAMILY_NAMES, None),
+        ("--n-from", int, None, True, None, None),
+        ("--n-to", int, None, True, None, None),
+        ("--m", int, None, False, None, None),
+        FORMAT,
+    ]),
+    "normality": ("normal-limit diagnostics for q-Catalan at one n", [
+        ("--n", int, None, True, None, None),
+        ("--K", int, 30, False, None, "series truncation depth, 2..500"),
+        ("--grid-step", float, 0.5, False, None,
+         "t grid spacing on [-2, 2], at most 4001 points and at most 33554432 mgf terms "
+         "(distinct |t| times n(n-1)+1)"),
+        FORMAT,
+    ]),
+    "shape": ("unimodality / log-concavity scan over an n range", [
+        ("--family", None, None, True, FAMILY_NAMES, None),
+        ("--n-from", int, None, True, None, None),
+        ("--n-to", int, None, True, None, None),
+        ("--m", int, None, False, None, None),
+        FORMAT,
+    ]),
+    "general": ("arbitrary quotient of binomial products", [
+        ("--a", None, None, False, None, "comma-separated numerator exponents"),
+        ("--b", None, None, False, None, "comma-separated denominator exponents"),
+        ("--preset", None, None, False, FAMILY_NAMES, None),
+        ("--n", int, None, False, None, None),
+        ("--m", int, None, False, None, None),
+        ("--K", int, 10, False, None, "largest ratio index k, 2..500"),
+        ("--alpha", float, None, False, None, None),
+        ("--beta", float, None, False, None, None),
+        ("--gamma", float, None, False, None, None),
+        FORMAT,
+    ]),
+}
+
+
+def test_each_subcommand_declares_the_pinned_options():
+    (sub,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    helps = {action.dest: action.help for action in sub._choices_actions}
+    surface = {
+        name: (helps[name], [
+            (*action.option_strings, action.type, action.default, action.required,
+             action.choices, action.help)
+            for action in sp._actions if not isinstance(action, argparse._HelpAction)
+        ])
+        for name, sp in sub.choices.items()
+    }
+    assert list(surface.items()) == list(OPTION_SURFACE.items())
+    assert not any(sp.allow_abbrev for sp in sub.choices.values())
+
+
 PARSER_FLAGS = _parser_flags()
 # every option of every parser, and two abbreviations the parsers refuse
 ANY_FLAG = sorted({flag for flags in PARSER_FLAGS.values() for flag in flags} | {"--fam", "--bet"})

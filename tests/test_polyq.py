@@ -31,6 +31,7 @@ from qcatalan.polyq import (
     major_index_histogram,
     poly_div_exact,
     poly_mul,
+    preset,
     q_catalan,
     q_catalan_general,
     q_catalan_second,
@@ -875,6 +876,15 @@ ORACLES = {
 def test_registry_names_match_oracles():
     assert tuple(FAMILIES) == tuple(ORACLES)
     assert [name for name, f in FAMILIES.items() if f.takes_m] == ["mcatalan"]
+
+
+def test_the_catalan_lists_are_the_m_2_lists():
+    # C_n = prod_{i=2..n} (1 - q^(n+i)) / (1 - q^i) is the m-Catalan member at m = 2
+    catalan, mcatalan = FAMILIES["catalan"].exponents, FAMILIES["mcatalan"].exponents
+    for n in range(1, 61):
+        assert [list(xs) for xs in catalan(n, None)] == [list(xs) for xs in mcatalan(n, 2)], n
+        if n >= 2:
+            assert preset("catalan", n) == preset("mcatalan", n, 2), n
 
 
 def sequential_member(name, n, m):
