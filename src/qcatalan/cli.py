@@ -47,14 +47,8 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
-from .limitlaw import (
-    GecoParams,
-    StandardizedLaw,
-    catalan_geco_params,
-    condition_ratios,
-    mcatalan_geco_params,
-)
-from .moments import dist_summary, general_moments_closed
+from .limitlaw import GecoParams, StandardizedLaw, catalan_geco_params, mcatalan_geco_params
+from .moments import ExponentLaw, dist_summary
 from .polyq import (
     FAMILIES, IntPoly, QuotientSpec, get_family, iter_family, preset, q_catalan, quotient_poly,
 )
@@ -311,12 +305,12 @@ _MOMENTS = RowKind(None, (
 ))
 
 
-def _moment_cells(p: IntPoly, spec: QuotientSpec) -> tuple[Any, ...]:
+def _moment_cells(p: IntPoly, law: ExponentLaw) -> tuple[Any, ...]:
     """The cells mass, mean, variance, closed_mean, closed_variance and match
-    of p, the quotient of spec.  dist_summary judges whether p is a law: when
-    it refuses p (a negative coefficient), every cell but the closed forms
-    is null."""
-    c_mean, c_var = general_moments_closed(spec)
+    of p, the quotient whose exponents give `law`.  dist_summary judges
+    whether p is a law: when it refuses p (a negative coefficient), every
+    cell but the closed forms is null."""
+    c_mean, c_var = law.mean, law.variance
     try:
         s = dist_summary(p)
     except ValueError:
@@ -330,7 +324,8 @@ def _cmd_moments(args: argparse.Namespace, out: TextIO) -> None:
     exponents = FAMILIES[args.family].exponents
     for n, p in zip(range(args.n_from, args.n_to + 1), members):
         # sums and power sums, hence the closed forms, ignore cancellation
-        rows.append((n, p.degree, *_moment_cells(p, QuotientSpec(*exponents(n, args.m)))))
+        law = ExponentLaw(QuotientSpec(*exponents(n, args.m)), 1)
+        rows.append((n, p.degree, *_moment_cells(p, law)))
     _emit_range("moments", _MOMENTS, rows, args, out)
 
 
@@ -456,9 +451,10 @@ def _cmd_general(args: argparse.Namespace, out: TextIO) -> None:
     _check_K(args.K)
     spec, n, geco = _general_spec(args)
     p = quotient_poly(spec)
-    moment = _moment_cells(p, spec)
+    law = ExponentLaw(spec, args.K)
+    moment = _moment_cells(p, law)
     try:
-        values = condition_ratios(spec, args.K)
+        values = law.ratios()
     except ValueError:  # S_1 <= 0: no ratio S_k / S_1^k is defined, so no row
         values = []
     ratios = []

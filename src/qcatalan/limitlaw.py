@@ -10,21 +10,21 @@ S_k = sum(a_i^{2k} - b_i^{2k}) and sigma^2 = S_1 / 12,
 whose k = 1 term is exactly t^2/2.  Everything in the tail (k >= 2) is a
 finite-n correction, and the functions here measure it three ways:
 
-  * condition_ratios (and condition_ratio, geco_bound_check): the ratios
-    S_k / S_1^k that must be small for the tail to vanish, tested against
-    an explicit envelope alpha, beta, gamma with
-    ratio < n^gamma (alpha n^beta)^{2k}.
-  * series_coefficients / log_mgf_truncated / tail_series: the expansion
-    itself, from one Bernoulli table per call, exact rationals until a
-    single final float conversion per coefficient.
+  * condition_ratio and geco_bound_check: the ratios S_k / S_1^k that
+    must be small for the tail to vanish, tested against an explicit
+    envelope alpha, beta, gamma with ratio < n^gamma (alpha n^beta)^{2k}.
+  * log_mgf_truncated / tail_series: the expansion itself, from one
+    Bernoulli table per call, exact rationals until a single final float
+    conversion per coefficient.
   * StandardizedLaw (and its one-shot wrappers exact_standardized_mgf /
     ks_distance_to_normal): direct comparison of the finite-n law against
     the standard normal: its mgf, its KS distance and its density beside
     the normal density, and its mgf rows, which set the exact mgf beside
     the normal's and the truncated series of the law's quotient.
 
-S_k comes from moments.power_sums and B_{2k} / (2k (2k)!) from
-exactnum.log_sinh_series_coeff, each the one place its quantity is computed.
+Every number read off the exponents (the closed mean and variance, S_k,
+the ratios and the series coefficients) comes from one moments.ExponentLaw
+per call, the one place they are computed.
 Everything that does not depend on t (the exact summary of the law, its
 log-weights, the series coefficients) is prepared once; a t grid then costs
 one float pass and one sort over the support and K multiplications per
@@ -37,11 +37,9 @@ import itertools
 import math
 import operator
 from array import array
-from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .exactnum import bernoulli_table, log_sinh_series_coeff
-from .moments import dist_summary, general_moments_closed, power_sums
+from .moments import ExponentLaw, dist_summary
 from .polyq import IntPoly, QuotientSpec, _Frozen, get_family, preset
 
 __all__ = [
@@ -54,9 +52,7 @@ __all__ = [
     "mcatalan_geco_params",
     "power_sum_diff",
     "condition_ratio",
-    "condition_ratios",
     "geco_bound_check",
-    "series_coefficients",
     "log_mgf_truncated",
     "exact_standardized_mgf",
     "tail_series",
@@ -144,32 +140,15 @@ class TailReport(NamedTuple):
 
 
 def power_sum_diff(spec: QuotientSpec, k: int) -> int:
-    """S_k = sum(a_i^{2k}) - sum(b_i^{2k}), exact; see moments.power_sums."""
+    """S_k = sum(a_i^{2k}) - sum(b_i^{2k}), exact; see moments.ExponentLaw."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    return power_sums(spec, k)[k]
-
-
-def condition_ratios(spec: QuotientSpec, k_max: int) -> list[float]:
-    """The normalized power-sum ratios S_k / S_1^k for k = 2..k_max.
-
-    One power-sum sweep gives every exact integer numerator and
-    denominator; each ratio is one int/int true division, which is
-    correctly rounded and raises OverflowError only when the ratio itself
-    leaves float range.  Requires S_1 > 0, i.e. positive variance.
-    """
-    if k_max < 2:
-        raise ValueError(f"need k_max >= 2, got {k_max}")
-    sums = power_sums(spec, k_max)
-    s1 = sums[1]
-    if s1 <= 0:
-        raise ValueError(f"S_1 = {s1} <= 0; ratio undefined")
-    return [sums[k] / s1 ** k for k in range(2, k_max + 1)]
+    return ExponentLaw(spec, k).sums[k]
 
 
 def condition_ratio(spec: QuotientSpec, k: int) -> float:
-    """The normalized power-sum ratio S_k / S_1^k; see condition_ratios."""
-    return condition_ratios(spec, k)[-1]
+    """The normalized power-sum ratio S_k / S_1^k; see ExponentLaw.ratios."""
+    return ExponentLaw(spec, k).ratios()[-1]
 
 
 def geco_bound_check(
@@ -190,7 +169,7 @@ def geco_bound_check(
     checked = 0
     violations: list[GecoViolation] = []
     for n in n_list:
-        ratios = condition_ratios(family(n), ks[-1])
+        ratios = ExponentLaw(family(n), ks[-1]).ratios()
         for k in ks:
             ratio = ratios[k - 2]
             bound = params.bound(n, k)
@@ -198,27 +177,6 @@ def geco_bound_check(
             if not ratio < bound:
                 violations.append(GecoViolation(n=n, k=k, ratio=ratio, bound=bound))
     return GecoReport(params=params, checked=checked, violations=tuple(violations))
-
-
-def series_coefficients(spec: QuotientSpec, K: int) -> list[float]:
-    """Float values of the t^{2k} coefficients B_{2k} S_k / (2k (2k)! var^k),
-    k = 1..K, with var = S_1/12.
-
-    One power-sum sweep gives S_1..S_K and one bernoulli_table(K) gives
-    B_2..B_{2K}; each coefficient is an exact rational until its one float
-    conversion, so a list built once serves every t (see series_terms).
-    """
-    if K < 1:
-        raise ValueError(f"need K >= 1, got {K}")
-    sums = power_sums(spec, K)
-    if sums[1] <= 0:
-        raise ValueError(f"S_1 = {sums[1]} <= 0; standardization undefined")
-    table = bernoulli_table(K)
-    var = Fraction(sums[1], 12)
-    return [
-        float(log_sinh_series_coeff(k, table) * sums[k] / var ** k)
-        for k in range(1, K + 1)
-    ]
 
 
 def _check_t(t: float) -> None:
@@ -246,9 +204,9 @@ def log_mgf_truncated(spec: QuotientSpec, t: float, K: int) -> float:
     series alone; everything past its k = 1 term is the finite-n
     correction.  A non-finite t raises ValueError.
     """
-    terms = series_terms(series_coefficients(spec, K), t)
-    mean, variance = general_moments_closed(spec)
-    drift = float(mean) * t / math.sqrt(float(variance))
+    law = ExponentLaw(spec, K)
+    terms = series_terms(law.series(), t)
+    drift = float(law.mean) * t / math.sqrt(float(law.variance))
     return drift + math.fsum(terms)
 
 
@@ -262,7 +220,7 @@ def tail_series(n: int, t: float, K: int) -> TailReport:
     """
     if K < 2:
         raise ValueError(f"need K >= 2, got {K}")
-    terms = series_terms(series_coefficients(preset("catalan", n), K + 10), t)
+    terms = series_terms(ExponentLaw(preset("catalan", n), K + 10).series(), t)
     tail, delta = split_tail(terms, K)
     return TailReport(
         n=n,
@@ -351,13 +309,13 @@ class StandardizedLaw:
         distance of the exact from the truncated, the series' k = 1 term, and
         its k = 2..K tail with how far 10 more terms move it (split_tail).
 
-        One series_coefficients(spec, K + 10) serves every t.  The law's
+        One ExponentLaw(spec, K + 10).series() serves every t.  The law's
         exact mean and variance are the closed forms log_mgf_truncated
         takes its drift from, so mu t / sigma is that drift; adding it to
         the K-term sum and taking it off again gives the truncated cell the
         rounding of exp(log_mgf_truncated(spec, t, K) - mu t / sigma).
         """
-        coeffs = series_coefficients(spec, K + 10)
+        coeffs = ExponentLaw(spec, K + 10).series()
         rows = []
         for t, exact in zip(ts, self.mgf_grid(ts)):
             terms = series_terms(coeffs, t)

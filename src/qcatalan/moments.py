@@ -13,9 +13,10 @@ the mean and variance have closed forms in the exponent multisets alone:
 and for the q-Catalan family (a_i = n+i, b_i = i for i = 2..n) these
 specialize to mean n(n-1)/2 and variance n(n^2-1)/6.
 
-S_k = sum(a_i^{2k} - b_i^{2k}) are the even power sums.  power_sums is the
-one place they are computed: the variance here, and the ratios and the
-series of `limitlaw`, all read them from it.
+S_k = sum(a_i^{2k} - b_i^{2k}) are the even power sums.  ExponentLaw is the
+one place they are computed, in one sweep: it gives the closed mean and
+variance, the ratios S_k/S_1^k and the series of the log-mgf, and the
+functions of `limitlaw` that take a spec read them from it.
 
 The exponent multisets themselves, QuotientSpec and the family presets,
 belong to `polyq`, which judges and builds them; this module only reads
@@ -24,12 +25,14 @@ them.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
+from .exactnum import bernoulli_table, log_sinh_series_coeff
 from .polyq import IntPoly, QuotientSpec
 from .polyq import preset  # noqa: F401  bench/tracer.py LAYERS reads moments.preset
 
@@ -39,7 +42,7 @@ __all__ = [
     "central_moment",
     "catalan_moments_closed",
     "general_moments_closed",
-    "power_sums",
+    "ExponentLaw",
 ]
 
 
@@ -69,49 +72,41 @@ def _check_distribution(p: IntPoly) -> bool:
     return palindromic
 
 
-def _raw_sums(cs: Sequence[int], r: int) -> list[int]:
-    """The raw power sums sum_k k^j c_k for j = 0..r, exact, each summed at
-    C speed."""
-    ks = range(len(cs))
-    return [sum(map(operator.mul, map(pow, ks, itertools.repeat(j)), cs)) for j in range(r + 1)]
-
-
 def dist_summary(p: IntPoly) -> DistSummary:
     """Mass, mean, and variance of the coefficient distribution of p.
 
-    mass = sum c_k, mean = sum k c_k / mass, and the variance is the second
-    central moment.  A palindrome of degree d is read by its head: the mean
-    is d/2, and pairing k with d - k gives the variance
-    sum_{k<d/2} (d - 2k)^2 c_k / (2 mass), summed at C speed.  Other input
-    is read in full, through the raw sums of _raw_sums.  All exact; sigma
-    on the returned summary is the only float.
+    Every input is read in full, in one pass of three chained prefix sums.
+    With y = d - k their last values are A = sum c_k, B = sum (y + 1) c_k
+    and C = sum (y + 1)(y + 2)/2 c_k, so sum y c_k = B - A and
+    sum y^2 c_k = 2C - 3B + A.  The first two chains end at differences of
+    the third's last three values, the only ones kept.  All exact; sigma on
+    the returned summary is the only float.
     """
-    palindromic = _check_distribution(p)
-    cs, d = p.coeffs, p.degree
-    if palindromic:
-        gaps = range(d, 0, -2)  # d - 2k for every k < d/2
-        half = len(gaps)
-        mass = 2 * sum(itertools.islice(cs, half)) + (cs[half] if d % 2 == 0 else 0)
-        s2 = sum(map(operator.mul, map(operator.mul, gaps, gaps), cs))
-        variance = Fraction(s2, 2 * mass)
-        return DistSummary(mass=mass, mean=Fraction(d, 2), variance=variance, degree=d)
-    mass, s1, s2 = _raw_sums(cs, 2)
-    mean = Fraction(s1, mass)
-    variance = Fraction(s2, mass) - mean * mean
-    return DistSummary(mass=mass, mean=mean, variance=variance, degree=d)
+    _check_distribution(p)
+    chained = itertools.accumulate(itertools.accumulate(itertools.accumulate(p.coeffs)))
+    # the third chain's last three values; zeros stand in before its first
+    before_last, last, c = collections.deque(itertools.chain((0, 0, 0), chained), maxlen=3)
+    b = c - last
+    mass = b - (last - before_last)
+    y_mean = Fraction(b - mass, mass)
+    variance = Fraction(2 * c - 3 * b + mass, mass) - y_mean * y_mean
+    return DistSummary(mass=mass, mean=p.degree - y_mean, variance=variance, degree=p.degree)
 
 
 def central_moment(p: IntPoly, r: int) -> Fraction:
     """Exact r-th central moment, 1 <= r <= 8.
 
-    The raw power sums S_j = sum k^j c_k come from _raw_sums; the central
-    moment is then the usual binomial expansion around the mean.  r = 1 is
-    identically zero and r = 2 repeats the variance, both useful as checks.
+    The raw power sums S_j = sum k^j c_k are each summed at C speed; the
+    central moment is then the usual binomial expansion around the mean.
+    r = 1 is identically zero and r = 2 repeats the variance, both useful
+    as checks.
     """
     if not 1 <= r <= 8:
         raise ValueError(f"need 1 <= r <= 8, got {r}")
     _check_distribution(p)
-    raw = _raw_sums(p.coeffs, r)
+    cs = p.coeffs
+    ks = range(len(cs))
+    raw = [sum(map(operator.mul, map(pow, ks, itertools.repeat(j)), cs)) for j in range(r + 1)]
     mass = raw[0]
     mean = Fraction(raw[1], mass)
     acc = Fraction(0)
@@ -128,28 +123,65 @@ def catalan_moments_closed(n: int) -> tuple[Fraction, Fraction]:
     return Fraction(n * (n - 1), 2), Fraction(n * (n * n - 1), 6)
 
 
-def power_sums(spec: QuotientSpec, k_max: int) -> list[int]:
-    """S_0..S_k_max with S_k = sum(a_i^{2k}) - sum(b_i^{2k}), exact, in one
-    sweep; S_0 = 0 because a and b have the same length.
+class ExponentLaw:
+    """What the exponents of spec alone say about its coefficient law, up
+    to k_max: the closed mean sum(a - b)/2 and variance S_1/12 (Fractions),
+    and sums[k] = S_k = sum(a_i^{2k}) - sum(b_i^{2k}) for k = 0..k_max,
+    exact; S_0 = 0 because a and b have the same length.
 
-    Incremental squaring: each exponent list is walked once with one big-int
-    multiply per k, which keeps 30-term sweeps over thousand-entry specs
-    comfortably under a second.
+    One running-power sweep gives every S_k: the squares of a and of b are
+    taken once, and each next list of powers is the last times the squares,
+    one C-speed map per k.
     """
-    if k_max < 0:
-        raise ValueError(f"need k_max >= 0, got {k_max}")
-    out = [0] * (k_max + 1)
-    for xs, sign in ((spec.a, 1), (spec.b, -1)):
-        for x in xs:
-            sq = x * x
-            p = 1
-            for k in range(1, k_max + 1):
-                p *= sq
-                out[k] += sign * p
-    return out
+
+    def __init__(self, spec: QuotientSpec, k_max: int):
+        if k_max < 0:
+            raise ValueError(f"need k_max >= 0, got {k_max}")
+        a, b = spec.a, spec.b
+        squares = list(map(operator.mul, a, a)), list(map(operator.mul, b, b))
+        powers, sums = squares, [0, sum(squares[0]) - sum(squares[1])]
+        for _ in range(2, k_max + 1):
+            powers = [list(map(operator.mul, x, y)) for x, y in zip(powers, squares)]
+            sums.append(sum(powers[0]) - sum(powers[1]))
+        self.k_max = k_max
+        self.sums = sums[: k_max + 1]  # S_1 is swept at k_max = 0 too, for the variance
+        self.mean = Fraction(sum(a) - sum(b), 2)
+        self.variance = Fraction(sums[1], 12)
+
+    def ratios(self) -> list[float]:
+        """The normalized power-sum ratios S_k / S_1^k for k = 2..k_max.
+
+        Each is one int/int true division, which is correctly rounded and
+        raises OverflowError only when the ratio itself leaves float range.
+        Requires k_max >= 2 and S_1 > 0, i.e. positive variance.
+        """
+        if self.k_max < 2:
+            raise ValueError(f"need k_max >= 2, got {self.k_max}")
+        sums = self.sums
+        if sums[1] <= 0:
+            raise ValueError(f"S_1 = {sums[1]} <= 0; ratio undefined")
+        return [sums[k] / sums[1] ** k for k in range(2, self.k_max + 1)]
+
+    def series(self) -> list[float]:
+        """Float values of the t^{2k} coefficients B_{2k} S_k / (2k (2k)! var^k)
+        of the standardized log-mgf, k = 1..k_max.
+
+        One bernoulli_table(k_max) gives B_2..B_{2 k_max}; each coefficient
+        is an exact rational until its one float conversion, so a list built
+        once serves every t.  Requires k_max >= 1 and S_1 > 0.
+        """
+        var = self.variance
+        if var <= 0:
+            raise ValueError(f"S_1 = {12 * var} <= 0; standardization undefined")
+        table = bernoulli_table(self.k_max)
+        return [
+            float(log_sinh_series_coeff(k, table) * self.sums[k] / var ** k)
+            for k in range(1, self.k_max + 1)
+        ]
 
 
 def general_moments_closed(spec: QuotientSpec) -> tuple[Fraction, Fraction]:
     """Closed-form (mean, variance) for any quotient spec:
-    sum(a - b)/2 and S_1/12."""
-    return Fraction(sum(spec.a) - sum(spec.b), 2), Fraction(power_sums(spec, 1)[1], 12)
+    sum(a - b)/2 and S_1/12; see ExponentLaw."""
+    law = ExponentLaw(spec, 1)
+    return law.mean, law.variance

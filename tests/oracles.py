@@ -2,7 +2,7 @@
 
 Each function here recomputes everything it needs on every call, exactly as
 the library did before it prepared t-independent work once
-(`StandardizedLaw`, `series_coefficients`) and before Bernoulli numbers came
+(`StandardizedLaw`, `ExponentLaw.series`) and before Bernoulli numbers came
 from tangent numbers.  Tests compare the fast routes against these with
 `==`, so a change in any float expression of the fast routes shows.
 

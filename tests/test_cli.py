@@ -198,27 +198,27 @@ def test_grid_step_exits_2(step, capsys):
 
 
 def test_normality_prepares_the_law_once(monkeypatch):
-    # one exact summary per invocation and one power-sum sweep per spec,
-    # however many t points the grid has
-    from qcatalan import limitlaw
+    # one exact summary and one exponent law per invocation, however many
+    # t points the grid has
+    from qcatalan import limitlaw, moments
 
-    calls = {"dist_summary": 0, "power_sums": 0}
+    calls = {"dist_summary": 0, "__init__": 0}
 
-    def counted(module, name):
-        original = getattr(module, name)
+    def counted(owner, name):
+        original = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(owner, name, wrapper)
 
     counted(limitlaw, "dist_summary")
     counted(cli, "dist_summary")
-    counted(limitlaw, "power_sums")
+    counted(moments.ExponentLaw, "__init__")  # every module binds the one class
     rc, _ = run_cli("normality", "--n", "12", "--K", "8", "--grid-step", "0.1")
     assert rc == 0
-    assert calls == {"dist_summary": 1, "power_sums": 1}
+    assert calls == {"dist_summary": 1, "__init__": 1}
 
 
 @pytest.mark.parametrize("n", [5, 30, 60])
@@ -1141,11 +1141,14 @@ def test_K_limit_is_legal_and_documented(capsys):
 
 
 def test_general_ratios_come_from_one_power_sum_sweep(monkeypatch):
-    from qcatalan import limitlaw
+    # one exponent law gives the closed forms and the ratios
+    from qcatalan import moments
 
     calls = []
-    sweep = limitlaw.power_sums
-    monkeypatch.setattr(limitlaw, "power_sums", lambda *a: calls.append(a) or sweep(*a))
+    init = moments.ExponentLaw.__init__
+    monkeypatch.setattr(
+        moments.ExponentLaw, "__init__", lambda self, *a: calls.append(a) or init(self, *a)
+    )
     doc = run_json("general", "--preset", "catalan", "--n", "30", "--K", "30")
     assert len(calls) == 1
     spec = preset("catalan", 30)

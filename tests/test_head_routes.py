@@ -1,11 +1,11 @@
 """The head routes against the full-list oracles.
 
-A palindrome c_k = c_{d-k} is read by its head c_0..c_{d//2} in
-`dist_summary`, the distribution check and the log-concavity and
-unimodality scans; anything else is read in full.  Each route must give
-exactly what the oracle gives on every coefficient.  `StandardizedLaw`
-reads its full list but takes its mean from `dist_summary`'s head route,
-so its columns are checked here too.
+A palindrome c_k = c_{d-k} is read by its head c_0..c_{d//2} in the
+distribution check and the log-concavity and unimodality scans; anything
+else is read in full.  Each route must give exactly what the oracle gives
+on every coefficient.  `dist_summary` reads every list in full, by chained
+prefix sums, after the distribution check, and `StandardizedLaw` takes its
+mean from it, so both are checked against the oracle on the same lists.
 """
 
 import math

@@ -13,19 +13,17 @@ from qcatalan.limitlaw import (
     StandardizedLaw,
     catalan_geco_params,
     condition_ratio,
-    condition_ratios,
     exact_standardized_mgf,
     geco_bound_check,
     ks_distance_to_normal,
     log_mgf_truncated,
     mcatalan_geco_params,
     power_sum_diff,
-    series_coefficients,
     series_terms,
     split_tail,
     tail_series,
 )
-from qcatalan.moments import central_moment, general_moments_closed, power_sums
+from qcatalan.moments import ExponentLaw, central_moment, general_moments_closed
 from qcatalan.polyq import (
     IntPoly,
     QuotientSpec,
@@ -119,13 +117,13 @@ def specs(draw):
 
 @given(spec=specs(), k_max=st.integers(0, 12))
 def test_power_sums_equal_the_naive_sums(spec, k_max):
-    assert power_sums(spec, k_max) == [oracles.power_sum(spec, k) for k in range(k_max + 1)]
+    assert ExponentLaw(spec, k_max).sums == [oracles.power_sum(spec, k) for k in range(k_max + 1)]
 
 
 def test_power_sums_validation():
-    assert power_sums(preset("catalan", 3), 2) == [0, 48, 1824]
+    assert ExponentLaw(preset("catalan", 3), 2).sums == [0, 48, 1824]
     with pytest.raises(ValueError):
-        power_sums(preset("catalan", 3), -1)
+        ExponentLaw(preset("catalan", 3), -1)
 
 
 def test_power_sum_is_twelve_times_variance():
@@ -153,9 +151,9 @@ def test_condition_ratios_equal_the_exact_quotients(spec, K):
     s1 = oracles.power_sum(spec, 1)
     if s1 <= 0:
         with pytest.raises(ValueError):
-            condition_ratios(spec, K)
+            ExponentLaw(spec, K).ratios()
         return
-    ratios = condition_ratios(spec, K)
+    ratios = ExponentLaw(spec, K).ratios()
     assert len(ratios) == K - 1
     for k in range(2, K + 1):
         expected = float(Fraction(oracles.power_sum(spec, k), s1 ** k))
@@ -170,7 +168,7 @@ def test_condition_ratios_past_float_range_raise():
     with pytest.raises(OverflowError):
         float(Fraction(oracles.power_sum(spec, k), oracles.power_sum(spec, 1) ** k))
     with pytest.raises(OverflowError):
-        condition_ratios(spec, k)
+        ExponentLaw(spec, k).ratios()
     with pytest.raises(OverflowError):
         condition_ratio(spec, k)
     assert math.isfinite(condition_ratio(spec, 114))
@@ -258,7 +256,7 @@ def test_exact_standardized_mgf_basics():
     # non-finite t is refused outright, by the exact side and the series
     law = StandardizedLaw(q_catalan(6))
     spec = preset("catalan", 6)
-    coeffs = series_coefficients(spec, 10)
+    coeffs = ExponentLaw(spec, 10).series()
     for mgf in (law.mgf, lambda t: exact_standardized_mgf(q_catalan(6), t),
                 lambda t: law.mgf_grid([0.5, t])[1], lambda t: series_terms(coeffs, t),
                 lambda t: log_mgf_truncated(spec, t, 10), lambda t: tail_series(6, t, 10)):
@@ -373,7 +371,7 @@ def test_prepared_routes_equal_per_call_oracles(n, K, ts):
     p = q_catalan(n)
     spec = preset("catalan", n)
     law = StandardizedLaw(p)
-    coeffs = series_coefficients(spec, K + 10)
+    coeffs = ExponentLaw(spec, K + 10).series()
     assert law.ks() == oracles.ks_distance_to_normal(p)
     assert law.mgf_grid(ts) == [oracles.exact_standardized_mgf(p, t) for t in ts]
     for t in ts:
@@ -412,7 +410,7 @@ def test_mgf_rows_equal_the_per_call_routes(name, m, n, K):
         assert normal == math.exp(t * t / 2.0)
         assert trunc == math.exp(log_mgf_truncated(spec, t, K) - drift(spec, t))
         assert residual == abs(exact - trunc)
-        terms = series_terms(series_coefficients(spec, K + 10), t)
+        terms = series_terms(ExponentLaw(spec, K + 10).series(), t)
         assert (k1, (tail, delta)) == (terms[0], split_tail(terms, K))
         if name == "catalan":
             report = tail_series(n, t, K)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from qcatalan import polyq
 from qcatalan.limitlaw import catalan_geco_params, geco_bound_check, tail_series
 from qcatalan.moments import (
+    ExponentLaw,
     catalan_moments_closed,
     central_moment,
     dist_summary,
@@ -20,6 +21,8 @@ from qcatalan.polyq import (
     IntPoly,
     QuotientSpec,
     QuotientTooLarge,
+    gaussian_binomial,
+    iter_family,
     preset,
     q_catalan,
     q_catalan_general,
@@ -128,6 +131,28 @@ def test_kurtosis_moves_toward_three():
         return float(central_moment(p, 4) / s.variance ** 2)
 
     assert abs(kurt(20) - 3) < abs(kurt(10) - 3)
+
+
+def test_the_fourth_cumulant_of_the_coefficients_is_read_off_the_exponents():
+    # kappa_{2k} = B_{2k} S_k / (2k), so the excess kurtosis is
+    # kappa_4 / kappa_2^2 = (-S_2 / 120) / (S_1 / 12)^2 = -6/5 S_2 / S_1^2,
+    # exactly: the coefficients' moments against the exponents' power sums
+    cases = []
+    for name, m, lo, hi in (
+        ("catalan", None, 2, 39), ("catalan2", None, 3, 29),
+        ("mcatalan", 3, 2, 24), ("mcatalan", 5, 2, 14),
+    ):
+        members = iter_family(name, lo, hi, m)
+        cases += [(p, preset(name, n, m)) for n, p in zip(range(lo, hi + 1), members)]
+    for big in range(2, 20):  # [big choose small]_q
+        for small in range(1, big):
+            spec = QuotientSpec(a=range(big - small + 1, big + 1), b=range(1, small + 1))
+            cases.append((gaussian_binomial(big, small), spec))
+    assert len(cases) == 272
+    for p, spec in cases:
+        s = ExponentLaw(spec, 2).sums
+        excess = central_moment(p, 4) / dist_summary(p).variance ** 2 - 3
+        assert excess == Fraction(-6, 5) * s[2] / s[1] ** 2, spec
 
 
 def test_preset_catalan():
