@@ -14,9 +14,11 @@ and for the q-Catalan family (a_i = n+i, b_i = i for i = 2..n) these
 specialize to mean n(n-1)/2 and variance n(n^2-1)/6.
 
 S_k = sum(a_i^{2k} - b_i^{2k}) are the even power sums.  ExponentLaw is the
-one place they are computed, in one sweep: it gives the closed mean and
-variance, the ratios S_k/S_1^k and the series of the log-mgf, and the
-functions of `limitlaw` that take a spec read them from it.
+one place they are computed, in one sweep of count-weighted powers
+e[x] x^{2k} over the distinct exponents x, with e[x] = #a - #b, so S_0 = 0
+comes out of the counts: it gives the closed mean and variance, the ratios
+S_k/S_1^k and the series of the log-mgf, and the functions of `limitlaw`
+that take a spec read them from it.
 
 The exponent multisets themselves, QuotientSpec and the family presets,
 belong to `polyq`, which judges and builds them; this module only reads
@@ -127,25 +129,28 @@ class ExponentLaw:
     """What the exponents of spec alone say about its coefficient law, up
     to k_max: the closed mean sum(a - b)/2 and variance S_1/12 (Fractions),
     and sums[k] = S_k = sum(a_i^{2k}) - sum(b_i^{2k}) for k = 0..k_max,
-    exact; S_0 = 0 because a and b have the same length.
+    exact.
 
-    One running-power sweep gives every S_k: the squares of a and of b are
-    taken once, and each next list of powers is the last times the squares,
-    one C-speed map per k.
+    The spec is counted once into its signed multiset, e[x] = #a - #b for
+    each distinct exponent x, so S_k = sum(e[x] x^{2k}).  One running-power
+    sweep over that one list gives every S_k: it starts at the counts, whose
+    sum is S_0 = 0 because a and b have the same length, and each next list
+    is the last times the squares x^2, one C-speed map per k.  Repeated
+    exponents and those on both sides cost one entry.
     """
 
     def __init__(self, spec: QuotientSpec, k_max: int):
         if k_max < 0:
             raise ValueError(f"need k_max >= 0, got {k_max}")
-        a, b = spec.a, spec.b
-        squares = list(map(operator.mul, a, a)), list(map(operator.mul, b, b))
-        powers, sums = squares, [0, sum(squares[0]) - sum(squares[1])]
-        for _ in range(2, k_max + 1):
-            powers = [list(map(operator.mul, x, y)) for x, y in zip(powers, squares)]
-            sums.append(sum(powers[0]) - sum(powers[1]))
+        counts = collections.Counter(spec.a)
+        counts.subtract(spec.b)
+        squares, powers = list(map(operator.mul, counts, counts)), list(counts.values())
+        sums = [sum(powers)]
+        for _ in range(max(k_max, 1)):  # S_1 is swept at k_max = 0 too, for the variance
+            sums.append(sum(powers := list(map(operator.mul, powers, squares))))
         self.k_max = k_max
-        self.sums = sums[: k_max + 1]  # S_1 is swept at k_max = 0 too, for the variance
-        self.mean = Fraction(sum(a) - sum(b), 2)
+        self.sums = sums[: k_max + 1]
+        self.mean = Fraction(sum(spec.a) - sum(spec.b), 2)
         self.variance = Fraction(sums[1], 12)
 
     def ratios(self) -> list[float]:

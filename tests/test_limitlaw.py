@@ -109,9 +109,13 @@ def test_power_sum_diff():
 
 @st.composite
 def specs(draw):
-    """A quotient spec with equal-length exponent lists, polynomial or not."""
-    size = draw(st.integers(1, 6))
-    exponents = st.lists(st.integers(1, 60), min_size=size, max_size=size)
+    """A quotient spec with equal-length exponent lists, polynomial or not.
+
+    Both lists draw from one small pool, so an exponent repeated within a
+    list, and one present in both a and b, come up often."""
+    pool = draw(st.lists(st.integers(1, 60), min_size=1, max_size=12, unique=True))
+    size = draw(st.integers(1, 30))
+    exponents = st.lists(st.sampled_from(pool), min_size=size, max_size=size)
     return QuotientSpec(a=tuple(draw(exponents)), b=tuple(draw(exponents)))
 
 
