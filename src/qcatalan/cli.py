@@ -319,13 +319,15 @@ def _moment_cells(p: IntPoly, law: ExponentLaw) -> tuple[Any, ...]:
 
 
 def _cmd_moments(args: argparse.Namespace, out: TextIO) -> None:
-    rows = []
     members = iter_family(args.family, args.n_from, args.n_to, args.m)
     exponents = FAMILIES[args.family].exponents
-    for n, p in zip(range(args.n_from, args.n_to + 1), members):
+
+    def row(n: int, p: IntPoly) -> tuple[Any, ...]:
         # sums and power sums, hence the closed forms, ignore cancellation
         law = ExponentLaw(QuotientSpec(*exponents(n, args.m)), 1)
-        rows.append((n, p.degree, *_moment_cells(p, law)))
+        return (n, p.degree, *_moment_cells(p, law))
+
+    rows = list(map(row, range(args.n_from, args.n_to + 1), members))
     _emit_range("moments", _MOMENTS, rows, args, out)
 
 

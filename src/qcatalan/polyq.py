@@ -45,6 +45,10 @@ comes from one construction kernel, in four parts:
     The passes rewrite the kernel's one list in place, a slice or a chunk
     at a time, so none holds more than _PASS_BLOCK new coefficients beside
     it and a build peaks near the size of its result, not twice that.
+    A sweep step consumes its previous record: it cuts that member's list
+    to the head it reads and rewrites it in place, with no copy.  The
+    empty product 1 is never rewritten; a build from scratch starts from
+    a fresh [1].
   * Mirror.  The upper half is the lower half reversed, negated for an
     antipalindromic partial; one routine, _mirror, writes every tail, the
     few entries a multiplication reads and the result's upper half alike.
@@ -58,12 +62,14 @@ allocates anything.
 
 FAMILIES is the one registry of named families.  iter_family sweeps a
 family over a range of n, stepping each member from the previous one in a
-few such passes instead of the ~3n/2 a rebuild takes.  A QuotientSpec holds
-the exponent multisets a and b, checked as the kernel checks them, and
-preset gives a family member's spec with its common pairs cancelled;
-quotient_poly builds a spec through the kernel.  poly_mul,
-poly_div_exact, gaussian_binomial, q_catalan_via_binomial and
-major_index_histogram do not use the kernel and serve as oracles for it.
+few such passes instead of the ~3n/2 a rebuild takes, and holds one member
+at a time: a caller that keeps member n while it asks for member n+1 holds
+two, and zip counts as keeping it.  A QuotientSpec holds the exponent
+multisets a and b, checked as the kernel checks them, and preset gives a
+family member's spec with its common pairs cancelled; quotient_poly builds
+a spec through the kernel.  poly_mul, poly_div_exact, gaussian_binomial,
+q_catalan_via_binomial and major_index_histogram do not use the kernel and
+serve as oracles for it.
 """
 
 from __future__ import annotations
@@ -492,7 +498,8 @@ def _mirror(c: list[int], degree: int, sign: int, size: int) -> None:
 # e, e[x] = #{i : a_i = x} - #{j : b_j = x}, and its ledger surplus (see
 # _surplus).
 _Record = tuple[list[int], Counter[int], Counter[int]]
-# The empty product 1; never modified.
+# The empty product 1; never rewritten, so a build from scratch starts
+# from a fresh [1].
 _ONE: _Record = ([1], Counter(), Counter())
 
 
@@ -500,9 +507,14 @@ def _quotient_coeffs(a: Iterable[int], b: Iterable[int], prev: _Record = _ONE) -
     """The kernel record of Q(a, b), or NotPolynomial.
 
     prev is the record of a known quotient, by default _ONE, so a build
-    from scratch is a step from 1; prev is not modified.  Every check runs
-    before any coefficient list exists: the size limit, the lengths and
-    entries, the degree D = sum(a) - sum(b) >= 0, and the ledger.  The
+    from scratch is a step from 1.  Every check runs before any coefficient
+    list is touched: the size limit, the lengths and entries, the degree
+    D = sum(a) - sum(b) >= 0, and the ledger, so a refused step leaves prev
+    whole.  A step that passes them consumes prev: prev's list is cut to
+    the head the passes read (to [1] on a rebuild) and rewritten in place
+    into the result's, with no copy, so prev's coefficients are gone when
+    the call returns; its e and surplus are not modified.  _ONE is never
+    rewritten: a step from it starts from a fresh [1].  The
     exponents are held as one signed multiset e, so factors common to a
     and b cancel as e is counted, and Q(a, b) is prev's quotient times the
     quotient of the step e - e_prev.  The ledger adds the surplus of the
@@ -539,18 +551,18 @@ def _quotient_coeffs(a: Iterable[int], b: Iterable[int], prev: _Record = _ONE) -
     surplus.update(change)
     if any(surplus[d] < 0 for d in change):
         raise NotPolynomial(f"quotient of a={a} by b={b} is not a polynomial")
+    if prev is _ONE:
+        c = [1]  # the empty product is never rewritten
     h = degree // 2 + 1
     plan = _pair_doubles(step)
     passes = sum(map(Counter.total, plan))
     if prev_e and 2 * passes >= sum(map(abs, e.values())):
         rebuild = _pair_doubles(e)
         if sum(map(Counter.total, rebuild)) <= passes:
-            c, plan, content = [1], rebuild, Counter()
+            c[:], plan, content = (1,), rebuild, Counter()
     deg = len(c) - 1
     sign = 1
-    # the passes rewrite c in place, so this copy of the head is what keeps
-    # _ONE and prev's coefficients unmodified
-    c = c[:min(deg // 2 + 1, h)]
+    del c[min(deg // 2 + 1, h):]
     for k, kind in _schedule(plan, content):
         if kind < 0:
             deg -= k
@@ -764,7 +776,12 @@ def iter_family(
     about 3n/2 for a rebuild.  m-Catalan with m >= n, roughly, rebuilds.
     Either way each member passes the ledger, the mass check and the
     nonnegativity check on its head, as a from-scratch build does.  Only
-    the current record is held.
+    the current record is held: each step rewrites the list of member n
+    into member n+1's in place.  A caller that keeps member n while it
+    asks for member n+1 holds two members.  zip counts as keeping it: its
+    loop variable and its reused result tuple both hold member n while
+    next() builds n+1.  map releases its arguments before it fetches the
+    next ones, so map(f, members) holds one.
     Bad arguments, and an n_to whose member exceeds the kernel's size
     limit, raise here, before any member is built.
     """
@@ -780,6 +797,7 @@ def _sweep(fam: Family, n_from: int, n_to: int, m: int | None) -> Iterator[IntPo
     yield p
     e = _signed(*fam.exponents(n_from, m))
     record = (list(p.coeffs), e, _surplus(e))
+    del p  # the record holds the first member from here on
     for n in range(n_from + 1, n_to + 1):
         record = _quotient_coeffs(*fam.exponents(n, m), record)
         yield IntPoly._of_kernel(_require_nonnegative(record[0], f"{fam.name} member n={n}"))

@@ -22,6 +22,7 @@ in the tail.  Input that is not palindromic is scanned in full.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import warnings
 from typing import NamedTuple
@@ -180,4 +181,4 @@ def scan_family(
     and the whole scan runs in the calling process.
     """
     members = iter_family(family, n_from, n_to, m)
-    return [shape_report(p, family, n) for n, p in zip(range(n_from, n_to + 1), members)]
+    return list(map(shape_report, members, itertools.repeat(family), range(n_from, n_to + 1)))

@@ -128,6 +128,20 @@ def test_poly_div_exact_guards():
     with pytest.raises(NonzeroRemainder):
         poly_div_exact(IntPoly([1, 1]), IntPoly([1, 1, 1]))
     assert poly_div_exact(IntPoly([]), IntPoly([1, 1])).is_zero()
+    # 1 + q over 1 + 2q: the top coefficient 1 is no multiple of 2
+    with pytest.raises(NonzeroRemainder, match="leading coefficient 1 not divisible by 2"):
+        poly_div_exact(IntPoly([1, 1]), IntPoly([1, 2]))
+
+
+def test_the_oracle_routes_refuse_what_they_cannot_divide():
+    # 1 + q has no room for (1 - q^2), and (1 + q^2) / (1 - q) leaves 2
+    with pytest.raises(NonzeroRemainder, match=r"cannot divide degree 1 by \(1 - q\^2\)"):
+        polyq._div_exact([1, 1], 2)
+    with pytest.raises(NonzeroRemainder, match=r"division by \(1 - q\^1\) is not exact"):
+        polyq._div_exact([1, 0, 1], 1)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            q_catalan_via_binomial(n)
 
 
 def test_mul_div_roundtrip_random():
@@ -441,7 +455,10 @@ def test_kernel_from_prev_equals_the_build_from_one(prev, other, product):
     built = polyq._quotient_coeffs(a, b)
     assert stepped[:2] == built[:2]
     assert +stepped[2] == +built[2] and -stepped[2] == -built[2]
-    assert record == kept
+    # the step consumed prev's list, rewritten in place, whether it stepped
+    # or rebuilt, and left prev's signed multiset and surplus as they were
+    assert stepped[0] is record[0]
+    assert record[1:] == kept[1:]
     assert record[1].keys() == kept[1].keys() and record[2].keys() == kept[2].keys()
 
 
@@ -459,6 +476,8 @@ def test_kernel_runs_from_prev_only_when_it_saves_passes(monkeypatch):
     c = polyq._quotient_coeffs((2, 12), (1, 6), prev=prev)[0]
     assert c == [1, 1, 0, 0, 0, 0, 1, 1]
     assert counts == {"_mul_one_plus_qpow": 2}
+    # the rebuild starts from prev's own list, cut to [1]
+    assert c is prev[0]
 
 
 @pytest.mark.parametrize(
@@ -796,17 +815,18 @@ def test_a_build_peaks_near_what_it_holds():
 
 
 @pytest.mark.parametrize("block", [3, 2 ** 11])
-def test_a_sweep_leaves_each_previous_member_and_record_as_they_were(block, monkeypatch):
+def test_a_sweep_rewrites_one_list_and_leaves_each_previous_member_as_it_was(block, monkeypatch):
     # the heads of members 60..75 run past one slice of 2^11 entries; member
-    # 60 is built from the empty product _ONE, which must stay 1 too
+    # 60 is built from the empty product _ONE, which must stay 1, and each
+    # later step rewrites the list of the record before it in place
     monkeypatch.setattr(polyq, "_PASS_BLOCK", block)
     kernel = polyq._quotient_coeffs
     steps = []
 
     def spy(a, b, prev=polyq._ONE):
-        kept = copy.deepcopy(prev)
+        kept = copy.deepcopy(prev[1:])
         record = kernel(a, b, prev)
-        steps.append((prev, kept))
+        steps.append((prev, kept, record))
         return record
 
     monkeypatch.setattr(polyq, "_quotient_coeffs", spy)
@@ -815,11 +835,13 @@ def test_a_sweep_leaves_each_previous_member_and_record_as_they_were(block, monk
     for n, member in enumerate(members, 61):
         assert previous == q_catalan_via_binomial(n - 1)
         previous = member
+    assert previous == q_catalan_via_binomial(75)
     assert len(steps) == 16
-    assert steps[0][0] is polyq._ONE
-    for prev, kept in steps:
-        assert prev == kept
-        assert prev[1].keys() == kept[1].keys() and prev[2].keys() == kept[2].keys()
+    assert steps[0][0] is polyq._ONE and steps[0][2][0] is not polyq._ONE[0]
+    assert all(prev[0] is record[0] for prev, _, record in steps[1:])
+    for (_, e, surplus), kept, _ in steps:
+        assert (e, surplus) == kept
+        assert e.keys() == kept[0].keys() and surplus.keys() == kept[1].keys()
     assert polyq._ONE == ([1], Counter(), Counter())
 
 
@@ -1031,8 +1053,11 @@ def test_the_step_from_prev_rejects_exactly_the_non_polynomials(prev, other, pro
     if oracles.is_polynomial_by_division(a, b):
         assert polyq._quotient_coeffs(a, b, carried)[0] == oracles.sequential_quotient(a, b)
     else:
+        kept = list(carried[0])
         with pytest.raises(NotPolynomial):
             polyq._quotient_coeffs(a, b, carried)
+        # the ledger refuses before any pass, so prev's list is untouched
+        assert carried[0] == kept
 
 
 def test_a_large_reject_allocates_under_a_megabyte():
