@@ -299,10 +299,11 @@ def _cmd_coeffs(args: argparse.Namespace, out: TextIO) -> None:
     _emit("coeffs", params, _columns(_COEFF), [(_COEFF, p.coeffs)], args.format, out)
 
 
-_MOMENTS = RowKind(None, (
-    ("n", int), ("degree", int), ("mass", int), ("mean", Fraction), ("variance", Fraction),
+_MOMENT = RowKind("moment", (
+    ("mass", int), ("mean", Fraction), ("variance", Fraction),
     ("closed_mean", Fraction), ("closed_variance", Fraction), ("match", bool),
 ))
+_MOMENTS = RowKind(None, (("n", int), ("degree", int)) + _MOMENT.cells)
 
 
 def _moment_cells(p: IntPoly, law: ExponentLaw) -> tuple[Any, ...]:
@@ -438,10 +439,6 @@ def _general_spec(args: argparse.Namespace) -> tuple[QuotientSpec, int, GecoPara
     return spec, len(spec.a) + 1, params
 
 
-_MOMENT = RowKind("moment", (
-    ("mass", int), ("mean", Fraction), ("variance", Fraction),
-    ("closed_mean", Fraction), ("closed_variance", Fraction), ("match", bool),
-))
 _RATIO = RowKind("ratio", (("k", int), ("ratio", float), ("bound", float), ("ok", bool)))
 _GENERAL_COLUMNS = [
     "kind", "k", "coeff", "mass", "mean", "variance", "closed_mean",

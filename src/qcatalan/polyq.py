@@ -46,9 +46,12 @@ comes from one construction kernel, in four parts:
     at a time, so none holds more than _PASS_BLOCK new coefficients beside
     it and a build peaks near the size of its result, not twice that.
     A sweep step consumes its previous record: it cuts that member's list
-    to the head it reads and rewrites it in place, with no copy.  The
-    empty product 1 is never rewritten; a build from scratch starts from
-    a fresh [1].
+    to the head it reads and rewrites it in place, with no copy.  A build
+    from scratch starts from its own empty product, a fresh [1] with no
+    exponents and no surplus, so no two builds share a list.  The
+    division schedule walks the cyclotomic content from the previous
+    surplus through every pass; where it ends is the new member's
+    surplus, so a step copies the previous account once.
   * Mirror.  The upper half is the lower half reversed, negated for an
     antipalindromic partial; one routine, _mirror, writes every tail, the
     few entries a multiplication reads and the result's upper half alike.
@@ -437,24 +440,29 @@ def _pair_doubles(e: Counter[int]) -> tuple[Counter[int], Counter[int], Counter[
 
 def _schedule(
     plan: tuple[Counter[int], Counter[int], Counter[int]], content: Counter[int]
-) -> list[tuple[int, int]]:
+) -> tuple[list[tuple[int, int]], Counter[int]]:
     """The passes of plan (pairs, ups, downs; see _pair_doubles) in the
     order the kernel runs them, as (k, kind): kind 0 multiplies by
-    1 + q^k, 1 by 1 - q^k, and -1 divides by 1 - q^k.
+    1 + q^k, 1 by 1 - q^k, and -1 divides by 1 - q^k; beside it, the
+    content the walk ended at.
 
     content is the cyclotomic content of the product the passes start
     from, the power of each Phi_d in it as _surplus counts it; it is not
-    modified.  The pairs run first, ascending, then the ups, ascending, and
-    after each up every pending down, largest first, all of whose divisors
-    y still have positive content: 1 - q^x divides the partial product
-    exactly when Phi_y does for every y | x, so every partial product is a
-    polynomial.  The copies of a down are held together, so one test and
-    one min over its divisors' content run as many of them as it allows.
-    Every 1 - q^x holds Phi_1 once and a pair holds none, so no down can
-    run before the first up.  No down waits past the last up: the ledger
-    has found the finished quotient's surplus >= 0 at every divisor of
-    every down, so after the last up the content covers every pending
-    down, and that up's walk runs them all, largest first.
+    modified.  The walk runs on a copy of it, adding the divisors of each
+    multiplication and taking away those of each division, so once every
+    pass is ordered it holds the content of the finished product, its
+    ledger surplus.  The pairs run first, ascending, then the ups,
+    ascending, and after each up every pending down, largest first, all
+    of whose divisors y still have positive content: 1 - q^x divides the
+    partial product exactly when Phi_y does for every y | x, so every
+    partial product is a polynomial.  The copies of a down are held
+    together, so one test and one min over its divisors' content run as
+    many of them as it allows.  Every 1 - q^x holds Phi_1 once and a pair
+    holds none, so no down can run before the first up.  No down waits
+    past the last up: the ledger has found the finished quotient's
+    surplus >= 0 at every divisor of every down, so after the last up the
+    content covers every pending down, and that up's walk runs them all,
+    largest first.
     """
     pairs, ups, downs = plan
     order = [(d, 0) for d in sorted(pairs.elements())]
@@ -476,7 +484,7 @@ def _schedule(
             if k:
                 held.append((d, k, divs))
         waiting = held
-    return order
+    return order, content
 
 
 def _mirror(c: list[int], degree: int, sign: int, size: int) -> None:
@@ -496,39 +504,41 @@ def _mirror(c: list[int], degree: int, sign: int, size: int) -> None:
 # A kernel record (c, e, surplus): the full coefficient list of
 # Q(a, b) = prod(1 - q^a_i) / prod(1 - q^b_i), its signed exponent multiset
 # e, e[x] = #{i : a_i = x} - #{j : b_j = x}, and its ledger surplus (see
-# _surplus).
+# _surplus), the content the kernel's schedule walked to.
 _Record = tuple[list[int], Counter[int], Counter[int]]
-# The empty product 1; never rewritten, so a build from scratch starts
-# from a fresh [1].
-_ONE: _Record = ([1], Counter(), Counter())
 
 
-def _quotient_coeffs(a: Iterable[int], b: Iterable[int], prev: _Record = _ONE) -> _Record:
+def _quotient_coeffs(a: Iterable[int], b: Iterable[int], prev: _Record | None = None) -> _Record:
     """The kernel record of Q(a, b), or NotPolynomial.
 
-    prev is the record of a known quotient, by default _ONE, so a build
-    from scratch is a step from 1.  Every check runs before any coefficient
-    list is touched: the size limit, the lengths and entries, the degree
-    D = sum(a) - sum(b) >= 0, and the ledger, so a refused step leaves prev
-    whole.  A step that passes them consumes prev: prev's list is cut to
-    the head the passes read (to [1] on a rebuild) and rewritten in place
-    into the result's, with no copy, so prev's coefficients are gone when
-    the call returns; its e and surplus are not modified.  _ONE is never
-    rewritten: a step from it starts from a fresh [1].  The
-    exponents are held as one signed multiset e, so factors common to a
-    and b cancel as e is counted, and Q(a, b) is prev's quotient times the
-    quotient of the step e - e_prev.  The ledger adds the surplus of the
-    step to prev's and passes when no divisor the step touches goes
-    negative.  The quotient is then palindromic of degree D, so only its
-    head modulo q^h, h = D // 2 + 1, is built, and _mirror writes the tail
-    from it.  The passes come from _pair_doubles, for the step from
-    prev's coefficients if it takes strictly fewer than the rebuild from 1
-    (the two agree when prev is _ONE), else for the rebuild.  The rebuild
-    is planned only when it can win, since any plan of e takes at least
+    prev is the record of a known quotient.  It defaults to None, which
+    stands for the empty product 1: the call then starts from its own
+    fresh record ([1], no exponents, no surplus), so a build from scratch
+    is a step from 1 through the same ledger, plan, schedule and passes.
+    Every check runs before any coefficient list is touched: the size
+    limit, the lengths and entries, the degree D = sum(a) - sum(b) >= 0,
+    and the ledger, so a refused step leaves prev whole.  A step that
+    passes them consumes prev: prev's list is cut to the head the passes
+    read (to [1] on a rebuild) and rewritten in place into the result's,
+    with no copy, so prev's coefficients are gone when the call returns;
+    its e and surplus are read, never written.  The exponents are held as
+    one signed multiset e, so factors common to a and b cancel as e is
+    counted, and Q(a, b) is prev's quotient times the quotient of the step
+    e - e_prev.  The ledger counts the surplus of the step and passes when
+    no divisor the step touches would go negative beside prev's surplus.
+    The quotient is then palindromic of degree D, so only its head modulo
+    q^h, h = D // 2 + 1, is built, and _mirror writes the tail from it.
+    The passes come from _pair_doubles, for the step from prev's
+    coefficients if it takes strictly fewer than the rebuild from 1 (the
+    two agree when prev is None), else for the rebuild.  The rebuild is
+    planned only when it can win, since any plan of e takes at least
     sum|e| / 2 passes.  _schedule orders the passes so that each division
     runs as soon as the cyclotomic content of the partial product allows,
     starting from prev's surplus or, for a rebuild, from none; since the
-    ledger passed, no division waits past the last up.  Every partial
+    ledger passed, no division waits past the last up.  The content the
+    schedule walked to is the record's surplus: it adds every pass's
+    divisors, so once every pass has run, which the degree check below
+    confirms, it is prev's surplus plus the step's.  Every partial
     product P of degree deg is then a polynomial with P_i = sign *
     P_{deg - i}: sign flips at each pass by 1 - q^k and holds at a pair.
     So only its head, min(deg // 2 + 1, h) coefficients, is held; a
@@ -542,17 +552,13 @@ def _quotient_coeffs(a: Iterable[int], b: Iterable[int], prev: _Record = _ONE) -
     degree = sum(a) - sum(b)
     if degree < 0:
         raise NotPolynomial(f"quotient of a={a} by b={b} has negative degree {degree}")
-    c, prev_e, content = prev
+    c, prev_e, content = prev or ([1], Counter(), Counter())
     e = _signed(a, b)
     step = e.copy()
     step.subtract(prev_e)
     change = _surplus(step)
-    surplus = content.copy()
-    surplus.update(change)
-    if any(surplus[d] < 0 for d in change):
+    if any(content[d] + change[d] < 0 for d in change):
         raise NotPolynomial(f"quotient of a={a} by b={b} is not a polynomial")
-    if prev is _ONE:
-        c = [1]  # the empty product is never rewritten
     h = degree // 2 + 1
     plan = _pair_doubles(step)
     passes = sum(map(Counter.total, plan))
@@ -563,7 +569,8 @@ def _quotient_coeffs(a: Iterable[int], b: Iterable[int], prev: _Record = _ONE) -
     deg = len(c) - 1
     sign = 1
     del c[min(deg // 2 + 1, h):]
-    for k, kind in _schedule(plan, content):
+    order, surplus = _schedule(plan, content)
+    for k, kind in order:
         if kind < 0:
             deg -= k
             c = _div_one_minus_qpow(c, k, min(deg // 2 + 1, h))

@@ -3,8 +3,6 @@ them in the terminal summary so every run ends with one line per criterion."""
 
 import pytest
 
-from qcatalan import polyq
-
 _LINES: list[str] = []
 
 
@@ -16,15 +14,6 @@ def criterion_log():
         print(line)
 
     return log
-
-
-@pytest.fixture(autouse=True)
-def empty_product_stays_one():
-    """Every build from scratch starts from the kernel record polyq._ONE, so
-    no kernel call may leave it changed."""
-    yield
-    c, e, surplus = polyq._ONE
-    assert (c, dict(e), dict(surplus)) == ([1], {}, {}), polyq._ONE
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -407,7 +407,7 @@ def test_general_integer_lists_must_parse(a, b, capsys):
 
 def test_broken_construction_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(
-        polyq, "_quotient_coeffs", lambda a, b, prev=polyq._ONE: ([1, -1, 1], Counter(), Counter())
+        polyq, "_quotient_coeffs", lambda a, b, prev=None: ([1, -1, 1], Counter(), Counter())
     )
     rc, out = run_cli("coeffs", "--family", "catalan", "--n", "3")
     assert rc == 3 and out == ""
@@ -528,6 +528,18 @@ def test_each_subcommand_declares_the_pinned_options():
     }
     assert list(surface.items()) == list(OPTION_SURFACE.items())
     assert not any(sp.allow_abbrev for sp in sub.choices.values())
+
+
+def test_the_float_flags_are_the_parsers_float_options():
+    # main joins FLOAT_FLAGS to their values so that --beta -1e-3 parses; a
+    # float option missing from it would refuse a negative exponent value
+    (sub,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    floats = {
+        flag for sp in sub.choices.values() for action in sp._actions
+        if action.type is float for flag in action.option_strings
+    }
+    assert floats == {"--grid-step", "--alpha", "--beta", "--gamma"}
+    assert sorted(cli.FLOAT_FLAGS) == sorted(floats)
 
 
 PARSER_FLAGS = _parser_flags()

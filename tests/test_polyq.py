@@ -480,6 +480,21 @@ def test_kernel_runs_from_prev_only_when_it_saves_passes(monkeypatch):
     assert c is prev[0]
 
 
+def test_each_build_from_scratch_starts_from_its_own_empty_product():
+    # a step consumes the record it starts from, so an empty record shared
+    # by the builds from scratch would hand the next build the list the
+    # step left in it
+    record = polyq._quotient_coeffs((2,), (1,))
+    stepped = polyq._quotient_coeffs((2, 3), (1, 1), record)
+    assert stepped[0] is record[0] and stepped[0] == [1, 2, 2, 1]
+    seen = [stepped[0]]
+    for a, b, expected in (((3,), (1,), [1, 1, 1]), ((), (), [1])):
+        c = polyq._quotient_coeffs(a, b)[0]
+        assert c == expected
+        assert all(c is not old for old in seen)
+        seen.append(c)
+
+
 @pytest.mark.parametrize(
     "args, calls",
     [
@@ -570,7 +585,7 @@ def test_each_division_runs_as_soon_as_the_content_allows():
     # up's Phi_1, and the down 3 for the up 15's Phi_3
     plan = polyq._pair_doubles(signed(range(10, 17), range(2, 9)))
     assert plan == (Counter([5, 6, 7, 8]), Counter([11, 13, 15]), Counter([4, 3, 2]))
-    assert polyq._schedule(plan, Counter()) == [
+    assert polyq._schedule(plan, Counter())[0] == [
         (5, 0), (6, 0), (7, 0), (8, 0), (11, 1), (4, -1), (13, 1), (2, -1), (15, 1), (3, -1),
     ]
     # the mcatalan m = 3 step from n = 5 to 6 starts from the content of
@@ -580,7 +595,7 @@ def test_each_division_runs_as_soon_as_the_content_allows():
     step = after.copy()
     step.subtract(before)
     plan = polyq._pair_doubles(step)
-    assert polyq._schedule(plan, polyq._surplus(before)) == [
+    assert polyq._schedule(plan, polyq._surplus(before))[0] == [
         (16, 1), (13, -1), (17, 1), (12, -1), (18, 1), (6, -1),
     ]
 
@@ -598,7 +613,7 @@ def test_every_family_step_runs_the_passes_in_the_elementwise_order():
             content = polyq._surplus(before)
             ups, downs = (+step).elements(), (-step).elements()
             expected = oracles.elementwise_schedule(oracles.paired_passes(ups, downs), content)
-            assert polyq._schedule(polyq._pair_doubles(step), content) == expected
+            assert polyq._schedule(polyq._pair_doubles(step), content)[0] == expected
 
 
 @st.composite
@@ -625,7 +640,7 @@ def test_the_schedule_runs_the_passes_in_the_elementwise_order(product, prev):
     for content in (Counter(), polyq._surplus(signed(*prev))):
         before = content.copy()
         expected = oracles.elementwise_schedule(oracles.paired_passes(a, b), content)
-        assert polyq._schedule(plan, content) == expected
+        assert polyq._schedule(plan, content)[0] == expected
         assert content == before
 
 
@@ -641,7 +656,7 @@ def test_the_schedule_looks_up_the_content_linearly_in_the_copies():
             return super().__getitem__(x)
 
     plan = polyq._pair_doubles(signed((3,) * 2000, (1,) * 2000))
-    order = polyq._schedule(plan, Lookups())
+    order = polyq._schedule(plan, Lookups())[0]
     assert order == [(3, 1), (1, -1)] * 2000
     assert Lookups.count <= 10 * 2000
 
@@ -725,7 +740,7 @@ def test_interleaved_schedules_build_exactly_the_polynomials(case):
     # antipalindromic partials of even degree, and the step from n = 5 to 6,
     # which divides after each up from the content of member 5
     prev, a, b = case
-    record = polyq._ONE if prev is None else polyq._quotient_coeffs(*prev)
+    record = None if prev is None else polyq._quotient_coeffs(*prev)
     try:
         expected = oracles.sequential_quotient(a, b)
     except NonzeroRemainder:
@@ -817,14 +832,14 @@ def test_a_build_peaks_near_what_it_holds():
 @pytest.mark.parametrize("block", [3, 2 ** 11])
 def test_a_sweep_rewrites_one_list_and_leaves_each_previous_member_as_it_was(block, monkeypatch):
     # the heads of members 60..75 run past one slice of 2^11 entries; member
-    # 60 is built from the empty product _ONE, which must stay 1, and each
-    # later step rewrites the list of the record before it in place
+    # 60 is built from scratch, with no prev, and each later step rewrites
+    # the list of the record before it in place
     monkeypatch.setattr(polyq, "_PASS_BLOCK", block)
     kernel = polyq._quotient_coeffs
     steps = []
 
-    def spy(a, b, prev=polyq._ONE):
-        kept = copy.deepcopy(prev[1:])
+    def spy(a, b, prev=None):
+        kept = prev and copy.deepcopy(prev[1:])
         record = kernel(a, b, prev)
         steps.append((prev, kept, record))
         return record
@@ -837,12 +852,11 @@ def test_a_sweep_rewrites_one_list_and_leaves_each_previous_member_as_it_was(blo
         previous = member
     assert previous == q_catalan_via_binomial(75)
     assert len(steps) == 16
-    assert steps[0][0] is polyq._ONE and steps[0][2][0] is not polyq._ONE[0]
+    assert steps[0][0] is None
     assert all(prev[0] is record[0] for prev, _, record in steps[1:])
-    for (_, e, surplus), kept, _ in steps:
+    for (_, e, surplus), kept, _ in steps[1:]:
         assert (e, surplus) == kept
         assert e.keys() == kept[0].keys() and surplus.keys() == kept[1].keys()
-    assert polyq._ONE == ([1], Counter(), Counter())
 
 
 def test_size_check_reads_lazily_and_refuses_past_the_limit():
@@ -1015,10 +1029,10 @@ def test_carried_surplus_equals_the_count_from_scratch(name, m, n_to, monkeypatc
     kernel = polyq._quotient_coeffs
     seen = []
 
-    def spy(a, b, prev=polyq._ONE):
+    def spy(a, b, prev=None):
         a, b = tuple(a), tuple(b)  # a family member's exponent lists are lazy
         record = kernel(a, b, prev)
-        seen.append((a, b, prev is not polyq._ONE, record[1], record[2]))
+        seen.append((a, b, prev is not None, record[1], record[2]))
         return record
 
     monkeypatch.setattr(polyq, "_quotient_coeffs", spy)
@@ -1053,11 +1067,13 @@ def test_the_step_from_prev_rejects_exactly_the_non_polynomials(prev, other, pro
     if oracles.is_polynomial_by_division(a, b):
         assert polyq._quotient_coeffs(a, b, carried)[0] == oracles.sequential_quotient(a, b)
     else:
-        kept = list(carried[0])
+        kept = copy.deepcopy(carried)
         with pytest.raises(NotPolynomial):
             polyq._quotient_coeffs(a, b, carried)
-        # the ledger refuses before any pass, so prev's list is untouched
-        assert carried[0] == kept
+        # the ledger refuses before any pass, so prev's list is untouched,
+        # and it reads prev's signed multiset and surplus without writing them
+        assert carried == kept
+        assert all(dict(held) == dict(was) for held, was in zip(carried[1:], kept[1:]))
 
 
 def test_a_large_reject_allocates_under_a_megabyte():
